@@ -21,11 +21,9 @@ from .chsh import (
 )
 from .polytope import (
     FACET_LABELS,
-    DeterministicStrategy,
     LocalityVerdict,
     SignalingTable,
     chsh_facets,
-    deterministic_strategies,
     is_local_facets,
     is_local_lp,
     local_vertices,
@@ -47,10 +45,10 @@ from .states import (
     DensityMatrix,
     PureState,
     StateDiagnostics,
+    expectations,
     is_separable_family,
     max_entangled,
     noisy_state,
-    tensor_product,
     validate,
 )
 
@@ -61,7 +59,6 @@ __all__ = [
     "C_THRESHOLD",
     "ChshSettings",
     "DensityMatrix",
-    "DeterministicStrategy",
     "DichotomicObservable",
     "ExperimentSample",
     "FACET_LABELS",
@@ -82,7 +79,7 @@ __all__ = [
     "chsh_value",
     "condition_on_first",
     "correlator",
-    "deterministic_strategies",
+    "expectations",
     "first_two_levels",
     "gap_rows",
     "is_local_facets",
@@ -101,7 +98,6 @@ __all__ = [
     "scan_record",
     "sequential_joint_distribution",
     "success_probability",
-    "tensor_product",
     "threshold_rows",
     "tsirelson_settings",
     "validate",

@@ -59,14 +59,14 @@ class BehaviorTable:
     def to_flat(self) -> list[float]:
         return [float(v) for v in self.probs.reshape(-1)]
 
-    def setting_distribution(self, x: int, y: int) -> np.ndarray:
-        """The 2x2 outcome distribution for one setting pair."""
-        return self.probs[x, y]
+    def correlators(self) -> np.ndarray:
+        """All E(x, y) = P(++) - P(+-) - P(-+) + P(--) as a 2x2 array [x][y]."""
+        p = self.probs
+        return p[:, :, 0, 0] - p[:, :, 0, 1] - p[:, :, 1, 0] + p[:, :, 1, 1]
 
     def correlator(self, x: int, y: int) -> float:
-        """E(x, y) = P(++) - P(+-) - P(-+) + P(--)."""
-        p = self.probs[x, y]
-        return float(p[0, 0] - p[0, 1] - p[1, 0] + p[1, 1])
+        """E(x, y) for one setting pair."""
+        return float(self.correlators()[x, y])
 
     def normalization_defect(self) -> float:
         """Largest deviation of a per-setting total from 1."""
@@ -112,7 +112,7 @@ def table_from_json(text: str) -> BehaviorTable:
     if not isinstance(payload, dict):
         raise TableFormatError("table file must contain a JSON object")
     for key in ("settings", "outcomes"):
-        if key in payload and list(payload[key]) != [2, 2]:
+        if key in payload and payload[key] != [2, 2]:
             raise TableFormatError(f"unsupported {key} {payload[key]}; only [2, 2] scenarios")
     if "px" not in payload:
         raise TableFormatError("table file is missing the 'px' probability list")

@@ -1,8 +1,8 @@
 """CHSH correlators and the noise threshold for violation.
 
 The post-selected state of the noisy family is an isotropic two-qubit state,
-so every CHSH quantity here has both a dense-matrix route (traces against
-observable products) and a closed form in the retained-fraction
+so every CHSH quantity here has both a matrix route (traces against local
+observables) and a closed form in the retained-fraction
 v = N(1-F) / (N(1-F) + 2F).  The violation boundary S(N, F) = 2 solves to
 F = N / (N + c) with c = 2 / (sqrt(2) - 1).
 """
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .behavior import BehaviorTable
-from .states import DensityMatrix
+from .states import DensityMatrix, check_family, expectations
 
 # Noise-threshold constant: S(N, F) > 2 exactly when F < N / (N + C_THRESHOLD).
 C_THRESHOLD = 2.0 / (math.sqrt(2.0) - 1.0)
@@ -79,9 +79,7 @@ def correlator(rho4: DensityMatrix, obs_a: DichotomicObservable, obs_b: Dichotom
     """Expectation value Tr[rho (A x B)] on a two-qubit state."""
     if rho4.dim != 4:
         raise ValueError(f"correlator expects a 4-dimensional state, got dim {rho4.dim}")
-    product = np.kron(obs_a.matrix(), obs_b.matrix())
-    value = complex(np.trace(rho4.matrix @ product))
-    return float(value.real)
+    return float(expectations(rho4, obs_a.matrix()[None], obs_b.matrix()[None])[0, 0])
 
 
 def chsh_value(rho4: DensityMatrix, settings: ChshSettings) -> float:
@@ -104,24 +102,15 @@ def behavior_table(rho4: DensityMatrix, settings: ChshSettings) -> BehaviorTable
     """
     if rho4.dim != 4:
         raise ValueError(f"behavior_table expects a 4-dimensional state, got dim {rho4.dim}")
-    proj_a = [obs.projectors() for obs in settings.alice()]
-    proj_b = [obs.projectors() for obs in settings.bob()]
-    probs = np.zeros((2, 2, 2, 2), dtype=float)
-    for x in range(2):
-        for y in range(2):
-            for a_idx in range(2):
-                for b_idx in range(2):
-                    effect = np.kron(proj_a[x][a_idx], proj_b[y][b_idx])
-                    probs[x, y, a_idx, b_idx] = float(np.trace(rho4.matrix @ effect).real)
-    return BehaviorTable(probs)
+    proj_a = np.array([obs.projectors() for obs in settings.alice()]).reshape(4, 2, 2)
+    proj_b = np.array([obs.projectors() for obs in settings.bob()]).reshape(4, 2, 2)
+    # [x][a] x [y][b]  ->  [x][y][a][b]
+    return BehaviorTable(expectations(rho4, proj_a, proj_b).reshape(2, 2, 2, 2).transpose(0, 2, 1, 3))
 
 
 def retained_fraction(n: int, noise: float) -> float:
     """Weight of the entangled component in the post-selected two-qubit state."""
-    if n < 2:
-        raise ValueError(f"local dimension must be at least 2, got {n}")
-    if not 0.0 <= noise <= 1.0:
-        raise ValueError(f"noise fraction must lie in [0, 1], got {noise}")
+    check_family(n, noise)
     return n * (1.0 - noise) / (n * (1.0 - noise) + 2.0 * noise)
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -58,6 +59,16 @@ def _parse_dims(text: str) -> list[int]:
     return dims
 
 
+def _parse_tol(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"bad tolerance {text!r}") from exc
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and non-negative, got {text}")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="noisybell", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -65,7 +76,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--out", type=Path, default=None, help="write output to this path instead of stdout")
         p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
-        p.add_argument("--tol", type=float, default=1e-9, help="numerical tolerance")
 
     p_scan = sub.add_parser("scan", help="classify an (N, F) grid")
     add_common(p_scan)
@@ -94,6 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="lp",
         help="lp: weight certificate; facets: CHSH criterion (no-signaling tables only)",
     )
+    p_check.add_argument("--tol", type=_parse_tol, default=1e-9, help="numerical tolerance (finite, >= 0)")
     p_check.set_defaults(func=cmd_lhv_check)
 
     p_sample = sub.add_parser("sample", help="Monte Carlo runs of the two-stage experiment")

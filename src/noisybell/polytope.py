@@ -10,15 +10,19 @@ no-signaling tables.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 
 import numpy as np
 
-from .behavior import BehaviorTable, TableFormatError
+from .behavior import BehaviorTable, TableFormatError, _freeze
 from .simplex import l1_feasibility
 
-OUTCOMES = (1, -1)
+# The 16 deterministic strategies as tables [vertex][x][y][a][b].  Vertex k
+# answers outcome index a_x on Alice's side and b_y on Bob's, with (a0, a1,
+# b0, b1) running through product(range(2), repeat=4): Alice-major, (+1, +1)
+# first on each side.  LP weight certificates are reported in this order.
+_ANSWERS = np.eye(2)[list(product(range(2), repeat=4))]  # [vertex][a0 a1 b0 b1][outcome]
+_VERTICES = _freeze(np.einsum("kxa,kyb->kxyab", _ANSWERS[:, :2], _ANSWERS[:, 2:]))
 
 _SETTING_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -39,28 +43,6 @@ class SignalingTable(ValueError):
 
 
 @dataclass(frozen=True)
-class DeterministicStrategy:
-    """Fixed +-1 answers per setting for each side."""
-
-    alice: tuple[int, int]
-    bob: tuple[int, int]
-
-    def __post_init__(self) -> None:
-        for outcome in (*self.alice, *self.bob):
-            if outcome not in OUTCOMES:
-                raise ValueError(f"outcomes must be +1 or -1, got {outcome}")
-
-    def table(self) -> BehaviorTable:
-        probs = np.zeros((2, 2, 2, 2))
-        for x in range(2):
-            for y in range(2):
-                a_idx = OUTCOMES.index(self.alice[x])
-                b_idx = OUTCOMES.index(self.bob[y])
-                probs[x, y, a_idx, b_idx] = 1.0
-        return BehaviorTable(probs)
-
-
-@dataclass(frozen=True)
 class LocalityVerdict:
     """LP membership result with its certificate or violated facet."""
 
@@ -71,27 +53,9 @@ class LocalityVerdict:
     lp_residual: float
 
 
-def deterministic_strategies() -> tuple[DeterministicStrategy, ...]:
-    """All 16 strategies, Alice-major, (+1, +1) first on each side."""
-    return tuple(
-        DeterministicStrategy(alice=a, bob=b)
-        for a in product(OUTCOMES, repeat=2)
-        for b in product(OUTCOMES, repeat=2)
-    )
-
-
 def local_vertices() -> tuple[BehaviorTable, ...]:
-    """The 16 extremal behavior tables, in :func:`deterministic_strategies` order."""
-    return tuple(strategy.table() for strategy in deterministic_strategies())
-
-
-@lru_cache(maxsize=1)
-def _vertex_matrix() -> np.ndarray:
-    """Columns are flattened vertex tables; shape (16, 16), entries 0/1."""
-    columns = [np.asarray(vertex.to_flat()) for vertex in local_vertices()]
-    mat = np.column_stack(columns)
-    mat.setflags(write=False)
-    return mat
+    """The 16 extremal behavior tables, Alice-major, (+1, +1) first on each side."""
+    return tuple(BehaviorTable(v) for v in _VERTICES)
 
 
 def chsh_facets(table: BehaviorTable) -> np.ndarray:
@@ -100,7 +64,7 @@ def chsh_facets(table: BehaviorTable) -> np.ndarray:
     These are plain linear functionals of the table; using them as a locality
     criterion is only sound for no-signaling tables (see is_local_facets).
     """
-    corr = np.array([[table.correlator(x, y) for y in range(2)] for x in range(2)])
+    corr = table.correlators()
     total = corr.sum()
     values = []
     for minus in _SETTING_PAIRS:
@@ -121,17 +85,16 @@ def is_local_lp(table: BehaviorTable, tol: float = 1e-9) -> LocalityVerdict:
         raise TableFormatError(f"table is not normalized (defect {defect}); refusing LP")
 
     target = np.concatenate([np.asarray(table.to_flat()), [1.0]])
-    system = np.vstack([_vertex_matrix(), np.ones(16)])
+    system = np.vstack([_VERTICES.reshape(16, 16).T, np.ones(16)])
     weights, residual = l1_feasibility(system, target)
 
     facets = chsh_facets(table)
     max_idx = int(np.argmax(facets))
     max_facet = float(facets[max_idx])
     local = residual <= tol
-    weights.setflags(write=False)
     return LocalityVerdict(
         is_local=local,
-        weights=weights if local else None,
+        weights=_freeze(weights) if local else None,
         max_facet_value=max_facet,
         violated_facet=None if local or max_facet <= 2.0 + tol else FACET_LABELS[max_idx],
         lp_residual=residual,

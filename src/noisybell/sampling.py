@@ -105,7 +105,7 @@ def sample_experiment(
         )
 
     table = BehaviorTable(conditioned / per_setting[:, :, None, None])
-    correlators = np.array([[table.correlator(x, y) for y in range(2)] for x in range(2)])
+    correlators = table.correlators()
     s_empirical = float(correlators[0, 0] + correlators[0, 1] + correlators[1, 0] - correlators[1, 1])
     variance = float(np.sum((1.0 - correlators**2) / per_setting))
     return ExperimentSample(

@@ -14,9 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .behavior import BehaviorTable
-from .chsh import ChshSettings, DichotomicObservable
-from .states import DensityMatrix, max_entangled
+from .behavior import BehaviorTable, _freeze
+from .chsh import ChshSettings, DichotomicObservable, retained_fraction
+from .states import DensityMatrix, check_family, expectations, max_entangled
 
 BRANCHES = ("in", "out")
 
@@ -51,9 +51,6 @@ class SubspaceProjector:
         mat = np.zeros((self.dim, self.dim), dtype=complex)
         mat[self.retained, self.retained] = 1.0
         return mat
-
-    def is_full(self) -> bool:
-        return len(self.retained) == self.dim
 
 
 def first_two_levels(dim: int) -> SubspaceProjector:
@@ -90,10 +87,7 @@ def success_probability(n: int, noise: float) -> float:
     Closed form (1 - F) * 2/N + F * 4/N**2: the entangled component keeps 2
     of its N equal-weight terms, white noise keeps 4 of N**2 basis states.
     """
-    if n < 2:
-        raise ValueError(f"local dimension must be at least 2, got {n}")
-    if not 0.0 <= noise <= 1.0:
-        raise ValueError(f"noise fraction must lie in [0, 1], got {noise}")
+    check_family(n, noise)
     return (1.0 - noise) * 2.0 / n + noise * 4.0 / (n * n)
 
 
@@ -104,11 +98,7 @@ def post_selected_closed_form(n: int, noise: float) -> DensityMatrix:
     The identity term is the maximally mixed state of the retained two-qubit
     space, which is what unit trace forces.
     """
-    if n < 2:
-        raise ValueError(f"local dimension must be at least 2, got {n}")
-    if not 0.0 <= noise <= 1.0:
-        raise ValueError(f"noise fraction must lie in [0, 1], got {noise}")
-    v = n * (1.0 - noise) / (n * (1.0 - noise) + 2.0 * noise)
+    v = retained_fraction(n, noise)
     psi2 = max_entangled(2)
     mat = v * np.outer(psi2.amplitudes, psi2.amplitudes.conj())
     mat += (1.0 - v) * np.eye(4, dtype=complex) / 4.0
@@ -133,9 +123,7 @@ class SequentialJointDistribution:
             raise ValueError("joint distribution contains non-finite entries")
         if probs.min() < -1e-10:
             raise ValueError(f"joint distribution has negative entry {probs.min()}")
-        probs = np.clip(probs, 0.0, None)
-        probs.setflags(write=False)
-        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "probs", _freeze(np.clip(probs, 0.0, None)))
 
     def setting_total(self, x: int, y: int) -> float:
         return float(self.probs[x, y].sum())
@@ -175,6 +163,18 @@ def _second_stage_projectors(
     return plus, minus
 
 
+def _stage_effects(proj: SubspaceProjector, observables: tuple[DichotomicObservable, ...]) -> np.ndarray:
+    """Effects Pi1 E2 Pi1 of one side's two stages, indexed [x][a1][a2] and flattened.
+
+    Pi1 is the stage-one projector of branch a1 (in, out) and E2 the
+    second-stage projector of outcome a2 under setting x.
+    """
+    kept = proj.matrix()
+    first = np.stack([kept, np.eye(proj.dim, dtype=complex) - kept])[None, :, None]
+    second = np.array([_second_stage_projectors(proj, obs) for obs in observables])[:, None, :]
+    return (first @ second @ first).reshape(-1, proj.dim, proj.dim)
+
+
 def sequential_joint_distribution(
     rho: DensityMatrix,
     proj_a: SubspaceProjector,
@@ -188,29 +188,11 @@ def sequential_joint_distribution(
     outcome probabilities sum to 1, and the first-stage marginals do not
     depend on the second-stage settings.
     """
-    if rho.dim != proj_a.dim * proj_b.dim:
-        raise ValueError(
-            f"state dim {rho.dim} does not factor as {proj_a.dim} x {proj_b.dim}"
-        )
-    eye_a = np.eye(proj_a.dim, dtype=complex)
-    eye_b = np.eye(proj_b.dim, dtype=complex)
-    first_a = (proj_a.matrix(), eye_a - proj_a.matrix())
-    first_b = (proj_b.matrix(), eye_b - proj_b.matrix())
-    second_a = [_second_stage_projectors(proj_a, obs) for obs in settings.alice()]
-    second_b = [_second_stage_projectors(proj_b, obs) for obs in settings.bob()]
-
-    probs = np.zeros((2, 2, 2, 2, 2, 2))
-    for a1 in range(2):
-        for b1 in range(2):
-            stage_one = np.kron(first_a[a1], first_b[b1])
-            updated = stage_one @ rho.matrix @ stage_one
-            for x in range(2):
-                for y in range(2):
-                    for a2 in range(2):
-                        for b2 in range(2):
-                            effect = np.kron(second_a[x][a2], second_b[y][b2])
-                            value = np.trace(effect @ updated).real
-                            probs[x, y, a1, b1, a2, b2] = float(value)
+    values = expectations(
+        rho, _stage_effects(proj_a, settings.alice()), _stage_effects(proj_b, settings.bob())
+    )
+    # [x][a1][a2] x [y][b1][b2]  ->  [x][y][a1][b1][a2][b2]
+    probs = values.reshape((2,) * 6).transpose(0, 3, 1, 4, 2, 5)
     return SequentialJointDistribution(probs)
 
 

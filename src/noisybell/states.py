@@ -3,7 +3,7 @@
 Builds the one-parameter family obtained by mixing the uniform-amplitude
 maximally entangled state of two N-level systems with white noise, decides
 separability for that family from its known closed-form boundary, and
-provides the dense linear-algebra helpers (Kronecker products, state
+provides the linear-algebra helpers (local-operator expectations, state
 diagnostics) the rest of the package is written against.
 
 All values are immutable after construction and safe to share between
@@ -17,10 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.setflags(write=False)
-    return arr
+from .behavior import _freeze
 
 
 def _as_complex_matrix(values: object, name: str) -> np.ndarray:
@@ -117,6 +114,14 @@ def max_entangled(n: int) -> PureState:
     return PureState(amp)
 
 
+def check_family(n: int, noise: float) -> None:
+    """Reject parameters outside the family: n >= 2 levels, noise in [0, 1]."""
+    if n < 2:
+        raise ValueError(f"local dimension must be at least 2, got {n}")
+    if not 0.0 <= noise <= 1.0:
+        raise ValueError(f"noise fraction must lie in [0, 1], got {noise}")
+
+
 def noisy_state(n: int, noise: float) -> DensityMatrix:
     """Maximally entangled state of dimension n x n mixed with white noise.
 
@@ -124,8 +129,7 @@ def noisy_state(n: int, noise: float) -> DensityMatrix:
     :func:`max_entangled`'s output and noise in [0, 1] is the weight of the
     maximally mixed component.
     """
-    if not 0.0 <= noise <= 1.0:
-        raise ValueError(f"noise fraction must lie in [0, 1], got {noise}")
+    check_family(n, noise)
     psi = max_entangled(n)
     dim = n * n
     mat = (1.0 - noise) * np.outer(psi.amplitudes, psi.amplitudes.conj())
@@ -140,18 +144,24 @@ def is_separable_family(n: int, noise: float) -> bool:
     for states produced by :func:`noisy_state`; it is not a general
     separability test.
     """
-    if n < 2:
-        raise ValueError(f"local dimension must be at least 2, got {n}")
-    if not 0.0 <= noise <= 1.0:
-        raise ValueError(f"noise fraction must lie in [0, 1], got {noise}")
+    check_family(n, noise)
     return noise >= n / (n + 1)
 
 
-def tensor_product(a: DensityMatrix | np.ndarray, b: DensityMatrix | np.ndarray) -> np.ndarray:
-    """Kronecker product of two square operators."""
-    mat_a = a.matrix if isinstance(a, DensityMatrix) else _as_complex_matrix(a, "left operand")
-    mat_b = b.matrix if isinstance(b, DensityMatrix) else _as_complex_matrix(b, "right operand")
-    return np.kron(mat_a, mat_b)
+def expectations(rho: DensityMatrix, ops_a: np.ndarray, ops_b: np.ndarray) -> np.ndarray:
+    """Real parts of Tr[rho (A_p x B_q)] for stacks of local operators, shape (p, q).
+
+    ``ops_a`` has shape (p, dA, dA) and ``ops_b`` shape (q, dB, dB); rho must
+    have dimension dA * dB, Alice's factor major.  Viewing rho as the tensor
+    rho[i, j, k, l] = <i j| rho |k l>, the trace is the sum of
+    rho[i, j, k, l] A[k, i] B[l, j]: one contraction per side, so no
+    Kronecker product is formed.
+    """
+    d_a, d_b = ops_a.shape[-1], ops_b.shape[-1]
+    if rho.dim != d_a * d_b:
+        raise ValueError(f"state dim {rho.dim} does not factor as {d_a} x {d_b}")
+    half = np.tensordot(ops_a, rho.matrix.reshape(d_a, d_b, d_a, d_b), axes=([1, 2], [2, 0]))
+    return np.einsum("pjl,qlj->pq", half, ops_b).real
 
 
 def validate(

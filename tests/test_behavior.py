@@ -74,6 +74,13 @@ def test_load_rejects_wrong_scenario():
         table_from_json(json.dumps({"settings": [3, 2], "px": [1.0 / 4.0] * 16}))
 
 
+@pytest.mark.parametrize("field", [{"settings": 3}, {"outcomes": None}, {"outcomes": [2, 2, 2]}])
+def test_load_rejects_malformed_scenario(field):
+    """Non-list scenario fields used to escape as a TypeError."""
+    with pytest.raises(TableFormatError, match="unsupported"):
+        table_from_json(json.dumps({**field, "px": [0.25] * 16}))
+
+
 def test_load_rejects_invalid_json():
     with pytest.raises(TableFormatError):
         table_from_json("{not json")

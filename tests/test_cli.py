@@ -109,6 +109,43 @@ def test_lhv_check_quantum_table_is_nonlocal(tmp_path, capsys):
     assert "2.82842712475" in stdout
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "tight"])
+def test_lhv_check_rejects_bad_tolerance(tol, tmp_path, capsys):
+    """A NaN or negative tolerance used to turn the uniform table nonlocal."""
+    path = tmp_path / "uniform.json"
+    save_table(BehaviorTable.uniform(), path)
+    code, stdout, stderr = run(["lhv-check", str(path), "--tol", tol], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("error:") and stderr.count("\n") == 1
+
+
+def test_lhv_check_accepts_zero_tolerance(tmp_path, capsys):
+    path = tmp_path / "uniform.json"
+    save_table(BehaviorTable.uniform(), path)
+    code, stdout, _ = run(["lhv-check", str(path), "--tol", "0", "--method", "facets"], capsys)
+    assert code == 0
+    assert "verdict: local" in stdout
+
+
+@pytest.mark.parametrize("command", ["scan", "threshold", "gap", "sample"])
+def test_tol_is_only_an_lhv_check_flag(command, capsys):
+    code, stdout, stderr = run([command, "--tol", "1e-3"], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert "--tol" in stderr
+
+
+@pytest.mark.parametrize("field", [{"settings": 3}, {"outcomes": None}])
+def test_lhv_check_malformed_scenario_is_usage_error(field, tmp_path, capsys):
+    path = tmp_path / "table.json"
+    path.write_text(json.dumps({**field, "px": [0.25] * 16}))
+    code, stdout, stderr = run(["lhv-check", str(path)], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("error: unsupported") and stderr.count("\n") == 1
+
+
 def test_lhv_check_json_format(tmp_path, capsys):
     path = tmp_path / "quantum.json"
     save_table(QUANTUM_TABLE, path)

@@ -1,0 +1,124 @@
+"""Exact stdout and table-file bytes of representative CLI commands.
+
+The files under ``tests/golden/`` pin what the CLI prints and writes, so a
+refactor that moves a single byte fails here.  Each case's stdout is in
+``<name>.out`` and, for ``sample`` runs with ``--out``, the written table is
+in ``<name>.table.json``.  The two ``lhv-check`` inputs are fixed files in
+the same directory.
+
+Regenerate only when an output change is intended, by running this file as a
+script with the package to capture on the import path::
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import contextlib
+import io
+import itertools
+import json
+import math
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from noisybell.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+# (name, argv, exit code).  "{out}" becomes a temporary table path and
+# "{golden}" the golden directory.
+CASES = (
+    ("sample_n2_csv", ["sample", "--dim", "2", "--count", "20000", "--seed", "11", "--out", "{out}"], 0),
+    ("sample_n2_json", ["sample", "--dim", "2", "--noise", "0.4", "--seed", "3", "--format", "json"], 0),
+    (
+        "sample_n5_csv",
+        ["sample", "--dim", "5", "--noise", "0.3", "--count", "50000", "--seed", "7", "--out", "{out}"],
+        0,
+    ),
+    (
+        "sample_n5_json",
+        ["sample", "--dim", "5", "--noise", "0.6", "--count", "30000", "--seed", "5", "--format", "json"],
+        0,
+    ),
+    (
+        "sample_n24_csv",
+        ["sample", "--dim", "24", "--noise", "0.1", "--count", "100000", "--seed", "2", "--out", "{out}"],
+        0,
+    ),
+    (
+        "sample_n24_json",
+        ["sample", "--dim", "24", "--noise", "0.5", "--count", "100000", "--seed", "9", "--format", "json"],
+        0,
+    ),
+    ("scan_csv", ["scan", "--dims", "2,16,1024", "--f-step", "0.01"], 0),
+    ("scan_json", ["scan", "--dims", "2,16,1024", "--f-step", "0.01", "--format", "json"], 0),
+    ("threshold_csv", ["threshold"], 0),
+    ("threshold_json", ["threshold", "--dims", "2,5,1024", "--format", "json"], 0),
+    ("gap_csv", ["gap"], 0),
+    ("gap_json", ["gap", "--dims", "2,5,1024", "--format", "json"], 0),
+    ("lhv_mixture_lp_json", ["lhv-check", "{golden}/vertex_mixture.json", "--format", "json"], 0),
+    ("lhv_mixture_facets", ["lhv-check", "{golden}/vertex_mixture.json", "--method", "facets"], 0),
+    ("lhv_tsirelson_lp", ["lhv-check", "{golden}/tsirelson.json"], 3),
+    (
+        "lhv_tsirelson_facets_json",
+        ["lhv-check", "{golden}/tsirelson.json", "--method", "facets", "--format", "json"],
+        3,
+    ),
+)
+
+
+def run_case(argv: list[str], workdir: Path) -> tuple[int, str, str | None]:
+    """Exit code, stdout, and the written table (if any) of one CLI run."""
+    out = workdir / "out.json"
+    args = [a.replace("{out}", str(out)).replace("{golden}", str(GOLDEN)) for a in argv]
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main(args)
+    table = out.read_text(encoding="utf-8") if out.exists() else None
+    return code, stdout.getvalue(), table
+
+
+@pytest.mark.parametrize("name,argv,exit_code", CASES, ids=[c[0] for c in CASES])
+def test_golden_bytes(name, argv, exit_code, tmp_path):
+    code, stdout, table = run_case(argv, tmp_path)
+    assert code == exit_code
+    assert stdout == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+    table_file = GOLDEN / f"{name}.table.json"
+    assert table == (table_file.read_text(encoding="utf-8") if table_file.exists() else None)
+
+
+def _write_inputs() -> None:
+    """The two lhv-check inputs: a seeded vertex mixture and a Tsirelson table."""
+    answers = np.array(list(itertools.product((0, 1), repeat=4)))  # a0 a1 b0 b1, 0 = +1
+    vertices = np.zeros((16, 2, 2, 2, 2))
+    for k, (a0, a1, b0, b1) in enumerate(answers):
+        for x, y in itertools.product(range(2), repeat=2):
+            vertices[k, x, y, (a0, a1)[x], (b0, b1)[y]] = 1.0
+    weights = np.random.default_rng(20011).dirichlet(np.full(16, 0.5))
+    mixture = np.einsum("k,kxyab->xyab", weights, vertices)
+    signs = np.array([1.0, -1.0])
+    cos = np.cos(np.array([0.0, math.pi / 2])[:, None] - np.array([math.pi / 4, -math.pi / 4])[None, :])
+    tsirelson = (1.0 + np.einsum("a,b,xy->xyab", signs, signs, cos)) / 4.0
+    for name, probs in (("vertex_mixture", mixture), ("tsirelson", tsirelson)):
+        payload = {"settings": [2, 2], "outcomes": [2, 2], "px": probs.reshape(-1).tolist()}
+        (GOLDEN / f"{name}.json").write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+
+
+def _write_golden() -> None:
+    GOLDEN.mkdir(exist_ok=True)
+    _write_inputs()
+    for name, argv, exit_code in CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            code, stdout, table = run_case(argv, Path(tmp))
+        if code != exit_code:
+            sys.exit(f"{name}: exit {code}, expected {exit_code}")
+        (GOLDEN / f"{name}.out").write_text(stdout, encoding="utf-8")
+        if table is not None:
+            (GOLDEN / f"{name}.table.json").write_text(table, encoding="utf-8")
+
+
+if __name__ == "__main__":
+    _write_golden()

@@ -10,7 +10,6 @@ from noisybell import (
     behavior_table,
     chsh_facets,
     condition_on_first,
-    deterministic_strategies,
     is_local_facets,
     is_local_lp,
     local_vertices,
@@ -151,9 +150,15 @@ def test_high_noise_large_dimension_stays_nonlocal():
 
 
 def test_strategy_enumeration_order():
-    strategies = deterministic_strategies()
-    assert strategies[0].alice == (1, 1) and strategies[0].bob == (1, 1)
-    assert strategies[15].alice == (-1, -1) and strategies[15].bob == (-1, -1)
+    """Alice-major, (+1, +1) first on each side; LP weights follow this order."""
+    vertices = local_vertices()
+    expected = {0: (0, 0, 0, 0), 1: (0, 0, 0, 1), 15: (1, 1, 1, 1)}  # outcome index of a0 a1 b0 b1
+    for k, (a0, a1, b0, b1) in expected.items():
+        probs = np.zeros((2, 2, 2, 2))
+        for x in range(2):
+            for y in range(2):
+                probs[x, y, (a0, a1)[x], (b0, b1)[y]] = 1.0
+        assert np.array_equal(vertices[k].probs, probs)
 
 
 def test_conditioned_lhv_worlds_stay_local(lhv_world_factory):

@@ -9,11 +9,8 @@ from noisybell import (
     is_separable_family,
     max_entangled,
     noisy_state,
-    tensor_product,
     validate,
 )
-
-SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 
 def test_max_entangled_qubit_amplitudes():
@@ -96,29 +93,6 @@ def test_separability_flips_at_boundary(n):
     boundary = n / (n + 1)
     assert not is_separable_family(n, boundary - 1e-9)
     assert is_separable_family(n, boundary + 1e-9)
-
-
-def test_tensor_product_identities():
-    eye2 = np.eye(2, dtype=complex)
-    assert np.array_equal(tensor_product(eye2, eye2), np.eye(4, dtype=complex))
-    assert np.all(tensor_product(np.zeros((2, 2)), eye2) == 0)
-
-
-def test_tensor_product_pauli_z_pair():
-    product = tensor_product(SIGMA_Z, SIGMA_Z)
-    assert np.allclose(np.diag(product), [1.0, -1.0, -1.0, 1.0], atol=1e-15)
-    assert np.allclose(product, np.diag(np.diag(product)))
-
-
-def test_tensor_product_accepts_density_matrices():
-    rho = noisy_state(2, 1.0)
-    out = tensor_product(rho, np.eye(2, dtype=complex))
-    assert out.shape == (8, 8)
-
-
-def test_tensor_product_rejects_non_square():
-    with pytest.raises(ValueError):
-        tensor_product(np.zeros((2, 3)), np.eye(2))
 
 
 def test_validate_off_grid_state():
