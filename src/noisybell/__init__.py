@@ -29,7 +29,7 @@ from .polytope import (
     local_vertices,
 )
 from .sampling import ExperimentSample, sample_experiment
-from .scan import ScanRecord, bisect_threshold, gap_rows, scan_grid, scan_record, threshold_rows
+from .scan import ScanGrid, ScanRecord, bisect_threshold, gap_rows, scan_grid, scan_record, threshold_rows
 from .sequential import (
     SequentialJointDistribution,
     SubspaceProjector,
@@ -64,6 +64,7 @@ __all__ = [
     "FACET_LABELS",
     "LocalityVerdict",
     "PureState",
+    "ScanGrid",
     "ScanRecord",
     "SequentialJointDistribution",
     "SignalingTable",

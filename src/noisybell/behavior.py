@@ -119,6 +119,9 @@ def table_from_json(text: str) -> BehaviorTable:
     px = payload["px"]
     if not isinstance(px, list) or len(px) != FLAT_LENGTH:
         raise TableFormatError("'px' must be a list of 16 probabilities")
+    if any(isinstance(v, bool) for v in px):
+        # float(True) is 1.0, so booleans would otherwise load as probabilities.
+        raise TableFormatError("'px' entries must be numbers, not booleans")
     try:
         table = BehaviorTable.from_flat([float(v) for v in px])
     except (TypeError, ValueError) as exc:

@@ -56,7 +56,7 @@ def _parse_dims(text: str) -> list[int]:
         raise argparse.ArgumentTypeError("dimension list is empty")
     if any(n < 2 for n in dims):
         raise argparse.ArgumentTypeError("dimensions must be at least 2")
-    return dims
+    return sorted(set(dims))
 
 
 def _parse_tol(text: str) -> float:

@@ -8,9 +8,13 @@ last-bit float noise of grid generation.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
+import math
+from collections.abc import Iterable, Iterator
+from dataclasses import dataclass, fields
 
+import numpy as np
+
+from .behavior import _freeze
 from .chsh import chsh_closed_form, violation_threshold
 from .sequential import success_probability
 from .states import is_separable_family
@@ -19,6 +23,10 @@ CSV_HEADER = "N,F,S,violates,threshold,separable,gap,success_prob"
 
 # Strict-violation margin: S must clear 2 by more than accumulated round-off.
 VIOLATION_MARGIN = 1e-12
+
+# Largest number of records one scan may produce; grids are sized against it
+# before anything is allocated.
+MAX_SCAN_RECORDS = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -35,40 +43,98 @@ class ScanRecord:
     success_prob: float
 
 
+@dataclass(frozen=True)
+class ScanGrid:
+    """All records of an (N, F) scan as read-only columns, in (N, F) order.
+
+    Column ``i`` of every field belongs to record ``i``; iterating yields the
+    records as :class:`ScanRecord` values.
+    """
+
+    dim: np.ndarray
+    noise: np.ndarray
+    s_value: np.ndarray
+    violates: np.ndarray
+    threshold: np.ndarray
+    separable: np.ndarray
+    gap: np.ndarray
+    success_prob: np.ndarray
+
+    def __post_init__(self) -> None:
+        for column in self._columns():
+            _freeze(column)
+
+    def _columns(self) -> list[np.ndarray]:
+        return [getattr(self, f.name) for f in fields(self)]
+
+    def __len__(self) -> int:
+        return len(self.dim)
+
+    def __iter__(self) -> Iterator[ScanRecord]:
+        for row in zip(*(column.tolist() for column in self._columns())):
+            yield ScanRecord(*row)
+
+
 def format_real(value: float) -> str:
     return f"{value:.12g}"
 
 
 def scan_record(n: int, noise: float) -> ScanRecord:
-    """Evaluate the closed forms and derive the consistency flags."""
-    s_value = chsh_closed_form(n, noise)
-    threshold = violation_threshold(n)
-    separable = is_separable_family(n, noise)
-    return ScanRecord(
-        dim=n,
+    """Evaluate the closed forms at one point and derive the consistency flags."""
+    return next(iter(scan_grid([n], noise, noise, 1.0)))
+
+
+def _grid_points(f_min: float, f_max: float, f_step: float) -> int:
+    """Point count of :func:`noise_grid`, checked before anything is allocated."""
+    if not (math.isfinite(f_min) and math.isfinite(f_max) and math.isfinite(f_step)):
+        raise ValueError(f"grid bounds and step must be finite, got [{f_min}, {f_max}] step {f_step}")
+    if f_step <= 0.0:
+        raise ValueError(f"grid step must be positive, got {f_step}")
+    if not (0.0 <= f_min <= f_max <= 1.0):
+        raise ValueError(f"noise range [{f_min}, {f_max}] must lie inside [0, 1]")
+    steps = (f_max - f_min) / f_step + 1e-9
+    if steps >= MAX_SCAN_RECORDS:
+        raise ValueError(f"grid step {f_step} gives more than {MAX_SCAN_RECORDS} noise points")
+    return int(steps) + 1
+
+
+def noise_grid(f_min: float, f_max: float, f_step: float) -> np.ndarray:
+    """Inclusive grid f_min, f_min + step, ... clamped into [f_min, f_max]."""
+    grid = f_min + np.arange(_grid_points(f_min, f_max, f_step)) * f_step
+    # min(f, f_max), which keeps f on a tie: np.minimum would turn 0.0 into -0.0.
+    return np.where(f_max < grid, f_max, grid)
+
+
+def scan_grid(dims: list[int], f_min: float, f_max: float, f_step: float) -> ScanGrid:
+    """Records of every (N, F) pair, N ascending, F along :func:`noise_grid`."""
+    records = len(dims) * _grid_points(f_min, f_max, f_step)
+    if records > MAX_SCAN_RECORDS:
+        raise ValueError(f"scan of {records} records exceeds the limit of {MAX_SCAN_RECORDS}")
+    grid = noise_grid(f_min, f_max, f_step)
+    ordered = sorted(dims)
+    s_value = np.empty(records)
+    threshold = np.empty(records)
+    separable = np.empty(records, dtype=bool)
+    success_prob = np.empty(records)
+    for i, n in enumerate(ordered):
+        block = slice(i * grid.size, (i + 1) * grid.size)
+        s_value[block] = chsh_closed_form(n, grid)
+        threshold[block] = violation_threshold(n)
+        separable[block] = is_separable_family(n, grid)
+        success_prob[block] = success_probability(n, grid)
+    noise = np.tile(grid, len(ordered))
+    # Dimensions past int64 are valid; an object column keeps them exact.
+    dim_type = object if ordered and ordered[-1] > np.iinfo(np.int64).max else np.int64
+    return ScanGrid(
+        dim=np.repeat(np.array(ordered, dtype=dim_type), grid.size),
         noise=noise,
         s_value=s_value,
         violates=s_value > 2.0 + VIOLATION_MARGIN,
         threshold=threshold,
         separable=separable,
-        gap=noise >= threshold and not separable,
-        success_prob=success_probability(n, noise),
+        gap=(noise >= threshold) & ~separable,
+        success_prob=success_prob,
     )
-
-
-def noise_grid(f_min: float, f_max: float, f_step: float) -> list[float]:
-    """Inclusive grid f_min, f_min + step, ... clamped into [f_min, f_max]."""
-    if f_step <= 0.0:
-        raise ValueError(f"grid step must be positive, got {f_step}")
-    if not (0.0 <= f_min <= f_max <= 1.0):
-        raise ValueError(f"noise range [{f_min}, {f_max}] must lie inside [0, 1]")
-    steps = int((f_max - f_min) / f_step + 1e-9)
-    return [min(f_min + k * f_step, f_max) for k in range(steps + 1)]
-
-
-def scan_grid(dims: list[int], f_min: float, f_max: float, f_step: float) -> list[ScanRecord]:
-    grid = noise_grid(f_min, f_max, f_step)
-    return [scan_record(n, f) for n in sorted(dims) for f in grid]
 
 
 def bisect_threshold(n: int, tol: float = 1e-12) -> float:
@@ -115,41 +181,38 @@ def gap_rows(dims: list[int]) -> list[dict]:
     return rows
 
 
-def records_to_csv(records: list[ScanRecord]) -> str:
-    lines = [CSV_HEADER]
-    for r in records:
-        lines.append(
-            ",".join(
-                [
-                    str(r.dim),
-                    format_real(r.noise),
-                    format_real(r.s_value),
-                    _bool_str(r.violates),
-                    format_real(r.threshold),
-                    _bool_str(r.separable),
-                    _bool_str(r.gap),
-                    format_real(r.success_prob),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+_CSV_ROW = "%d,%.12g,%.12g,%s,%.12g,%s,%s,%.12g"
+_SCAN_KEYS = tuple(CSV_HEADER.split(","))
 
 
-def records_to_json(records: list[ScanRecord]) -> str:
-    payload = [
-        {
-            "N": r.dim,
-            "F": _rounded(r.noise),
-            "S": _rounded(r.s_value),
-            "violates": r.violates,
-            "threshold": _rounded(r.threshold),
-            "separable": r.separable,
-            "gap": r.gap,
-            "success_prob": _rounded(r.success_prob),
-        }
-        for r in records
-    ]
-    return json.dumps(payload, indent=2) + "\n"
+def records_to_csv(records: ScanGrid) -> str:
+    r = records
+    rows = zip(
+        r.dim.tolist(),
+        r.noise.tolist(),
+        r.s_value.tolist(),
+        _flags(r.violates),
+        r.threshold.tolist(),
+        _flags(r.separable),
+        _flags(r.gap),
+        r.success_prob.tolist(),
+    )
+    return "\n".join([CSV_HEADER, *(_CSV_ROW % row for row in rows)]) + "\n"
+
+
+def records_to_json(records: ScanGrid) -> str:
+    r = records
+    rows = zip(
+        r.dim.tolist(),
+        _reals(r.noise),
+        _reals(r.s_value),
+        _flags(r.violates),
+        _reals(r.threshold),
+        _flags(r.separable),
+        _flags(r.gap),
+        _reals(r.success_prob),
+    )
+    return _json_list(_SCAN_KEYS, rows)
 
 
 def rows_to_csv(rows: list[dict]) -> str:
@@ -163,12 +226,47 @@ def rows_to_csv(rows: list[dict]) -> str:
 
 
 def rows_to_json(rows: list[dict]) -> str:
-    cleaned = [{k: (_rounded(v) if isinstance(v, float) else v) for k, v in row.items()} for row in rows]
-    return json.dumps(cleaned, indent=2) + "\n"
+    keys = tuple(rows[0].keys()) if rows else ()
+    return _json_list(keys, (tuple(_json_value(row[key]) for key in keys) for row in rows))
+
+
+def _json_list(keys: tuple[str, ...], rows: Iterable[tuple]) -> str:
+    """What ``json.dumps(objects, indent=2)`` plus a newline writes.
+
+    Each row holds the values of one object, in ``keys`` order, already
+    written as JSON.
+    """
+    template = "  {\n" + ",\n".join(f'    "{key}": %s' for key in keys) + "\n  }"
+    body = ",\n".join(template % row for row in rows)
+    return f"[\n{body}\n]\n" if body else "[]\n"
+
+
+def _json_value(value: object) -> object:
+    if isinstance(value, bool):
+        return _bool_str(value)
+    if isinstance(value, float):
+        return _json_real(value)
+    return value
+
+
+def _json_real(value: float) -> str:
+    """A real rounded to 12 significant digits, as json writes that float."""
+    return repr(float(format_real(value)))
+
+
+def _reals(column: np.ndarray) -> list[str]:
+    return [_json_real(x) for x in column.tolist()]
+
+
+def _flags(column: np.ndarray) -> list[str]:
+    return list(map(_BOOL_WORDS.__getitem__, column.tolist()))
+
+
+_BOOL_WORDS = ("false", "true")
 
 
 def _bool_str(flag: bool) -> str:
-    return "true" if flag else "false"
+    return _BOOL_WORDS[flag]
 
 
 def _cell(value: object) -> str:
@@ -177,7 +275,3 @@ def _cell(value: object) -> str:
     if isinstance(value, float):
         return format_real(value)
     return str(value)
-
-
-def _rounded(value: float) -> float:
-    return float(format_real(value))

@@ -114,12 +114,18 @@ def max_entangled(n: int) -> PureState:
     return PureState(amp)
 
 
-def check_family(n: int, noise: float) -> None:
-    """Reject parameters outside the family: n >= 2 levels, noise in [0, 1]."""
+def check_family(n: int, noise: float | np.ndarray) -> None:
+    """Reject parameters outside the family: n >= 2 levels, noise in [0, 1].
+
+    ``noise`` may be a scalar or an array; every entry must lie in [0, 1]
+    (NaN does not), and the message names the first one that does not.
+    """
     if n < 2:
         raise ValueError(f"local dimension must be at least 2, got {n}")
-    if not 0.0 <= noise <= 1.0:
-        raise ValueError(f"noise fraction must lie in [0, 1], got {noise}")
+    values = np.asarray(noise)
+    bad = ~((values >= 0.0) & (values <= 1.0))
+    if bad.any():
+        raise ValueError(f"noise fraction must lie in [0, 1], got {values[bad][0].item()}")
 
 
 def noisy_state(n: int, noise: float) -> DensityMatrix:

@@ -74,11 +74,21 @@ def test_load_rejects_wrong_scenario():
         table_from_json(json.dumps({"settings": [3, 2], "px": [1.0 / 4.0] * 16}))
 
 
-@pytest.mark.parametrize("field", [{"settings": 3}, {"outcomes": None}, {"outcomes": [2, 2, 2]}])
-def test_load_rejects_malformed_scenario(field):
+@pytest.mark.parametrize(
+    "field,match",
+    [
+        ({"settings": 3}, "unsupported"),
+        ({"outcomes": None}, "unsupported"),
+        ({"outcomes": [2, 2, 2]}, "unsupported"),
+        # A deterministic vertex spelled in booleans used to load as 1.0/0.0.
+        ({"px": [True, False, False, False] * 4}, "not booleans"),
+    ],
+    ids=["field0", "field1", "field2", "px_booleans"],
+)
+def test_load_rejects_malformed_scenario(field, match):
     """Non-list scenario fields used to escape as a TypeError."""
-    with pytest.raises(TableFormatError, match="unsupported"):
-        table_from_json(json.dumps({**field, "px": [0.25] * 16}))
+    with pytest.raises(TableFormatError, match=match):
+        table_from_json(json.dumps({"px": [0.25] * 16, **field}))
 
 
 def test_load_rejects_invalid_json():

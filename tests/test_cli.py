@@ -58,6 +58,30 @@ def test_scan_rejects_bad_dims(capsys):
     assert "error" in stderr
 
 
+@pytest.mark.parametrize("command", ["scan", "threshold", "gap"])
+def test_duplicate_dims_collapse(command, capsys):
+    code, out, _ = run([command, "--dims", "5,2,5,2"], capsys)
+    assert code == 0
+    assert out == run([command, "--dims", "2,5"], capsys)[1]
+
+
+@pytest.mark.parametrize(
+    "flags,message",
+    [
+        (["--f-step", "inf"], "must be finite"),
+        (["--f-step", "nan"], "must be finite"),
+        (["--f-min", "nan"], "must be finite"),
+        (["--f-step", "1e-300"], "noise points"),
+        (["--dims", "2,3", "--f-step", "1e-6"], "exceeds the limit"),
+    ],
+)
+def test_scan_rejects_unbounded_grids(flags, message, capsys):
+    code, stdout, stderr = run(["scan", *flags], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("error: ") and message in stderr and stderr.count("\n") == 1
+
+
 def test_unknown_flag_is_usage_error(capsys):
     code, _, stderr = run(["scan", "--nope"], capsys)
     assert code == 1

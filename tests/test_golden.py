@@ -55,6 +55,13 @@ CASES = (
     ),
     ("scan_csv", ["scan", "--dims", "2,16,1024", "--f-step", "0.01"], 0),
     ("scan_json", ["scan", "--dims", "2,16,1024", "--f-step", "0.01", "--format", "json"], 0),
+    # Bounds off the default grid, a step that does not divide the range, N near 10^5.
+    ("scan_offgrid_csv", ["scan", "--dims", "3,7,99991", "--f-min", "0.13", "--f-max", "0.77", "--f-step", "0.07"], 0),
+    (
+        "scan_offgrid_json",
+        ["scan", "--dims", "3,7,99991", "--f-min", "0.13", "--f-max", "0.77", "--f-step", "0.07", "--format", "json"],
+        0,
+    ),
     ("threshold_csv", ["threshold"], 0),
     ("threshold_json", ["threshold", "--dims", "2,5,1024", "--format", "json"], 0),
     ("gap_csv", ["gap"], 0),

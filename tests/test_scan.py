@@ -2,9 +2,31 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from noisybell import bisect_threshold, gap_rows, scan_grid, scan_record, threshold_rows, violation_threshold
-from noisybell.scan import CSV_HEADER, format_real, noise_grid, records_to_csv, records_to_json
+from noisybell import (
+    ScanGrid,
+    bisect_threshold,
+    chsh_closed_form,
+    gap_rows,
+    is_separable_family,
+    scan_grid,
+    scan_record,
+    success_probability,
+    threshold_rows,
+    violation_threshold,
+)
+from noisybell import cli, scan
+from noisybell.scan import (
+    CSV_HEADER,
+    MAX_SCAN_RECORDS,
+    VIOLATION_MARGIN,
+    format_real,
+    noise_grid,
+    records_to_csv,
+    records_to_json,
+)
 
 
 def test_record_large_dimension_high_noise_violates():
@@ -107,3 +129,111 @@ def test_json_records_parse_back():
     assert [row["N"] for row in payload] == [2, 2]
     assert payload[0]["violates"] is True
     assert payload[0]["S"] == pytest.approx(2.82842712475, abs=1e-11)
+
+
+def test_noise_grid_rejects_non_finite_config():
+    for bounds in ((0.0, 1.0, math.inf), (0.0, 1.0, math.nan), (math.nan, 1.0, 0.1), (0.0, math.inf, 0.1)):
+        with pytest.raises(ValueError, match="must be finite"):
+            noise_grid(*bounds)
+
+
+def test_noise_grid_caps_point_count_before_allocating():
+    # 0.5 / 2.5e-7 is 2e6 steps, one point past the cap; 1e-300 would be 1e300.
+    for f_max, f_step in ((0.5, 2.5e-7), (1.0, 1e-300), (1.0, 5e-324)):
+        with pytest.raises(ValueError, match=f"more than {MAX_SCAN_RECORDS} noise points"):
+            noise_grid(0.0, f_max, f_step)
+
+
+def test_scan_grid_caps_record_count_before_allocating(monkeypatch):
+    def allocate(*args):
+        raise AssertionError("the grid was built before the size check")
+
+    monkeypatch.setattr(scan, "noise_grid", allocate)
+    # Two dimensions times 1e6 + 1 points is two records past the cap.
+    with pytest.raises(ValueError, match=f"exceeds the limit of {MAX_SCAN_RECORDS}"):
+        scan_grid([2, 3], 0.0, 1.0, 1e-6)
+
+
+def test_scan_grid_columns_are_read_only():
+    grid = scan_grid([2, 5], 0.0, 1.0, 0.5)
+    assert isinstance(grid, ScanGrid)
+    assert len(grid) == 6
+    assert grid.dim.tolist() == [2, 2, 2, 5, 5, 5]
+    with pytest.raises(ValueError):
+        grid.s_value[0] = 0.0
+
+
+def test_empty_scan_grid_emits_header_and_empty_list():
+    grid = scan_grid([], 0.0, 1.0, 0.5)
+    assert len(grid) == 0
+    assert records_to_csv(grid) == CSV_HEADER + "\n"
+    assert records_to_json(grid) == "[]\n"
+
+
+def test_scan_call_sites_the_benchmark_traces():
+    """The benchmark's tracer rebinds these names in noisybell.cli and counts records with len()."""
+    traced = {"scan_grid", "records_to_csv", "records_to_json", "rows_to_csv", "rows_to_json"}
+    traced |= {"threshold_rows", "gap_rows"}
+    for name in traced:
+        assert getattr(cli, name) is getattr(scan, name)
+    called = set(cli.cmd_scan.__code__.co_names) | set(cli.cmd_threshold.__code__.co_names)
+    called |= set(cli.cmd_gap.__code__.co_names)
+    assert traced <= called
+    dims = [2, 16, 1024]
+    assert len(scan_grid(dims, 0.0, 1.0, 0.01)) == len(dims) * len(noise_grid(0.0, 1.0, 0.01)) == 3 * 101
+
+
+# --- per-point oracle -------------------------------------------------------
+# The route scan_grid and the emitters replaced: one closed-form call per grid
+# point, text built field by field, and JSON through json.dumps.
+
+
+def _oracle_records(dims, f_min, f_max, f_step):
+    steps = int((f_max - f_min) / f_step + 1e-9)
+    grid = [min(f_min + k * f_step, f_max) for k in range(steps + 1)]
+    records = []
+    for n in sorted(dims):
+        for f in grid:
+            s_value = chsh_closed_form(n, f)
+            threshold = violation_threshold(n)
+            separable = is_separable_family(n, f)
+            violates = s_value > 2.0 + VIOLATION_MARGIN
+            gap = f >= threshold and not separable
+            records.append((n, f, s_value, violates, threshold, separable, gap, success_probability(n, f)))
+    return records
+
+
+def _oracle_csv(records):
+    def cell(value):
+        if isinstance(value, bool):
+            return "true" if value else "false"
+        return format_real(value) if isinstance(value, float) else str(value)
+
+    return "\n".join([CSV_HEADER] + [",".join(cell(v) for v in record) for record in records]) + "\n"
+
+
+def _oracle_json(records):
+    keys = CSV_HEADER.split(",")
+    payload = [
+        {key: float(format_real(v)) if isinstance(v, float) else v for key, v in zip(keys, record)}
+        for record in records
+    ]
+    return json.dumps(payload, indent=2) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.lists(st.integers(min_value=2, max_value=10**6), min_size=1, max_size=4),
+    bounds=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=2).map(sorted),
+    f_step=st.floats(min_value=1e-3, max_value=1.0),
+)
+@example(dims=[2, 5], bounds=[0.0, 0.3], f_step=0.1)  # last point clamped to f_max
+@example(dims=[3], bounds=[0.0, -0.0], f_step=0.5)  # min() keeps 0.0 where np.minimum gives -0.0
+@example(dims=[3, 3], bounds=[0.25, 0.25], f_step=1.0)
+def test_columnar_scan_matches_per_point_oracle(dims, bounds, f_step):
+    f_min, f_max = bounds
+    expected = _oracle_records(dims, f_min, f_max, f_step)
+    grid = scan_grid(dims, f_min, f_max, f_step)
+    assert [tuple(vars(record).values()) for record in grid] == expected
+    assert records_to_csv(grid) == _oracle_csv(expected)
+    assert records_to_json(grid) == _oracle_json(expected)

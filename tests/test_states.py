@@ -6,11 +6,13 @@ import pytest
 from noisybell import (
     DensityMatrix,
     PureState,
+    chsh_closed_form,
     is_separable_family,
     max_entangled,
     noisy_state,
     validate,
 )
+from noisybell.states import check_family
 
 
 def test_max_entangled_qubit_amplitudes():
@@ -93,6 +95,23 @@ def test_separability_flips_at_boundary(n):
     boundary = n / (n + 1)
     assert not is_separable_family(n, boundary - 1e-9)
     assert is_separable_family(n, boundary + 1e-9)
+
+
+@pytest.mark.parametrize(
+    "noise,first_bad",
+    [([0.2, 1.5, -1.0], "1.5"), ([0.0, math.nan, 2.0], "nan"), ([[0.5, 1.0], [-0.25, 0.0]], "-0.25")],
+)
+def test_check_family_names_first_bad_array_entry(noise, first_bad):
+    with pytest.raises(ValueError, match=rf"noise fraction must lie in \[0, 1\], got {first_bad}$"):
+        check_family(3, np.array(noise))
+
+
+def test_family_closed_forms_take_noise_arrays():
+    noise = np.array([0.0, 0.5, 0.75, 1.0])
+    assert is_separable_family(2, noise).tolist() == [False, False, True, True]
+    assert chsh_closed_form(2, noise).tolist() == [chsh_closed_form(2, f) for f in noise.tolist()]
+    assert type(chsh_closed_form(2, 0.5)) is float
+    assert type(is_separable_family(2, 0.5)) is bool
 
 
 def test_validate_off_grid_state():
