@@ -274,6 +274,10 @@ def main(argv: list[str] | None = None) -> int:
         # TableFormatError is a ValueError: parse and config failures share exit 1.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except OverflowError as exc:
+        # A dimension past the float range, e.g. scan --dims 10**160 (N^2) or threshold --dims 10**400.
+        print(f"error: value out of floating-point range: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -5,6 +5,11 @@ Each run draws a uniformly random setting pair, then draws the four outcomes
 over the finite outcome set.  This reproduces the statistics of the
 experiment without simulating state collapse, and a fixed seed reproduces
 every count bit for bit (numpy PCG64).
+
+Runs are drawn and binned in chunks of ``CHUNK``, so memory does not grow
+with the run count.  The chunks are cut from the same stream as one-shot
+``integers(0, 4, count)`` followed by ``random(count)``, so every run keeps
+its (setting, uniform) pair whatever the chunk size.
 """
 
 from __future__ import annotations
@@ -20,6 +25,10 @@ from .sequential import first_two_levels, sequential_joint_distribution
 from .states import noisy_state
 
 GENERATOR_NAME = "numpy-pcg64"
+CHUNK = 2**16  # runs drawn and binned at a time
+MAX_SAMPLE_DIM = 64  # the dense N^2 x N^2 state peaks near 0.5 GB here
+MAX_SAMPLE_COUNT = 2**63 - 1  # outcome counters are int64
+_BUCKETS = 4096  # a power of two, so floor(u * _BUCKETS) is the exact bucket of u
 
 
 @dataclass(frozen=True)
@@ -55,8 +64,10 @@ def sample_experiment(
     The standard error propagates the per-setting binomial variance of each
     correlator: Var(E_xy) = (1 - E_xy^2) / n_xy.
     """
-    if count < 1:
-        raise ValueError(f"sample count must be at least 1, got {count}")
+    if not 1 <= count <= MAX_SAMPLE_COUNT:
+        raise ValueError(f"sample count must be between 1 and {MAX_SAMPLE_COUNT}, got {count}")
+    if dim > MAX_SAMPLE_DIM:
+        raise ValueError(f"sample dimension must be at most {MAX_SAMPLE_DIM}, got {dim}")
     if settings is None:
         settings = tsirelson_settings()
 
@@ -71,19 +82,7 @@ def sample_experiment(
     cdf = np.cumsum(flat, axis=2)
     cdf[:, :, -1] = 1.0
 
-    rng = np.random.default_rng(seed)
-    setting_draws = rng.integers(0, 4, size=count)
-    uniform_draws = rng.random(count)
-
-    counts = np.zeros((2, 2, 16), dtype=np.int64)
-    for pair in range(4):
-        x, y = divmod(pair, 2)
-        mask = setting_draws == pair
-        if not np.any(mask):
-            continue
-        outcomes = np.searchsorted(cdf[x, y], uniform_draws[mask], side="right")
-        counts[x, y] += np.bincount(np.minimum(outcomes, 15), minlength=16)
-
+    counts = _outcome_counts(cdf, _draws(count, seed))
     full = counts.reshape(2, 2, 2, 2, 2, 2)  # [x][y][a1][b1][a2][b2]
     branch_counts = full.sum(axis=(0, 1, 4, 5))
     conditioned = full[:, :, 0, 0, :, :].astype(np.int64)
@@ -120,3 +119,57 @@ def sample_experiment(
         s_stderr=math.sqrt(variance),
         s_analytic=s_analytic,
     )
+
+
+def _draws(count: int, seed: int):
+    """Yield (setting, uniform) chunks of ``count`` runs.
+
+    Concatenated, they equal ``integers(0, 4, count)`` followed by
+    ``random(count)`` on one ``default_rng(seed)``.  ``integers(0, 4)`` takes
+    one 32-bit half of a 64-bit output per draw and never rejects, so the
+    uniforms start (count + 1) // 2 outputs in; a second generator advanced
+    that far draws them.  The bit generator keeps a spare half between
+    calls, so settings chunks of any size continue the one-shot stream.
+    """
+    settings_rng = np.random.default_rng(seed)
+    uniforms_rng = np.random.default_rng(seed)
+    uniforms_rng.bit_generator.advance((count + 1) // 2)
+    for start in range(0, count, CHUNK):
+        size = min(CHUNK, count - start)
+        yield settings_rng.integers(0, 4, size=size), uniforms_rng.random(size)
+
+
+def _outcome_counts(cdf: np.ndarray, draws) -> np.ndarray:
+    """Outcome counts [x][y][outcome] of the (setting, uniform) chunks in ``draws``.
+
+    A run with setting pair 2x + y and uniform u has outcome
+    ``min(searchsorted(cdf[x, y], u, side="right"), 15)``.  The sorted CDF
+    values of all four pairs cut [0, 1) into cells that refine every pair's
+    outcome intervals, so runs are counted per (pair, cell) and each cell is
+    mapped to its outcome once at the end.  A u finds its cell through a
+    table over ``_BUCKETS`` equal buckets; only buckets with a CDF value
+    inside need an exact search.
+    """
+    # Repeated values only leave empty cells.  np.unique would drop them, but
+    # under numpy 2.4 it raised the benchmark's peak RSS by about 5 MB at N = 24.
+    breaks = np.sort(cdf, axis=None)
+    cells = breaks.size + 1  # cell c holds breaks[c - 1] <= u < breaks[c]
+    edges = np.arange(_BUCKETS + 1) / _BUCKETS
+    bucket_cell = np.searchsorted(breaks, edges[:-1], side="right")
+    split = np.searchsorted(breaks, edges[1:], side="left") > bucket_cell
+
+    totals = np.zeros(4 * cells, dtype=np.int64)
+    for setting, uniform in draws:
+        bucket = (uniform * _BUCKETS).astype(np.intp)
+        cell = bucket_cell[bucket]
+        inside = split[bucket]
+        if inside.any():
+            cell[inside] = np.searchsorted(breaks, uniform[inside], side="right")
+        totals += np.bincount(setting * cells + cell, minlength=4 * cells)
+
+    # Every u in a cell has the outcome of the cell's left end.
+    left_ends = np.concatenate(([-np.inf], breaks))
+    counts = np.zeros((4, 16), dtype=np.int64)
+    for pair, (row, pair_totals) in enumerate(zip(cdf.reshape(4, 16), totals.reshape(4, cells))):
+        np.add.at(counts[pair], np.minimum(np.searchsorted(row, left_ends, side="right"), 15), pair_totals)
+    return counts.reshape(2, 2, 16)

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from noisybell import BehaviorTable, behavior_table, load_table, max_entangled, save_table, tsirelson_settings
+from noisybell import sampling
 from noisybell.cli import main
+from noisybell.sampling import MAX_SAMPLE_COUNT, MAX_SAMPLE_DIM
 from noisybell.scan import CSV_HEADER
 
 QUANTUM_TABLE = behavior_table(max_entangled(2).density(), tsirelson_settings())
@@ -80,6 +82,22 @@ def test_scan_rejects_unbounded_grids(flags, message, capsys):
     assert code == 1
     assert stdout == ""
     assert stderr.startswith("error: ") and message in stderr and stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--dims", str(10**160)],  # N^2 in success_prob
+        ["threshold", "--dims", str(10**400)],  # N / (N + c)
+        ["gap", "--dims", str(10**400)],
+    ],
+    ids=["scan", "threshold", "gap"],
+)
+def test_dimension_past_float_range_is_usage_error(argv, capsys):
+    code, stdout, stderr = run(argv, capsys)
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("error: ") and "floating-point range" in stderr and stderr.count("\n") == 1
 
 
 def test_unknown_flag_is_usage_error(capsys):
@@ -285,3 +303,28 @@ def test_sample_single_run_notice(tmp_path, capsys):
 def test_sample_rejects_zero_count(capsys):
     code, _, stderr = run(["sample", "--count", "0"], capsys)
     assert code == 1
+
+
+def test_sample_accepts_the_dimension_cap(capsys):
+    code, stdout, _ = run(["sample", "--dim", str(MAX_SAMPLE_DIM), "--count", "100", "--seed", "1"], capsys)
+    assert code == 0
+    assert stdout.splitlines()[1].startswith(f"numpy-pcg64,1,{MAX_SAMPLE_DIM},0,100,")
+
+
+@pytest.mark.parametrize("dim", [MAX_SAMPLE_DIM + 1, 10**6])
+def test_sample_rejects_dimensions_over_the_cap_before_building_the_state(dim, monkeypatch, capsys):
+    def unreachable(*args):
+        raise AssertionError("noisy_state called above the dimension cap")
+
+    monkeypatch.setattr(sampling, "noisy_state", unreachable)
+    code, stdout, stderr = run(["sample", "--dim", str(dim)], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert stderr == f"error: sample dimension must be at most {MAX_SAMPLE_DIM}, got {dim}\n"
+
+
+def test_sample_rejects_counts_past_the_int64_counters(capsys):
+    code, stdout, stderr = run(["sample", "--count", str(MAX_SAMPLE_COUNT + 1)], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("error: sample count must be between 1 and") and stderr.count("\n") == 1

@@ -53,6 +53,18 @@ CASES = (
         ["sample", "--dim", "24", "--noise", "0.5", "--count", "100000", "--seed", "9", "--format", "json"],
         0,
     ),
+    # Chunk boundaries of the streamed Monte Carlo (2**16 runs a chunk): an odd
+    # count that crosses two boundaries, and exactly one full chunk.
+    (
+        "sample_chunks_csv",
+        ["sample", "--dim", "3", "--noise", "0.25", "--count", "131073", "--seed", "17", "--out", "{out}"],
+        0,
+    ),
+    (
+        "sample_one_chunk_json",
+        ["sample", "--dim", "2", "--noise", "0.9", "--count", "65536", "--seed", "4", "--format", "json"],
+        0,
+    ),
     ("scan_csv", ["scan", "--dims", "2,16,1024", "--f-step", "0.01"], 0),
     ("scan_json", ["scan", "--dims", "2,16,1024", "--f-step", "0.01", "--format", "json"], 0),
     # Bounds off the default grid, a step that does not divide the range, N near 10^5.
@@ -62,6 +74,10 @@ CASES = (
         ["scan", "--dims", "3,7,99991", "--f-min", "0.13", "--f-max", "0.77", "--f-step", "0.07", "--format", "json"],
         0,
     ),
+    # Dimensions near the float range: N^2 in success_prob overflows just past 10^154, N / (N + c) past 10^308.
+    ("scan_dim_1e154_csv", ["scan", "--dims", f"2,{10**154}", "--f-step", "0.5"], 0),
+    ("threshold_dim_1e300_csv", ["threshold", "--dims", f"2,{10**300}"], 0),
+    ("gap_dim_1e300_json", ["gap", "--dims", f"2,{10**300}", "--format", "json"], 0),
     ("threshold_csv", ["threshold"], 0),
     ("threshold_json", ["threshold", "--dims", "2,5,1024", "--format", "json"], 0),
     ("gap_csv", ["gap"], 0),

@@ -1,9 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from noisybell import chsh_closed_form, sample_experiment
+from noisybell import chsh_closed_form, sample_experiment, sampling, sequential, states
+from noisybell.sampling import CHUNK, _draws, _outcome_counts
 
 
 def test_same_seed_reproduces_every_count():
@@ -66,3 +70,101 @@ def test_empirical_table_is_normalized():
 def test_rejects_non_positive_count():
     with pytest.raises(ValueError):
         sample_experiment(2, 0.0, 0, seed=1)
+
+
+def test_memory_does_not_grow_with_count():
+    tracemalloc.start()
+    try:
+        sample_experiment(2, 0.3, 4_000_000, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20  # one-shot draws of 4e6 runs held about 88 MB
+
+
+def test_sampling_call_sites_the_benchmark_traces(monkeypatch):
+    """The benchmark's tracer rebinds these names in noisybell.sampling."""
+    assert sampling.noisy_state is states.noisy_state
+    assert sampling.sequential_joint_distribution is sequential.sequential_joint_distribution
+    calls = []
+
+    def recording(name, original):
+        def wrapper(*args):
+            calls.append(name)
+            return original(*args)
+
+        return wrapper
+
+    for name in ("noisy_state", "sequential_joint_distribution"):
+        monkeypatch.setattr(sampling, name, recording(name, getattr(sampling, name)))
+    sample_experiment(3, 0.2, 10, seed=1)
+    assert calls == ["noisy_state", "sequential_joint_distribution"]
+
+
+# --- one-shot oracle ---------------------------------------------------------
+# The route the chunked draws and cell binning replaced: all settings, then all
+# uniforms, from one generator; one mask, searchsorted and bincount per pair.
+
+
+def _oracle_draws(count, seed):
+    rng = np.random.default_rng(seed)
+    return rng.integers(0, 4, size=count), rng.random(count)
+
+
+def _oracle_counts(cdf, setting_draws, uniform_draws):
+    counts = np.zeros((2, 2, 16), dtype=np.int64)
+    for pair in range(4):
+        x, y = divmod(pair, 2)
+        mask = setting_draws == pair
+        if not np.any(mask):
+            continue
+        outcomes = np.searchsorted(cdf[x, y], uniform_draws[mask], side="right")
+        counts[x, y] += np.bincount(np.minimum(outcomes, 15), minlength=16)
+    return counts
+
+
+@pytest.mark.parametrize("count", [1, 2, 3, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+def test_chunked_draws_equal_one_shot_draws(count):
+    chunks = list(_draws(count, seed=2024))
+    assert all(0 < setting.size == uniform.size <= CHUNK for setting, uniform in chunks)
+    expected_settings, expected_uniforms = _oracle_draws(count, seed=2024)
+    assert np.array_equal(np.concatenate([setting for setting, _ in chunks]), expected_settings)
+    assert np.array_equal(np.concatenate([uniform for _, uniform in chunks]), expected_uniforms)
+
+
+# A CDF row holds 15 sorted interior values, then the 1.0 that sample_experiment
+# forces.  Repeats are zero-probability outcomes; k/4096 sits on a bucket edge;
+# a value just above 1 is the round-off a cumulative sum can leave before the 1.0.
+_cdf_value = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(min_value=0, max_value=4096).map(lambda k: k / 4096),
+    st.sampled_from([0.0, 0.5, np.nextafter(1.0, 2.0), np.nextafter(0.25, 0.0)]),
+)
+
+
+@st.composite
+def _cdfs(draw):
+    rows = []
+    for _ in range(4):
+        values = draw(st.lists(_cdf_value, min_size=1, max_size=15))
+        values = (values * 15)[:15]  # cycling repeats values: zero-probability outcomes
+        rows.append(sorted(values) + [1.0])
+    return np.array(rows).reshape(2, 2, 16)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cdf=_cdfs(), count=st.integers(min_value=1, max_value=3 * CHUNK + 1), seed=st.integers(0, 2**32))
+@example(cdf=np.tile(np.arange(1, 17) / 16, (2, 2, 1)), count=3 * CHUNK + 1, seed=0)
+@example(cdf=np.tile(np.r_[np.zeros(15), 1.0], (2, 2, 1)), count=1, seed=5)
+def test_cell_binning_matches_one_shot_oracle(cdf, count, seed):
+    rng = np.random.default_rng(seed)
+    setting_draws = rng.integers(0, 4, size=count)
+    uniform_draws = rng.random(count)
+    # Put some draws exactly on CDF values, bucket edges and their neighbours.
+    edges = np.concatenate([cdf.ravel(), np.arange(4096) / 4096])
+    ties = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+    ties = ties[(ties >= 0.0) & (ties < 1.0)]
+    hit = rng.random(count) < 0.25
+    uniform_draws[hit] = rng.choice(ties, size=int(hit.sum()))
+    chunks = [(setting_draws[i : i + CHUNK], uniform_draws[i : i + CHUNK]) for i in range(0, count, CHUNK)]
+    assert np.array_equal(_outcome_counts(cdf, chunks), _oracle_counts(cdf, setting_draws, uniform_draws))
