@@ -20,6 +20,9 @@ from pathlib import Path
 import numpy as np
 
 FLAT_LENGTH = 16
+NORMALIZATION_TOL = 1e-6  # largest deviation of a per-setting total from 1
+SIGNALING_TOL = 1e-8  # largest marginal shift still read as no-signaling
+NEGATIVITY_TOL = 1e-12  # entries down to -NEGATIVITY_TOL count as round-off
 
 
 class TableFormatError(ValueError):
@@ -83,16 +86,20 @@ class BehaviorTable:
         defect_b = np.max(np.abs(marg_b[0, :, :] - marg_b[1, :, :]))
         return float(max(defect_a, defect_b))
 
-    def is_no_signaling(self, tol: float = 1e-8) -> bool:
-        return self.signaling_defect() <= tol
+    def is_no_signaling(self) -> bool:
+        return self.signaling_defect() <= SIGNALING_TOL
 
-    def validate(self, normalization_tol: float = 1e-6, negativity_tol: float = 1e-12) -> None:
-        """Raise :class:`TableFormatError` unless entries and totals are sound."""
-        if self.min_entry() < -negativity_tol:
-            raise TableFormatError(f"behavior table has negative entry {self.min_entry()}")
+    def check_normalized(self) -> None:
+        """Raise :class:`TableFormatError` unless every per-setting total is 1."""
         defect = self.normalization_defect()
-        if defect > normalization_tol:
+        if defect > NORMALIZATION_TOL:
             raise TableFormatError(f"per-setting totals deviate from 1 by {defect}")
+
+    def validate(self) -> None:
+        """Raise :class:`TableFormatError` unless entries and totals are sound."""
+        if self.min_entry() < -NEGATIVITY_TOL:
+            raise TableFormatError(f"behavior table has negative entry {self.min_entry()}")
+        self.check_normalized()
 
 
 def table_to_json(table: BehaviorTable, meta: dict | None = None) -> str:
@@ -107,7 +114,7 @@ def table_from_json(text: str) -> BehaviorTable:
     """Parse and validate the canonical JSON format."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
         raise TableFormatError(f"not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise TableFormatError("table file must contain a JSON object")
@@ -119,13 +126,10 @@ def table_from_json(text: str) -> BehaviorTable:
     px = payload["px"]
     if not isinstance(px, list) or len(px) != FLAT_LENGTH:
         raise TableFormatError("'px' must be a list of 16 probabilities")
-    if any(isinstance(v, bool) for v in px):
-        # float(True) is 1.0, so booleans would otherwise load as probabilities.
-        raise TableFormatError("'px' entries must be numbers, not booleans")
-    try:
-        table = BehaviorTable.from_flat([float(v) for v in px])
-    except (TypeError, ValueError) as exc:
-        raise TableFormatError(f"'px' entries are not all numeric: {exc}") from exc
+    # bool is an int subclass and float("0.25") parses, so test the JSON type itself.
+    if not all(type(v) in (int, float) for v in px):
+        raise TableFormatError("'px' entries must be JSON numbers, not booleans, strings, null, lists or objects")
+    table = BehaviorTable.from_flat([float(v) for v in px])
     table.validate()
     return table
 

@@ -129,6 +129,5 @@ def violation_threshold(n: int) -> float:
     Returns N / (N + c) with c = 2 / (sqrt(2) - 1); increases strictly with N
     and tends to 1, so any noise level is beaten by a large enough dimension.
     """
-    if n < 2:
-        raise ValueError(f"local dimension must be at least 2, got {n}")
+    check_family(n, 0.0)
     return n / (n + C_THRESHOLD)

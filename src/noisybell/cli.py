@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from .behavior import load_table, save_table
-from .polytope import FACET_LABELS, SignalingTable, chsh_facets, is_local_facets, is_local_lp
+from .polytope import FACET_LABELS, LOCALITY_TOL, SignalingTable, chsh_facets, is_local_facets, is_local_lp
 from .sampling import GENERATOR_NAME, sample_experiment
 from .scan import (
     format_real,
@@ -104,7 +104,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="lp",
         help="lp: weight certificate; facets: CHSH criterion (no-signaling tables only)",
     )
-    p_check.add_argument("--tol", type=_parse_tol, default=1e-9, help="numerical tolerance (finite, >= 0)")
+    p_check.add_argument("--tol", type=_parse_tol, default=LOCALITY_TOL, help="numerical tolerance (finite, >= 0)")
     p_check.set_defaults(func=cmd_lhv_check)
 
     p_sample = sub.add_parser("sample", help="Monte Carlo runs of the two-stage experiment")
@@ -149,7 +149,8 @@ def cmd_gap(args: argparse.Namespace) -> int:
 def cmd_lhv_check(args: argparse.Namespace) -> int:
     table = load_table(args.table)
 
-    if args.method == "facets":
+    method, weights = args.method, None
+    if method == "facets":
         try:
             local = is_local_facets(table, tol=args.tol)
         except SignalingTable:
@@ -157,34 +158,27 @@ def cmd_lhv_check(args: argparse.Namespace) -> int:
                 "notice: facet criterion not applicable to a signaling table; falling back to LP",
                 file=sys.stderr,
             )
-        else:
-            facets = chsh_facets(table)
-            max_idx = int(facets.argmax())
-            report = {
-                "verdict": "local" if local else "nonlocal",
-                "method": "facets",
-                "max_facet": float(facets[max_idx]),
-                "violated_facet": None if local else FACET_LABELS[max_idx],
-                "signaling_defect": table.signaling_defect(),
-                "weights": None,
-            }
-            _emit(_format_verdict(report, args.format), args.out)
-            return EXIT_OK if local else EXIT_NONLOCAL
+            method = "lp"
+    if method == "lp":
+        verdict = is_local_lp(table, tol=args.tol)
+        local, weights = verdict.is_local, verdict.weights
 
-    verdict = is_local_lp(table, tol=args.tol)
+    facets = chsh_facets(table)
+    max_idx = int(facets.argmax())
+    max_facet = float(facets[max_idx])
     # A nonlocal verdict with no violated facet means the table sits outside
     # the no-signaling subspace (e.g. finite-sample noise), not that it
     # violates CHSH; the signaling defect makes that readable.
     report = {
-        "verdict": "local" if verdict.is_local else "nonlocal",
-        "method": "lp",
-        "max_facet": verdict.max_facet_value,
-        "violated_facet": verdict.violated_facet,
+        "verdict": "local" if local else "nonlocal",
+        "method": method,
+        "max_facet": max_facet,
+        "violated_facet": None if local or max_facet <= 2.0 + args.tol else FACET_LABELS[max_idx],
         "signaling_defect": table.signaling_defect(),
-        "weights": None if verdict.weights is None else [float(w) for w in verdict.weights],
+        "weights": weights,
     }
     _emit(_format_verdict(report, args.format), args.out)
-    return EXIT_OK if verdict.is_local else EXIT_NONLOCAL
+    return EXIT_OK if local else EXIT_NONLOCAL
 
 
 def _format_verdict(report: dict, fmt: str) -> str:
@@ -193,16 +187,16 @@ def _format_verdict(report: dict, fmt: str) -> str:
         if cleaned["weights"] is not None:
             cleaned["weights"] = [float(format_real(w)) for w in cleaned["weights"]]
         for key in ("max_facet", "signaling_defect"):
-            if cleaned.get(key) is not None:
-                cleaned[key] = float(format_real(cleaned[key]))
+            cleaned[key] = float(format_real(cleaned[key]))
         return json.dumps(cleaned, indent=2) + "\n"
-    lines = [f"verdict: {report['verdict']}", f"method: {report['method']}"]
-    if report["max_facet"] is not None:
-        lines.append(f"max_facet: {format_real(report['max_facet'])}")
+    lines = [
+        f"verdict: {report['verdict']}",
+        f"method: {report['method']}",
+        f"max_facet: {format_real(report['max_facet'])}",
+    ]
     if report["violated_facet"]:
         lines.append(f"violated_facet: {report['violated_facet']}")
-    if report.get("signaling_defect") is not None:
-        lines.append(f"signaling_defect: {format_real(report['signaling_defect'])}")
+    lines.append(f"signaling_defect: {format_real(report['signaling_defect'])}")
     if report["weights"] is not None:
         lines.append("weights: " + ",".join(format_real(w) for w in report["weights"]))
     return "\n".join(lines) + "\n"

@@ -14,8 +14,10 @@ from itertools import product
 
 import numpy as np
 
-from .behavior import BehaviorTable, TableFormatError, _freeze
+from .behavior import SIGNALING_TOL, BehaviorTable, _freeze
 from .simplex import l1_feasibility
+
+LOCALITY_TOL = 1e-9  # default LP residual and facet margin of a local verdict
 
 # The 16 deterministic strategies as tables [vertex][x][y][a][b].  Vertex k
 # answers outcome index a_x on Alice's side and b_y on Bob's, with (a0, a1,
@@ -23,6 +25,8 @@ from .simplex import l1_feasibility
 # first on each side.  LP weight certificates are reported in this order.
 _ANSWERS = np.eye(2)[list(product(range(2), repeat=4))]  # [vertex][a0 a1 b0 b1][outcome]
 _VERTICES = _freeze(np.einsum("kxa,kyb->kxyab", _ANSWERS[:, :2], _ANSWERS[:, 2:]))
+# LP rows: the 16 table entries as vertex mixtures, then the weights' sum.
+_LP_SYSTEM = _freeze(np.vstack([_VERTICES.reshape(16, 16).T, np.ones(16)]))
 
 _SETTING_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -44,12 +48,10 @@ class SignalingTable(ValueError):
 
 @dataclass(frozen=True)
 class LocalityVerdict:
-    """LP membership result with its certificate or violated facet."""
+    """LP membership result with its weight certificate."""
 
     is_local: bool
     weights: np.ndarray | None
-    max_facet_value: float
-    violated_facet: str | None
     lp_residual: float
 
 
@@ -65,55 +67,34 @@ def chsh_facets(table: BehaviorTable) -> np.ndarray:
     criterion is only sound for no-signaling tables (see is_local_facets).
     """
     corr = table.correlators()
-    total = corr.sum()
-    values = []
-    for minus in _SETTING_PAIRS:
-        base = total - 2.0 * corr[minus]
-        values.extend((base, -base))
-    return np.array(values)
+    base = corr.sum() - 2.0 * corr.reshape(-1)  # the minus sign on E00, E01, E10, E11 in turn
+    return np.stack([base, -base], axis=1).reshape(-1)
 
 
-def is_local_lp(table: BehaviorTable, tol: float = 1e-9) -> LocalityVerdict:
+def is_local_lp(table: BehaviorTable, tol: float = LOCALITY_TOL) -> LocalityVerdict:
     """Decide polytope membership by LP over the 16 vertex weights.
 
     Feasible means weights q >= 0 with sum 1 reproduce every table entry
     within ``tol``; the weights are returned as the certificate.  Works for
     signaling tables too (they are simply never members).
     """
-    defect = table.normalization_defect()
-    if defect > 1e-6:
-        raise TableFormatError(f"table is not normalized (defect {defect}); refusing LP")
-
-    target = np.concatenate([np.asarray(table.to_flat()), [1.0]])
-    system = np.vstack([_VERTICES.reshape(16, 16).T, np.ones(16)])
-    weights, residual = l1_feasibility(system, target)
-
-    facets = chsh_facets(table)
-    max_idx = int(np.argmax(facets))
-    max_facet = float(facets[max_idx])
+    table.check_normalized()
+    target = np.concatenate([table.probs.reshape(-1), [1.0]])
+    weights, residual = l1_feasibility(_LP_SYSTEM, target)
     local = residual <= tol
-    return LocalityVerdict(
-        is_local=local,
-        weights=_freeze(weights) if local else None,
-        max_facet_value=max_facet,
-        violated_facet=None if local or max_facet <= 2.0 + tol else FACET_LABELS[max_idx],
-        lp_residual=residual,
-    )
+    return LocalityVerdict(is_local=local, weights=_freeze(weights) if local else None, lp_residual=residual)
 
 
-def is_local_facets(table: BehaviorTable, tol: float = 1e-9, signaling_tol: float = 1e-8) -> bool:
+def is_local_facets(table: BehaviorTable, tol: float = LOCALITY_TOL) -> bool:
     """Facet-based locality criterion: every CHSH expression at most 2.
 
     Complete for normalized no-signaling tables; raises
     :class:`SignalingTable` otherwise because the criterion is not a valid
     locality test when marginals depend on the remote setting.
     """
-    defect = table.normalization_defect()
-    if defect > 1e-6:
-        raise TableFormatError(f"table is not normalized (defect {defect})")
-    signaling = table.signaling_defect()
-    if signaling > signaling_tol:
+    table.check_normalized()
+    if not table.is_no_signaling():
         raise SignalingTable(
-            f"signaling defect {signaling} exceeds {signaling_tol}; facet criterion not applicable"
+            f"signaling defect {table.signaling_defect()} exceeds {SIGNALING_TOL}; facet criterion not applicable"
         )
     return bool(np.max(chsh_facets(table)) <= 2.0 + tol)

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .behavior import BehaviorTable
-from .chsh import ChshSettings, chsh_closed_form, tsirelson_settings
+from .chsh import chsh_closed_form, tsirelson_settings
 from .sequential import first_two_levels, sequential_joint_distribution
 from .states import noisy_state
 
@@ -52,14 +52,8 @@ class ExperimentSample:
         return self.empirical_table is None
 
 
-def sample_experiment(
-    dim: int,
-    noise: float,
-    count: int,
-    seed: int,
-    settings: ChshSettings | None = None,
-) -> ExperimentSample:
-    """Run the seeded experiment and estimate the conditioned CHSH value.
+def sample_experiment(dim: int, noise: float, count: int, seed: int) -> ExperimentSample:
+    """Run the seeded experiment at the Tsirelson settings and estimate the conditioned CHSH value.
 
     The standard error propagates the per-setting binomial variance of each
     correlator: Var(E_xy) = (1 - E_xy^2) / n_xy.
@@ -68,14 +62,15 @@ def sample_experiment(
         raise ValueError(f"sample count must be between 1 and {MAX_SAMPLE_COUNT}, got {count}")
     if dim > MAX_SAMPLE_DIM:
         raise ValueError(f"sample dimension must be at most {MAX_SAMPLE_DIM}, got {dim}")
-    if settings is None:
-        settings = tsirelson_settings()
+    if seed < 0:
+        # numpy's own message ("expected non-negative integer") names no argument.
+        raise ValueError(f"sample seed must be non-negative, got {seed}")
 
     joint = sequential_joint_distribution(
         noisy_state(dim, noise),
         first_two_levels(dim),
         first_two_levels(dim),
-        settings,
+        tsirelson_settings(),
     )
     # Per setting pair: CDF over the 16 outcome tuples (a1, b1, a2, b2).
     flat = joint.probs.reshape(2, 2, 16)

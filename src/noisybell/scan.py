@@ -23,6 +23,7 @@ CSV_HEADER = "N,F,S,violates,threshold,separable,gap,success_prob"
 
 # Strict-violation margin: S must clear 2 by more than accumulated round-off.
 VIOLATION_MARGIN = 1e-12
+BISECT_TOL = 1e-12  # bisect_threshold stops once its bracket is this narrow
 
 # Largest number of records one scan may produce; grids are sized against it
 # before anything is allocated.
@@ -137,7 +138,7 @@ def scan_grid(dims: list[int], f_min: float, f_max: float, f_step: float) -> Sca
     )
 
 
-def bisect_threshold(n: int, tol: float = 1e-12) -> float:
+def bisect_threshold(n: int) -> float:
     """Root of chsh_closed_form(n, F) = 2 in F, by bisection.
 
     Independent check of :func:`violation_threshold`; the closed form is
@@ -145,7 +146,7 @@ def bisect_threshold(n: int, tol: float = 1e-12) -> float:
     """
     lo, hi = 0.0, 1.0
     for _ in range(200):
-        if hi - lo <= tol:
+        if hi - lo <= BISECT_TOL:
             break
         mid = (lo + hi) / 2.0
         if chsh_closed_form(n, mid) > 2.0:

@@ -128,11 +128,11 @@ class SequentialJointDistribution:
     def setting_total(self, x: int, y: int) -> float:
         return float(self.probs[x, y].sum())
 
-    def first_stage_marginal(self, first_a: str, first_b: str, x: int = 0, y: int = 0) -> float:
-        """P(a1, b1) for one setting pair; identical across settings."""
+    def first_stage_marginal(self, first_a: str, first_b: str) -> float:
+        """P(a1, b1), read at setting pair (0, 0); identical across settings."""
         a1 = BRANCHES.index(first_a)
         b1 = BRANCHES.index(first_b)
-        return float(self.probs[x, y, a1, b1].sum())
+        return float(self.probs[0, 0, a1, b1].sum())
 
     def marginal_spread(self) -> float:
         """Largest variation of a first-stage marginal across setting pairs."""

@@ -16,9 +16,10 @@ import numpy as np
 
 _COST_EPS = 1e-11
 _PIVOT_EPS = 1e-12
+_MAX_PIVOTS = 2000  # Bland's rule terminates in exact arithmetic; this caps round-off cycling
 
 
-def l1_feasibility(a: np.ndarray, b: np.ndarray, max_iter: int = 2000) -> tuple[np.ndarray, float]:
+def l1_feasibility(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     """Return (x, residual) minimizing sum|a @ x - b| over x >= 0."""
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
@@ -44,15 +45,12 @@ def l1_feasibility(a: np.ndarray, b: np.ndarray, max_iter: int = 2000) -> tuple[
     for row in range(m):
         tableau[m, :] -= tableau[row, :]
 
-    for _ in range(max_iter):
-        reduced = tableau[m, :-1]
-        entering = -1
-        for j in range(reduced.size):
-            if reduced[j] < -_COST_EPS:
-                entering = j
-                break
-        if entering < 0:
+    for _ in range(_MAX_PIVOTS):
+        # Bland's rule: the lowest-index improving column enters.
+        improving = np.flatnonzero(tableau[m, :-1] < -_COST_EPS)
+        if improving.size == 0:
             break
+        entering = int(improving[0])
 
         leaving = -1
         best_ratio = np.inf
@@ -69,14 +67,15 @@ def l1_feasibility(a: np.ndarray, b: np.ndarray, max_iter: int = 2000) -> tuple[
         if leaving < 0:
             raise RuntimeError("L1 feasibility LP is unbounded; inputs are malformed")
 
-        pivot = tableau[leaving, entering]
-        tableau[leaving, :] /= pivot
-        for i in range(m + 1):
-            if i != leaving and abs(tableau[i, entering]) > 0.0:
-                tableau[i, :] -= tableau[i, entering] * tableau[leaving, :]
+        tableau[leaving, :] /= tableau[leaving, entering]
+        # Only rows with a nonzero entry change, so the others keep their exact
+        # bits (a -0.0 stays -0.0).
+        rows = np.flatnonzero(tableau[:, entering])
+        rows = rows[rows != leaving]
+        tableau[rows] -= np.outer(tableau[rows, entering], tableau[leaving])
         basis[leaving] = entering
     else:
-        raise RuntimeError(f"simplex did not converge within {max_iter} pivots")
+        raise RuntimeError(f"simplex did not converge within {_MAX_PIVOTS} pivots")
 
     x = np.zeros(n)
     for i, var in enumerate(basis):

@@ -19,6 +19,9 @@ import numpy as np
 
 from .behavior import _freeze
 
+STATE_TOL = 1e-12  # Hermiticity and trace defects a valid density matrix may show
+PSD_TOL = 1e-10  # eigensolver round-off below zero on rank-deficient states
+
 
 def _as_complex_matrix(values: object, name: str) -> np.ndarray:
     mat = np.array(values, dtype=complex)
@@ -89,15 +92,13 @@ class StateDiagnostics:
     hermiticity_defect: float
     trace_defect: float
     min_eigenvalue: float
-    tol: float
-    psd_tol: float
 
     @property
     def ok(self) -> bool:
         return (
-            self.hermiticity_defect <= self.tol
-            and self.trace_defect <= self.tol
-            and self.min_eigenvalue >= -self.psd_tol
+            self.hermiticity_defect <= STATE_TOL
+            and self.trace_defect <= STATE_TOL
+            and self.min_eigenvalue >= -PSD_TOL
         )
 
 
@@ -107,8 +108,7 @@ def max_entangled(n: int) -> PureState:
     Amplitude 1/sqrt(n) at every doubled basis index m*n + m (0-based,
     first factor major), zero elsewhere; the result lives in dimension n**2.
     """
-    if n < 2:
-        raise ValueError(f"local dimension must be at least 2, got {n}")
+    check_family(n, 0.0)
     amp = np.zeros(n * n, dtype=complex)
     amp[np.arange(n) * n + np.arange(n)] = 1.0 / math.sqrt(n)
     return PureState(amp)
@@ -170,11 +170,7 @@ def expectations(rho: DensityMatrix, ops_a: np.ndarray, ops_b: np.ndarray) -> np
     return np.einsum("pjl,qlj->pq", half, ops_b).real
 
 
-def validate(
-    state: DensityMatrix | np.ndarray,
-    tol: float = 1e-12,
-    psd_tol: float = 1e-10,
-) -> StateDiagnostics:
+def validate(state: DensityMatrix | np.ndarray) -> StateDiagnostics:
     """Measure how far a matrix is from being a valid density matrix.
 
     Reports the largest entrywise deviation from Hermiticity, the deviation
@@ -190,6 +186,4 @@ def validate(
         hermiticity_defect=herm_defect,
         trace_defect=trace_defect,
         min_eigenvalue=min_eig,
-        tol=tol,
-        psd_tol=psd_tol,
     )

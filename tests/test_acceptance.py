@@ -57,7 +57,7 @@ def test_criterion_1_threshold_constant():
         assert abs(C_THRESHOLD - 4.83) < 0.005
         assert abs(C_THRESHOLD - 2.0 / (math.sqrt(2.0) - 1.0)) < 1e-12
         for n in (2, 3, 4, 8, 16, 100):
-            assert abs(bisect_threshold(n, tol=1e-12) - violation_threshold(n)) < 1e-9
+            assert abs(bisect_threshold(n) - violation_threshold(n)) < 1e-9
 
 
 def test_criterion_2_closed_form_conditioned_state():

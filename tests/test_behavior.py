@@ -82,8 +82,10 @@ def test_load_rejects_wrong_scenario():
         ({"outcomes": [2, 2, 2]}, "unsupported"),
         # A deterministic vertex spelled in booleans used to load as 1.0/0.0.
         ({"px": [True, False, False, False] * 4}, "not booleans"),
+        # float("0.25") parses, so quoted numbers used to load as probabilities.
+        ({"px": ["0.25"] * 16}, "not booleans, strings"),
     ],
-    ids=["field0", "field1", "field2", "px_booleans"],
+    ids=["field0", "field1", "field2", "px_booleans", "px_strings"],
 )
 def test_load_rejects_malformed_scenario(field, match):
     """Non-list scenario fields used to escape as a TypeError."""
@@ -94,6 +96,13 @@ def test_load_rejects_malformed_scenario(field, match):
 def test_load_rejects_invalid_json():
     with pytest.raises(TableFormatError):
         table_from_json("{not json")
+
+
+def test_load_rejects_deeply_nested_json():
+    """The decoder recurses per bracket; 50,000 levels used to escape as RecursionError."""
+    depth = 50_000
+    with pytest.raises(TableFormatError, match="not valid JSON"):
+        table_from_json('{"px": ' + "[" * depth + "]" * depth + "}")
 
 
 def test_load_rejects_negative_entries():

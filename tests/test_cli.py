@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from noisybell import BehaviorTable, behavior_table, load_table, max_entangled, save_table, tsirelson_settings
-from noisybell import sampling
+from noisybell import behavior, cli, polytope, sampling, simplex
 from noisybell.cli import main
 from noisybell.sampling import MAX_SAMPLE_COUNT, MAX_SAMPLE_DIM
 from noisybell.scan import CSV_HEADER
@@ -215,6 +215,15 @@ def test_lhv_check_rejects_denormalized_table(tmp_path, capsys):
     assert "error" in stderr
 
 
+def test_lhv_check_deeply_nested_table_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text('{"px": ' + "[" * 50_000 + "]" * 50_000 + "}")
+    code, stdout, stderr = run(["lhv-check", str(path)], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("error: not valid JSON") and stderr.count("\n") == 1
+
+
 def test_lhv_check_missing_file_is_io_error(tmp_path, capsys):
     code, _, stderr = run(["lhv-check", str(tmp_path / "absent.json")], capsys)
     assert code == 2
@@ -248,6 +257,44 @@ def test_lhv_check_sampled_local_regime_reports_signaling(tmp_path, capsys):
     assert payload["violated_facet"] is None
     assert 0.0 < payload["signaling_defect"] < 0.05
     assert code == 3  # off the subspace by sampling noise, hence not a member
+
+
+def test_lhv_call_sites_the_benchmark_traces(monkeypatch, tmp_path, capsys):
+    """The benchmark's tracer rebinds these names in noisybell.cli and noisybell.polytope."""
+    assert cli.load_table is behavior.load_table
+    assert cli.is_local_lp is polytope.is_local_lp
+    assert cli.is_local_facets is polytope.is_local_facets
+    assert polytope.l1_feasibility is simplex.l1_feasibility
+    calls = []
+
+    def record(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for name in ("load_table", "is_local_lp", "is_local_facets"):
+        record(cli, name)
+    record(polytope, "l1_feasibility")
+
+    quantum = tmp_path / "quantum.json"
+    save_table(QUANTUM_TABLE, quantum)
+    probs = np.full((2, 2, 2, 2), 0.25)
+    probs[0, 1] = np.array([[0.55, 0.05], [0.05, 0.35]])
+    signaling = tmp_path / "signaling.json"
+    save_table(BehaviorTable(probs), signaling)
+    for path, method, expected in (
+        (quantum, "lp", ["load_table", "is_local_lp", "l1_feasibility"]),
+        (quantum, "facets", ["load_table", "is_local_facets"]),
+        (signaling, "facets", ["load_table", "is_local_facets", "is_local_lp", "l1_feasibility"]),
+    ):
+        calls.clear()
+        code, _, _ = run(["lhv-check", str(path), "--method", method], capsys)
+        assert code == 3
+        assert calls == expected
 
 
 def test_sample_stdout_deterministic(capsys):
@@ -303,6 +350,17 @@ def test_sample_single_run_notice(tmp_path, capsys):
 def test_sample_rejects_zero_count(capsys):
     code, _, stderr = run(["sample", "--count", "0"], capsys)
     assert code == 1
+
+
+def test_sample_rejects_negative_seed(monkeypatch, capsys):
+    def unreachable(*args):
+        raise AssertionError("noisy_state called with a negative seed")
+
+    monkeypatch.setattr(sampling, "noisy_state", unreachable)
+    code, stdout, stderr = run(["sample", "--seed", "-1"], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert stderr == "error: sample seed must be non-negative, got -1\n"
 
 
 def test_sample_accepts_the_dimension_cap(capsys):

@@ -3,8 +3,9 @@
 The files under ``tests/golden/`` pin what the CLI prints and writes, so a
 refactor that moves a single byte fails here.  Each case's stdout is in
 ``<name>.out`` and, for ``sample`` runs with ``--out``, the written table is
-in ``<name>.table.json``.  The two ``lhv-check`` inputs are fixed files in
-the same directory.
+in ``<name>.table.json``.  The ``lhv-check`` inputs are fixed files in the
+same directory: a vertex mixture, a Tsirelson table, and two tables written
+by the ``sample_fallback_*`` cases, which run before the checks that read them.
 
 Regenerate only when an output change is intended, by running this file as a
 script with the package to capture on the import path::
@@ -82,12 +83,31 @@ CASES = (
     ("threshold_json", ["threshold", "--dims", "2,5,1024", "--format", "json"], 0),
     ("gap_csv", ["gap"], 0),
     ("gap_json", ["gap", "--dims", "2,5,1024", "--format", "json"], 0),
+    # Finite-sample tables signal, so --method facets falls back to the LP; the
+    # lhv-check cases below read the tables these two runs write.
+    (
+        "sample_fallback_n2_csv",
+        ["sample", "--dim", "2", "--noise", "0.9", "--count", "20000", "--seed", "5", "--out", "{out}"],
+        0,
+    ),
+    (
+        "sample_fallback_n3_csv",
+        ["sample", "--dim", "3", "--noise", "0.2", "--count", "20000", "--seed", "8", "--out", "{out}"],
+        0,
+    ),
     ("lhv_mixture_lp_json", ["lhv-check", "{golden}/vertex_mixture.json", "--format", "json"], 0),
     ("lhv_mixture_facets", ["lhv-check", "{golden}/vertex_mixture.json", "--method", "facets"], 0),
     ("lhv_tsirelson_lp", ["lhv-check", "{golden}/tsirelson.json"], 3),
     (
         "lhv_tsirelson_facets_json",
         ["lhv-check", "{golden}/tsirelson.json", "--method", "facets", "--format", "json"],
+        3,
+    ),
+    # Nonlocal without a violated facet (CHSH far below 2), and with one.
+    ("lhv_fallback_facets", ["lhv-check", "{golden}/sample_fallback_n2_csv.table.json", "--method", "facets"], 3),
+    (
+        "lhv_fallback_violated_json",
+        ["lhv-check", "{golden}/sample_fallback_n3_csv.table.json", "--method", "facets", "--format", "json"],
         3,
     ),
 )

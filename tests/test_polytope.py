@@ -56,6 +56,19 @@ def test_facets_of_quantum_table_peak_at_tsirelson():
     assert abs(np.max(values) - 2.0 * math.sqrt(2.0)) < 1e-12
 
 
+def test_facets_match_the_per_setting_loop():
+    """chsh_facets equals the loop over the minus sign's position, bit for bit."""
+    rng = np.random.default_rng(8)
+    for _ in range(50):
+        table = BehaviorTable(rng.dirichlet(np.ones(4), size=(2, 2)).reshape(2, 2, 2, 2))
+        corr = table.correlators()
+        expected = []
+        for minus in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            base = corr.sum() - 2.0 * corr[minus]
+            expected.extend((base, -base))
+        assert chsh_facets(table).tobytes() == np.array(expected).tobytes()
+
+
 def test_vertex_is_local_with_unit_weight():
     vertices = local_vertices()
     for idx in (0, 7, 15):
@@ -68,15 +81,14 @@ def test_vertex_is_local_with_unit_weight():
 def test_uniform_table_is_local():
     verdict = is_local_lp(BehaviorTable.uniform())
     assert verdict.is_local
-    assert verdict.violated_facet is None
+    assert chsh_facets(BehaviorTable.uniform()).max() <= 2.0
 
 
 def test_quantum_table_is_nonlocal():
     verdict = is_local_lp(QUANTUM_TABLE)
     assert not verdict.is_local
     assert verdict.weights is None
-    assert abs(verdict.max_facet_value - 2.0 * math.sqrt(2.0)) < 1e-12
-    assert verdict.violated_facet is not None
+    assert abs(chsh_facets(QUANTUM_TABLE).max() - 2.0 * math.sqrt(2.0)) < 1e-12
 
 
 def test_post_selected_state_above_threshold_is_local():
@@ -145,7 +157,7 @@ def test_high_noise_large_dimension_stays_nonlocal():
     table = behavior_table(post_selected_closed_form(100, 0.9), tsirelson_settings())
     verdict = is_local_lp(table)
     assert not verdict.is_local
-    assert abs(verdict.max_facet_value - 2.396972139615415) < 1e-10
+    assert abs(chsh_facets(table).max() - 2.396972139615415) < 1e-10
     assert not is_local_facets(table)
 
 

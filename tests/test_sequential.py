@@ -92,7 +92,7 @@ def test_closed_form_equals_dense_projection(n):
         closed = post_selected_closed_form(n, noise)
         assert np.max(np.abs(dense.matrix - closed.matrix)) < 1e-12
         assert abs(prob - success_probability(n, noise)) < 1e-12
-        assert validate(dense, tol=1e-12).ok
+        assert validate(dense).ok
 
 
 def test_success_probability_values():

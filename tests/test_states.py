@@ -77,7 +77,7 @@ def test_noisy_state_spectrum(n, noise):
 @pytest.mark.parametrize("n", range(2, 9))
 @pytest.mark.parametrize("noise", [0.0, 0.25, 0.5, 0.75, 1.0])
 def test_noisy_state_passes_validate(n, noise):
-    report = validate(noisy_state(n, noise), tol=1e-12)
+    report = validate(noisy_state(n, noise))
     assert report.ok
     assert report.hermiticity_defect < 1e-12
     assert report.trace_defect < 1e-12
@@ -115,7 +115,7 @@ def test_family_closed_forms_take_noise_arrays():
 
 
 def test_validate_off_grid_state():
-    report = validate(noisy_state(3, 0.4), tol=1e-12)
+    report = validate(noisy_state(3, 0.4))
     assert report.ok
     assert report.min_eigenvalue >= 0.0
 
