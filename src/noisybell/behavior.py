@@ -129,7 +129,10 @@ def table_from_json(text: str) -> BehaviorTable:
     # bool is an int subclass and float("0.25") parses, so test the JSON type itself.
     if not all(type(v) in (int, float) for v in px):
         raise TableFormatError("'px' entries must be JSON numbers, not booleans, strings, null, lists or objects")
-    table = BehaviorTable.from_flat([float(v) for v in px])
+    try:
+        table = BehaviorTable.from_flat([float(v) for v in px])
+    except OverflowError as exc:  # an integer entry past the float range
+        raise TableFormatError(f"'px' entry out of floating-point range: {exc}") from exc
     table.validate()
     return table
 

@@ -154,10 +154,6 @@ def cmd_lhv_check(args: argparse.Namespace) -> int:
         try:
             local = is_local_facets(table, tol=args.tol)
         except SignalingTable:
-            print(
-                "notice: facet criterion not applicable to a signaling table; falling back to LP",
-                file=sys.stderr,
-            )
             method = "lp"
     if method == "lp":
         verdict = is_local_lp(table, tol=args.tol)
@@ -178,6 +174,8 @@ def cmd_lhv_check(args: argparse.Namespace) -> int:
         "weights": weights,
     }
     _emit(_format_verdict(report, args.format), args.out)
+    if method != args.method:  # after the write, so an I/O error stays the only stderr line
+        print("notice: facet criterion not applicable to a signaling table; falling back to LP", file=sys.stderr)
     return EXIT_OK if local else EXIT_NONLOCAL
 
 

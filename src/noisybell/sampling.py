@@ -21,12 +21,11 @@ import numpy as np
 
 from .behavior import BehaviorTable
 from .chsh import chsh_closed_form, tsirelson_settings
-from .sequential import first_two_levels, sequential_joint_distribution
-from .states import noisy_state
+from .sequential import sequential_joint_distribution
+from .states import noisy_state  # noqa: F401  not called; bound because perfbench/tracing.py TARGETS names it
 
 GENERATOR_NAME = "numpy-pcg64"
 CHUNK = 2**16  # runs drawn and binned at a time
-MAX_SAMPLE_DIM = 64  # the dense N^2 x N^2 state peaks near 0.5 GB here
 MAX_SAMPLE_COUNT = 2**63 - 1  # outcome counters are int64
 _BUCKETS = 4096  # a power of two, so floor(u * _BUCKETS) is the exact bucket of u
 
@@ -60,18 +59,11 @@ def sample_experiment(dim: int, noise: float, count: int, seed: int) -> Experime
     """
     if not 1 <= count <= MAX_SAMPLE_COUNT:
         raise ValueError(f"sample count must be between 1 and {MAX_SAMPLE_COUNT}, got {count}")
-    if dim > MAX_SAMPLE_DIM:
-        raise ValueError(f"sample dimension must be at most {MAX_SAMPLE_DIM}, got {dim}")
     if seed < 0:
         # numpy's own message ("expected non-negative integer") names no argument.
         raise ValueError(f"sample seed must be non-negative, got {seed}")
 
-    joint = sequential_joint_distribution(
-        noisy_state(dim, noise),
-        first_two_levels(dim),
-        first_two_levels(dim),
-        tsirelson_settings(),
-    )
+    joint = sequential_joint_distribution(dim, noise, tsirelson_settings())
     # Per setting pair: CDF over the 16 outcome tuples (a1, b1, a2, b2).
     flat = joint.probs.reshape(2, 2, 16)
     cdf = np.cumsum(flat, axis=2)
@@ -83,25 +75,12 @@ def sample_experiment(dim: int, noise: float, count: int, seed: int) -> Experime
     conditioned = full[:, :, 0, 0, :, :].astype(np.int64)
     per_setting = conditioned.sum(axis=(2, 3))
 
-    s_analytic = chsh_closed_form(dim, noise)
-    if per_setting.min() == 0:
-        return ExperimentSample(
-            dim=dim,
-            noise=noise,
-            count=count,
-            seed=seed,
-            branch_counts=branch_counts,
-            conditioned_counts=conditioned,
-            empirical_table=None,
-            s_empirical=None,
-            s_stderr=None,
-            s_analytic=s_analytic,
-        )
-
-    table = BehaviorTable(conditioned / per_setting[:, :, None, None])
-    correlators = table.correlators()
-    s_empirical = float(correlators[0, 0] + correlators[0, 1] + correlators[1, 0] - correlators[1, 1])
-    variance = float(np.sum((1.0 - correlators**2) / per_setting))
+    table = s_empirical = s_stderr = None  # S is undefined when a setting pair saw no (in, in) run
+    if per_setting.min() > 0:
+        table = BehaviorTable(conditioned / per_setting[:, :, None, None])
+        correlators = table.correlators()
+        s_empirical = float(correlators[0, 0] + correlators[0, 1] + correlators[1, 0] - correlators[1, 1])
+        s_stderr = math.sqrt(float(np.sum((1.0 - correlators**2) / per_setting)))
     return ExperimentSample(
         dim=dim,
         noise=noise,
@@ -111,8 +90,8 @@ def sample_experiment(dim: int, noise: float, count: int, seed: int) -> Experime
         conditioned_counts=conditioned,
         empirical_table=table,
         s_empirical=s_empirical,
-        s_stderr=math.sqrt(variance),
-        s_analytic=s_analytic,
+        s_stderr=s_stderr,
+        s_analytic=chsh_closed_form(dim, noise),
     )
 
 

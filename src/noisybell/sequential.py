@@ -2,10 +2,10 @@
 
 Stage one projects each side onto a retained subspace (kept/"in" versus
 rejected/"out"); stage two measures a dichotomic observable on the retained
-two-level subspace.  The module provides the post-selected state both by
-dense projection (Lueders update restricted to the retained block) and by
-its closed form, plus the full joint distribution over both stages and the
-conditioning that turns a fixed first-stage branch into a behavior table.
+two-level subspace.  The post-selected state and the joint law of both
+stages come in closed form for the noisy family and by dense projection
+(Lueders update) for any state; conditioning turns a fixed first-stage
+branch into a behavior table.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .behavior import BehaviorTable, _freeze
-from .chsh import ChshSettings, DichotomicObservable, retained_fraction
+from .chsh import ChshSettings, DichotomicObservable, behavior_table, retained_fraction
 from .states import DensityMatrix, check_family, expectations, max_entangled
 
 BRANCHES = ("in", "out")
@@ -175,18 +175,38 @@ def _stage_effects(proj: SubspaceProjector, observables: tuple[DichotomicObserva
     return (first @ second @ first).reshape(-1, proj.dim, proj.dim)
 
 
-def sequential_joint_distribution(
+def sequential_joint_distribution(n: int, noise: float, settings: ChshSettings) -> SequentialJointDistribution:
+    """Joint outcome law of the two-stage experiment on the noisy family, in closed form.
+
+    Both sides keep their first two levels.  (in, in) is the success
+    probability times the behavior of the post-selected two-qubit state.  The
+    entangled component never lands in a mixed branch, so (in, out) and
+    (out, in) are white noise: F (N-2)/N**2 per outcome of the kept side,
+    with the rejected side at +1.  (out, out) takes the rest, all at +1.
+    Equals :func:`dense_joint_distribution` of the family to float precision.
+    """
+    in_in = behavior_table(post_selected_closed_form(n, noise), settings).probs
+    mixed = noise * (n - 2) / (n * n)
+    probs = np.zeros((2,) * 6)
+    probs[:, :, 0, 0] = success_probability(n, noise) * in_in
+    probs[:, :, 0, 1, :, 0] = mixed
+    probs[:, :, 1, 0, 0, :] = mixed
+    probs[:, :, 1, 1, 0, 0] = (1.0 - noise) * (n - 2) / n + noise * (n - 2) ** 2 / (n * n)
+    return SequentialJointDistribution(probs)
+
+
+def dense_joint_distribution(
     rho: DensityMatrix,
     proj_a: SubspaceProjector,
     proj_b: SubspaceProjector,
     settings: ChshSettings,
 ) -> SequentialJointDistribution:
-    """Joint outcome law of the two-stage experiment for all setting pairs.
+    """Joint outcome law of the two-stage experiment on any state, by dense projection.
 
     Stage one measures {Pi, 1 - Pi} on each side (Lueders update); stage two
     measures the extended dichotomic observables.  Per setting pair the 16
     outcome probabilities sum to 1, and the first-stage marginals do not
-    depend on the second-stage settings.
+    depend on the second-stage settings.  The closed form's test reference.
     """
     values = expectations(
         rho, _stage_effects(proj_a, settings.alice()), _stage_effects(proj_b, settings.bob())

@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisybell import BehaviorTable, TableFormatError, load_table, save_table
 from noisybell.behavior import table_from_json, table_to_json
@@ -84,11 +88,13 @@ def test_load_rejects_wrong_scenario():
         ({"px": [True, False, False, False] * 4}, "not booleans"),
         # float("0.25") parses, so quoted numbers used to load as probabilities.
         ({"px": ["0.25"] * 16}, "not booleans, strings"),
+        # A 401-digit integer used to escape as OverflowError.
+        ({"px": [10**400] + [0.25] * 15}, "'px' entry out of floating-point range"),
     ],
-    ids=["field0", "field1", "field2", "px_booleans", "px_strings"],
+    ids=["field0", "field1", "field2", "px_booleans", "px_strings", "px_past_float_range"],
 )
 def test_load_rejects_malformed_scenario(field, match):
-    """Non-list scenario fields used to escape as a TypeError."""
+    """Malformed fields end in TableFormatError; some used to escape as TypeError or OverflowError."""
     with pytest.raises(TableFormatError, match=match):
         table_from_json(json.dumps({"px": [0.25] * 16, **field}))
 
@@ -121,3 +127,19 @@ def test_signaling_defect_detects_marginal_shift():
     table = BehaviorTable(probs)
     assert table.signaling_defect() > 0.09
     assert not table.is_no_signaling()
+
+
+# Per setting pair, four weights with a positive sum; subnormals and exact zeros included.
+_weights = st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(lambda w: sum(w) > 0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=st.lists(_weights, min_size=4, max_size=4))
+def test_save_load_round_trips_random_tables_exactly(rows):
+    probs = np.array(rows).reshape(2, 2, 2, 2)
+    table = BehaviorTable(probs / probs.sum(axis=(2, 3), keepdims=True))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "table.json"
+        save_table(table, path, meta={"seed": 1})
+        loaded = load_table(path)
+    assert loaded.probs.tobytes() == table.probs.tobytes()

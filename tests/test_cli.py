@@ -1,16 +1,32 @@
+import contextlib
+import io
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from noisybell import BehaviorTable, behavior_table, load_table, max_entangled, save_table, tsirelson_settings
+from noisybell import (
+    BehaviorTable,
+    behavior_table,
+    load_table,
+    local_vertices,
+    max_entangled,
+    save_table,
+    tsirelson_settings,
+)
 from noisybell import behavior, cli, polytope, sampling, simplex
 from noisybell.cli import main
-from noisybell.sampling import MAX_SAMPLE_COUNT, MAX_SAMPLE_DIM
+from noisybell.sampling import MAX_SAMPLE_COUNT
 from noisybell.scan import CSV_HEADER
 
 QUANTUM_TABLE = behavior_table(max_entangled(2).density(), tsirelson_settings())
+_SIGNALING = np.full((2, 2, 2, 2), 0.25)  # Bob's marginal moves with Alice's setting
+_SIGNALING[0, 1] = [[0.55, 0.05], [0.05, 0.35]]
 
 
 def run(argv, capsys):
@@ -90,8 +106,9 @@ def test_scan_rejects_unbounded_grids(flags, message, capsys):
         ["scan", "--dims", str(10**160)],  # N^2 in success_prob
         ["threshold", "--dims", str(10**400)],  # N / (N + c)
         ["gap", "--dims", str(10**400)],
+        ["sample", "--dim", str(10**200)],  # N^2 in success_probability
     ],
-    ids=["scan", "threshold", "gap"],
+    ids=["scan", "threshold", "gap", "sample"],
 )
 def test_dimension_past_float_range_is_usage_error(argv, capsys):
     code, stdout, stderr = run(argv, capsys)
@@ -215,6 +232,15 @@ def test_lhv_check_rejects_denormalized_table(tmp_path, capsys):
     assert "error" in stderr
 
 
+def test_lhv_check_px_past_float_range_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"px": [10**400] + [0.25] * 15}))
+    code, stdout, stderr = run(["lhv-check", str(path)], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("error: 'px' entry out of floating-point range") and stderr.count("\n") == 1
+
+
 def test_lhv_check_deeply_nested_table_is_usage_error(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text('{"px": ' + "[" * 50_000 + "]" * 50_000 + "}")
@@ -230,10 +256,8 @@ def test_lhv_check_missing_file_is_io_error(tmp_path, capsys):
 
 
 def test_lhv_check_facets_falls_back_on_signaling_table(tmp_path, capsys):
-    probs = np.full((2, 2, 2, 2), 0.25)
-    probs[0, 1] = np.array([[0.55, 0.05], [0.05, 0.35]])
     path = tmp_path / "signaling.json"
-    save_table(BehaviorTable(probs), path)
+    save_table(BehaviorTable(_SIGNALING), path)
     code, stdout, stderr = run(["lhv-check", str(path), "--method", "facets"], capsys)
     assert "not applicable" in stderr
     assert "method: lp" in stdout
@@ -241,6 +265,16 @@ def test_lhv_check_facets_falls_back_on_signaling_table(tmp_path, capsys):
     # no CHSH facet is violated; the report shows the nonmembership is signaling
     assert "violated_facet" not in stdout
     assert "signaling_defect: 0.1" in stdout
+
+
+def test_lhv_check_fallback_then_io_error_is_one_line(tmp_path, capsys):
+    path = tmp_path / "signaling.json"
+    save_table(BehaviorTable(_SIGNALING), path)
+    out = tmp_path / "missing" / "verdict.txt"
+    code, stdout, stderr = run(["lhv-check", str(path), "--method", "facets", "--out", str(out)], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert stderr.startswith("i/o error: ") and stderr.count("\n") == 1
 
 
 def test_lhv_check_sampled_local_regime_reports_signaling(tmp_path, capsys):
@@ -282,10 +316,8 @@ def test_lhv_call_sites_the_benchmark_traces(monkeypatch, tmp_path, capsys):
 
     quantum = tmp_path / "quantum.json"
     save_table(QUANTUM_TABLE, quantum)
-    probs = np.full((2, 2, 2, 2), 0.25)
-    probs[0, 1] = np.array([[0.55, 0.05], [0.05, 0.35]])
     signaling = tmp_path / "signaling.json"
-    save_table(BehaviorTable(probs), signaling)
+    save_table(BehaviorTable(_SIGNALING), signaling)
     for path, method, expected in (
         (quantum, "lp", ["load_table", "is_local_lp", "l1_feasibility"]),
         (quantum, "facets", ["load_table", "is_local_facets"]),
@@ -354,31 +386,25 @@ def test_sample_rejects_zero_count(capsys):
 
 def test_sample_rejects_negative_seed(monkeypatch, capsys):
     def unreachable(*args):
-        raise AssertionError("noisy_state called with a negative seed")
+        raise AssertionError("joint distribution built for a negative seed")
 
-    monkeypatch.setattr(sampling, "noisy_state", unreachable)
+    monkeypatch.setattr(sampling, "sequential_joint_distribution", unreachable)
     code, stdout, stderr = run(["sample", "--seed", "-1"], capsys)
     assert code == 1
     assert stdout == ""
     assert stderr == "error: sample seed must be non-negative, got -1\n"
 
 
-def test_sample_accepts_the_dimension_cap(capsys):
-    code, stdout, _ = run(["sample", "--dim", str(MAX_SAMPLE_DIM), "--count", "100", "--seed", "1"], capsys)
+@pytest.mark.parametrize("dim", [64, 65, 10**6])
+def test_sample_accepts_large_dimensions(dim, capsys):
+    """The closed-form joint law puts no cap on N."""
+    code, stdout, stderr = run(["sample", "--dim", str(dim), "--count", str(10**6), "--seed", "1"], capsys)
     assert code == 0
-    assert stdout.splitlines()[1].startswith(f"numpy-pcg64,1,{MAX_SAMPLE_DIM},0,100,")
-
-
-@pytest.mark.parametrize("dim", [MAX_SAMPLE_DIM + 1, 10**6])
-def test_sample_rejects_dimensions_over_the_cap_before_building_the_state(dim, monkeypatch, capsys):
-    def unreachable(*args):
-        raise AssertionError("noisy_state called above the dimension cap")
-
-    monkeypatch.setattr(sampling, "noisy_state", unreachable)
-    code, stdout, stderr = run(["sample", "--dim", str(dim)], capsys)
-    assert code == 1
-    assert stdout == ""
-    assert stderr == f"error: sample dimension must be at most {MAX_SAMPLE_DIM}, got {dim}\n"
+    assert stdout.splitlines()[1].startswith(f"numpy-pcg64,1,{dim},0,{10**6},")
+    if dim < 10**6:
+        assert stderr == ""
+    else:  # both sides are kept with probability about 2/N: 2 runs in 10^6 here
+        assert stderr.startswith("notice: insufficient data") and stderr.count("\n") == 1
 
 
 def test_sample_rejects_counts_past_the_int64_counters(capsys):
@@ -386,3 +412,105 @@ def test_sample_rejects_counts_past_the_int64_counters(capsys):
     assert code == 1
     assert stdout == ""
     assert stderr.startswith("error: sample count must be between 1 and") and stderr.count("\n") == 1
+
+
+# --- the CLI contract, over drawn argv ---------------------------------------
+# Every argv ends in a result or in one documented line on stderr: no
+# exception leaves main, the exit code is documented, and a rerun repeats
+# every byte.  --count and --f-step are bounded so each run stays small.
+
+_BAD_NUMBERS = ["nan", "inf", "-inf", "-0", "0x10", "", "1e400", "ten"]
+_HUGE_DIMS = [10**6, 10**150, 10**154, 10**155, 10**300, 10**400]
+_dim = st.one_of(st.integers(-1, 70), st.sampled_from(_HUGE_DIMS)).map(str)
+_int_text = st.one_of(_dim, st.sampled_from(_BAD_NUMBERS))
+_count = st.one_of(st.integers(-1, 10**4).map(str), st.sampled_from(_BAD_NUMBERS))
+_seed = st.one_of(st.integers(-2, 2**64).map(str), st.sampled_from(_BAD_NUMBERS + [str(10**400)]))
+_noise = st.one_of(st.floats(-0.25, 1.25).map(repr), st.sampled_from(_BAD_NUMBERS + ["0", "1"]))
+_f_step = st.one_of(st.floats(1e-3, 2.0).map(repr), st.sampled_from(["0", "-0", "-0.1", "nan", "inf", "1e-300", ""]))
+_tol = st.one_of(st.floats(0.0, 1e-3).map(repr), st.sampled_from(["nan", "-1", "inf", "", "-0", "0x1"]))
+_dims = st.one_of(
+    st.lists(st.one_of(st.integers(-1, 2000), st.sampled_from(_HUGE_DIMS)), min_size=1, max_size=4).map(
+        lambda dims: ",".join(map(str, dims))
+    ),
+    st.sampled_from(_BAD_NUMBERS + [",", "2,,3", "2;3"]),
+)
+_format = st.sampled_from(["csv", "json", "xml", ""])
+_out = st.sampled_from(["{tmp}/out.txt", "{tmp}/missing/out.txt", "{tmp}"])
+_FLAGS = {
+    "scan": {"--dims": _dims, "--f-min": _noise, "--f-max": _noise, "--f-step": _f_step},
+    "threshold": {"--dims": _dims},
+    "gap": {"--dims": _dims},
+    "lhv-check": {"--method": st.sampled_from(["lp", "facets", "simplex"]), "--tol": _tol},
+    "sample": {"--dim": _int_text, "--noise": _noise, "--count": _count, "--seed": _seed},
+}
+
+
+def _px_text(px) -> str:
+    return json.dumps({"settings": [2, 2], "outcomes": [2, 2], "px": px})
+
+
+_VERTICES = np.array([vertex.probs for vertex in local_vertices()])
+_table_text = st.one_of(
+    st.lists(st.floats(0.0, 1.0), min_size=16, max_size=16).filter(lambda w: sum(w) > 0).map(
+        lambda w: _px_text(np.einsum("k,kxyab->xyab", np.array(w) / sum(w), _VERTICES).reshape(-1).tolist())
+    ),
+    st.sampled_from(
+        [
+            _px_text(QUANTUM_TABLE.to_flat()),
+            _px_text(_SIGNALING.reshape(-1).tolist()),
+            _px_text([0.25] * 16),
+            _px_text([0.9 / 4.0] * 16),
+            _px_text([-0.25, 0.5, 0.5, 0.25] + [0.25] * 12),
+            '{"px": [' + "1" + "0" * 400 + ", 0, 0, 0" + ", 0.25" * 12 + "]}",
+            '{"px": [NaN' + ", 0.25" * 15 + "]}",
+            '{"px": [1e400' + ", 0.25" * 15 + "]}",
+            '{"px": [true' + ", 0.25" * 15 + "]}",
+            '{"px": ["0.25"' + ", 0.25" * 15 + "]}",
+            '{"settings": [3, 2], "px": []}',
+            '{"px": ' + "[" * 5000 + "]" * 5000 + "}",
+            "[0.25]",
+            "{}",
+            "",
+            "{not json",
+        ]
+    ),
+)
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from([*_FLAGS, "bogus"]))
+    argv = [command]
+    if command == "lhv-check":
+        argv.append(draw(st.sampled_from(["{tmp}/table.json", "{tmp}/absent.json", "{tmp}"])))
+    flags = {**_FLAGS.get(command, {}), "--format": _format, "--out": _out}
+    for flag in draw(st.lists(st.sampled_from(sorted(flags)), max_size=5)):
+        argv += [flag, draw(flags[flag])]
+    if draw(st.integers(0, 9)) == 0:  # a flag this subcommand does not have, or one with no value
+        argv += draw(st.sampled_from([["--tol", "1e-3"], ["--nope"], ["--dims"], ["--count", "5", "extra"]]))
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_argv(), table=_table_text)
+def test_cli_contract(argv, table):
+    def once(args, workdir):
+        for path in workdir.glob("out.txt"):
+            path.unlink()
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(args)
+        out = workdir / "out.txt"
+        return code, stdout.getvalue(), stderr.getvalue(), out.read_bytes() if out.is_file() else None
+
+    with tempfile.TemporaryDirectory() as tmp:
+        workdir = Path(tmp)
+        (workdir / "table.json").write_text(table, encoding="utf-8")
+        args = [arg.replace("{tmp}", tmp) for arg in argv]
+        first = once(args, workdir)
+        assert once(args, workdir) == first
+    code, _, stderr, _ = first
+    assert code in (0, 1, 2, 3)
+    assert stderr == "" or (
+        stderr.count("\n") == 1 and stderr.endswith("\n") and stderr.startswith(("error: ", "i/o error: ", "notice: "))
+    ), stderr

@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from noisybell import chsh_closed_form
 from noisybell.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -66,6 +67,18 @@ CASES = (
         ["sample", "--dim", "2", "--noise", "0.9", "--count", "65536", "--seed", "4", "--format", "json"],
         0,
     ),
+    # Dimensions the dense N^2 x N^2 route could not reach, up to near the float range.
+    (
+        "sample_n65_csv",
+        ["sample", "--dim", "65", "--noise", "0.2", "--count", "200000", "--seed", "13", "--out", "{out}"],
+        0,
+    ),
+    (
+        "sample_dim_1e6_json",
+        ["sample", "--dim", str(10**6), "--noise", "0.5", "--count", str(10**6), "--seed", "6", "--format", "json"],
+        0,
+    ),
+    ("sample_dim_1e150_csv", ["sample", "--dim", str(10**150), "--noise", "0.7", "--count", "1000", "--seed", "1"], 0),
     ("scan_csv", ["scan", "--dims", "2,16,1024", "--f-step", "0.01"], 0),
     ("scan_json", ["scan", "--dims", "2,16,1024", "--f-step", "0.01", "--format", "json"], 0),
     # Bounds off the default grid, a step that does not divide the range, N near 10^5.
@@ -131,6 +144,18 @@ def test_golden_bytes(name, argv, exit_code, tmp_path):
     assert stdout == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
     table_file = GOLDEN / f"{name}.table.json"
     assert table == (table_file.read_text(encoding="utf-8") if table_file.exists() else None)
+
+
+@pytest.mark.parametrize("name", ["sample_n65_csv", "sample_dim_1e6_json", "sample_dim_1e150_csv"])
+def test_large_dimension_goldens_report_the_closed_form(name):
+    argv = {case[0]: case[1] for case in CASES}[name]
+    dim, noise = int(argv[argv.index("--dim") + 1]), float(argv[argv.index("--noise") + 1])
+    text = (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
+    if name.endswith("_json"):
+        reported = json.loads(text)["s_analytic"]
+    else:
+        reported = float(text.splitlines()[1].split(",")[-1])
+    assert abs(reported - chsh_closed_form(dim, noise)) < 1e-11  # 12 significant digits
 
 
 def _write_inputs() -> None:

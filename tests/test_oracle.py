@@ -2,8 +2,10 @@
 
 The package never forms A x B; these references do, with plain np.kron and
 np.trace, and must agree with :func:`expectations` and
-:func:`sequential_joint_distribution` to 1e-14.  The unequal-sides cases
+:func:`dense_joint_distribution` to 1e-14.  The unequal-sides cases
 (3 x 4 levels) catch a wrong transpose that square, symmetric inputs hide.
+The closed-form joint law the CLI samples from must in turn agree with the
+dense route on the noisy family to 1e-14.
 """
 
 import itertools
@@ -20,8 +22,8 @@ from noisybell import (
     expectations,
     first_two_levels,
     noisy_state,
-    sequential_joint_distribution,
 )
+from noisybell.sequential import dense_joint_distribution, sequential_joint_distribution
 
 TOL = 1e-14
 
@@ -99,7 +101,7 @@ def test_expectations_unequal_sides(seed):
 def test_joint_distribution_matches_dense_on_family(n, noise, chsh):
     rho = noisy_state(n, noise)
     proj = first_two_levels(n)
-    joint = sequential_joint_distribution(rho, proj, proj, chsh)
+    joint = dense_joint_distribution(rho, proj, proj, chsh)
     assert np.max(np.abs(joint.probs - dense_joint(rho, proj, proj, chsh))) < TOL
 
 
@@ -108,7 +110,7 @@ def test_joint_distribution_matches_dense_on_family(n, noise, chsh):
 def test_joint_distribution_non_default_projector(noise, chsh):
     rho = noisy_state(4, noise)
     proj = SubspaceProjector(4, (1, 3))
-    joint = sequential_joint_distribution(rho, proj, proj, chsh)
+    joint = dense_joint_distribution(rho, proj, proj, chsh)
     assert np.max(np.abs(joint.probs - dense_joint(rho, proj, proj, chsh))) < TOL
 
 
@@ -117,5 +119,13 @@ def test_joint_distribution_non_default_projector(noise, chsh):
 def test_joint_distribution_unequal_sides(seed, chsh):
     rho = random_state(np.random.default_rng(seed), 12)
     proj_a, proj_b = SubspaceProjector(3, (0, 2)), SubspaceProjector(4, (1, 3))
-    joint = sequential_joint_distribution(rho, proj_a, proj_b, chsh)
+    joint = dense_joint_distribution(rho, proj_a, proj_b, chsh)
     assert np.max(np.abs(joint.probs - dense_joint(rho, proj_a, proj_b, chsh))) < TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 8), noise=st.floats(0.0, 1.0), chsh=chsh_settings)
+def test_closed_form_joint_distribution_matches_dense(n, noise, chsh):
+    proj = first_two_levels(n)
+    dense = dense_joint_distribution(noisy_state(n, noise), proj, proj, chsh)
+    assert np.max(np.abs(sequential_joint_distribution(n, noise, chsh).probs - dense.probs)) < TOL

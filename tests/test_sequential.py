@@ -8,6 +8,7 @@ from noisybell import (
     SubspaceProjector,
     ZeroProbabilityBranch,
     behavior_table,
+    chsh_closed_form,
     chsh_value,
     condition_on_first,
     first_two_levels,
@@ -15,11 +16,11 @@ from noisybell import (
     noisy_state,
     post_select,
     post_selected_closed_form,
-    sequential_joint_distribution,
     success_probability,
     tsirelson_settings,
     validate,
 )
+from noisybell.sequential import dense_joint_distribution, sequential_joint_distribution
 
 PSI2_MATRIX = max_entangled(2).density().matrix
 
@@ -103,7 +104,7 @@ def test_success_probability_values():
 
 
 def test_joint_distribution_qubit_case_all_in():
-    joint = sequential_joint_distribution(
+    joint = dense_joint_distribution(
         noisy_state(2, 0.0), first_two_levels(2), first_two_levels(2), tsirelson_settings()
     )
     assert abs(joint.first_stage_marginal("in", "in") - 1.0) < 1e-12
@@ -114,7 +115,7 @@ def test_joint_distribution_qubit_case_all_in():
 
 @pytest.mark.parametrize("n,noise", [(2, 0.0), (4, 0.0), (4, 0.5), (3, 0.8), (5, 1.0)])
 def test_joint_distribution_invariants(n, noise):
-    joint = sequential_joint_distribution(
+    joint = dense_joint_distribution(
         noisy_state(n, noise), first_two_levels(n), first_two_levels(n), tsirelson_settings()
     )
     for x in range(2):
@@ -126,7 +127,7 @@ def test_joint_distribution_invariants(n, noise):
 
 def test_conditional_correlators_match_post_selected_state():
     """Within the (in, in) branch the correlators are those of the projected state."""
-    joint = sequential_joint_distribution(
+    joint = dense_joint_distribution(
         noisy_state(4, 0.0), first_two_levels(4), first_two_levels(4), tsirelson_settings()
     )
     table = condition_on_first(joint, "in", "in")
@@ -135,7 +136,7 @@ def test_conditional_correlators_match_post_selected_state():
 
 
 def test_conditioned_table_reaches_tsirelson():
-    joint = sequential_joint_distribution(
+    joint = dense_joint_distribution(
         noisy_state(4, 0.0), first_two_levels(4), first_two_levels(4), tsirelson_settings()
     )
     table = condition_on_first(joint)
@@ -145,7 +146,7 @@ def test_conditioned_table_reaches_tsirelson():
 
 def test_conditioning_on_certain_branch_is_identity():
     """When the branch has probability 1 conditioning changes nothing."""
-    joint = sequential_joint_distribution(
+    joint = dense_joint_distribution(
         noisy_state(2, 0.25), first_two_levels(2), first_two_levels(2), tsirelson_settings()
     )
     table = condition_on_first(joint, "in", "in")
@@ -153,7 +154,7 @@ def test_conditioning_on_certain_branch_is_identity():
 
 
 def test_conditioned_white_noise_is_uniform():
-    joint = sequential_joint_distribution(
+    joint = dense_joint_distribution(
         noisy_state(4, 1.0), first_two_levels(4), first_two_levels(4), tsirelson_settings()
     )
     table = condition_on_first(joint, "in", "in")
@@ -161,7 +162,7 @@ def test_conditioned_white_noise_is_uniform():
 
 
 def test_conditioning_on_zero_branch_raises():
-    joint = sequential_joint_distribution(
+    joint = dense_joint_distribution(
         noisy_state(4, 0.0), first_two_levels(4), first_two_levels(4), tsirelson_settings()
     )
     # at zero noise the mixed branches (in, out) / (out, in) are empty
@@ -171,7 +172,7 @@ def test_conditioning_on_zero_branch_raises():
 
 def test_out_branch_is_deterministic_plus_one():
     """The rejected subspace carries the constant +1 extension of the observables."""
-    joint = sequential_joint_distribution(
+    joint = dense_joint_distribution(
         noisy_state(4, 0.0), first_two_levels(4), first_two_levels(4), tsirelson_settings()
     )
     table = condition_on_first(joint, "out", "out")
@@ -183,7 +184,7 @@ def test_out_branch_is_deterministic_plus_one():
 def test_pipeline_equivalence(n, noise):
     """Conditioning the joint law equals the behavior of the closed-form state."""
     settings = tsirelson_settings()
-    joint = sequential_joint_distribution(
+    joint = dense_joint_distribution(
         noisy_state(n, noise), first_two_levels(n), first_two_levels(n), settings
     )
     via_joint = condition_on_first(joint, "in", "in")
@@ -192,7 +193,7 @@ def test_pipeline_equivalence(n, noise):
 
 
 def test_condition_rejects_unknown_branch():
-    joint = sequential_joint_distribution(
+    joint = dense_joint_distribution(
         noisy_state(2, 0.5), first_two_levels(2), first_two_levels(2), tsirelson_settings()
     )
     with pytest.raises(ValueError):
@@ -203,6 +204,48 @@ def test_second_stage_needs_two_level_subspace():
     rho = noisy_state(2, 0.5)
     big = DensityMatrix(np.kron(rho.matrix, np.eye(1)))
     with pytest.raises(ValueError):
-        sequential_joint_distribution(
+        dense_joint_distribution(
             big, SubspaceProjector(2, (0,)), first_two_levels(2), tsirelson_settings()
         )
+
+
+# --- closed-form joint law ----------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 65, 10**6, 10**150])
+@pytest.mark.parametrize("noise", [0.0, 0.3, 1.0])
+def test_closed_form_joint_invariants(n, noise):
+    joint = sequential_joint_distribution(n, noise, tsirelson_settings())
+    for x in range(2):
+        for y in range(2):
+            assert abs(joint.setting_total(x, y) - 1.0) < 1e-12
+    assert joint.marginal_spread() < 1e-15
+    assert abs(joint.first_stage_marginal("in", "in") - success_probability(n, noise)) < 1e-15
+    # The rejected side always reads +1.
+    assert not joint.probs[:, :, 0, 1, :, 1].any() and not joint.probs[:, :, 1, 0, 1, :].any()
+    assert not joint.probs[:, :, 1, 1].reshape(2, 2, 4)[:, :, 1:].any()
+
+
+@pytest.mark.parametrize("n,noise", [(2, 0.3), (5, 0.0), (5, 0.4), (65, 0.9)])
+def test_closed_form_mixed_branches_are_white_noise(n, noise):
+    joint = sequential_joint_distribution(n, noise, tsirelson_settings())
+    assert abs(joint.first_stage_marginal("in", "out") - 2.0 * noise * (n - 2) / n**2) < 1e-15
+    assert abs(joint.first_stage_marginal("out", "in") - 2.0 * noise * (n - 2) / n**2) < 1e-15
+    if noise * (n - 2) > 0:
+        assert np.allclose(condition_on_first(joint, "in", "out").probs[:, :, :, 0], 0.5, atol=1e-15)
+
+
+@pytest.mark.parametrize("n", [3, 24, 10**6, 10**12])
+def test_closed_form_conditioned_chsh_is_the_closed_form(n):
+    table = condition_on_first(sequential_joint_distribution(n, 0.3, tsirelson_settings()))
+    corr = table.correlators()
+    assert abs(corr[0, 0] + corr[0, 1] + corr[1, 0] - corr[1, 1] - chsh_closed_form(n, 0.3)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "n,noise,error",
+    [(1, 0.0, ValueError), (2, -0.1, ValueError), (2, math.nan, ValueError), (10**200, 0.3, OverflowError)],
+)
+def test_closed_form_joint_rejects_bad_parameters(n, noise, error):
+    with pytest.raises(error):
+        sequential_joint_distribution(n, noise, tsirelson_settings())

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from noisybell import (
     DensityMatrix,
@@ -95,6 +97,24 @@ def test_separability_flips_at_boundary(n):
     boundary = n / (n + 1)
     assert not is_separable_family(n, boundary - 1e-9)
     assert is_separable_family(n, boundary + 1e-9)
+
+
+def _partial_transpose(rho: DensityMatrix, n: int) -> np.ndarray:
+    """Transpose Bob's factor: <i j|rho^T_B|k l> = <i l|rho|k j>."""
+    return rho.matrix.reshape(n, n, n, n).transpose(0, 3, 2, 1).reshape(n * n, n * n)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 5), noise=st.floats(0.0, 1.0))
+def test_separability_matches_ppt(n, noise):
+    """For this family PPT is exact (Horodecki & Horodecki, PRA 59, 4206 (1999)).
+
+    The smallest partial-transpose eigenvalue is (N+1)(F - N/(N+1))/N**2, so
+    1e-9 away from the boundary its sign is far above round-off.
+    """
+    assume(abs(noise - n / (n + 1)) > 1e-9)
+    min_eig = np.linalg.eigvalsh(_partial_transpose(noisy_state(n, noise), n))[0]
+    assert is_separable_family(n, noise) == (min_eig >= 0.0)
 
 
 @pytest.mark.parametrize(
