@@ -12,15 +12,18 @@ Exit codes: 0 success / local verdict, 1 usage or parse error, 2 I/O error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import sys
+from collections.abc import Callable, Iterator
 from pathlib import Path
 
 from .behavior import load_table, save_table
 from .polytope import FACET_LABELS, LOCALITY_TOL, SignalingTable, chsh_facets, is_local_facets, is_local_lp
 from .sampling import GENERATOR_NAME, sample_experiment
 from .scan import (
+    BLOCK,
     format_real,
     gap_rows,
     records_to_csv,
@@ -28,6 +31,7 @@ from .scan import (
     rows_to_csv,
     rows_to_json,
     scan_grid,
+    scan_size,
     threshold_rows,
 )
 
@@ -118,31 +122,48 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: Path | None) -> None:
+@contextlib.contextmanager
+def _sink(out: Path | None) -> Iterator[Callable[[str], object]]:
+    """The write function of stdout or of the ``--out`` file, opened here.
+
+    Commands open it only once their request is known to be valid, so a
+    usage error writes nothing, not even an empty file.
+    """
     if out is None:
-        sys.stdout.write(text)
+        yield sys.stdout.write
     else:
-        out.write_text(text, encoding="utf-8")
+        with out.open("w", encoding="utf-8") as f:
+            yield f.write
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    records = scan_grid(args.dims, args.f_min, args.f_max, args.f_step)
-    text = records_to_csv(records) if args.format == "csv" else records_to_json(records)
-    _emit(text, args.out)
+    request = (args.dims, args.f_min, args.f_max, args.f_step)
+    total = scan_size(*request)
+    with _sink(args.out) as write:
+        # One block at a time, so memory stays flat in the size of the grid.
+        for start in range(0, total, BLOCK):
+            stop = min(start + BLOCK, total)
+            records = scan_grid(*request, start, stop)
+            if args.format == "csv":
+                write(records_to_csv(records, header=start == 0))
+            else:
+                write(records_to_json(records, first=start == 0, last=stop == total))
     return EXIT_OK
 
 
 def cmd_threshold(args: argparse.Namespace) -> int:
     rows = threshold_rows(args.dims)
     text = rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows)
-    _emit(text, args.out)
+    with _sink(args.out) as write:
+        write(text)
     return EXIT_OK
 
 
 def cmd_gap(args: argparse.Namespace) -> int:
     rows = gap_rows(args.dims)
     text = rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows)
-    _emit(text, args.out)
+    with _sink(args.out) as write:
+        write(text)
     return EXIT_OK
 
 
@@ -173,7 +194,9 @@ def cmd_lhv_check(args: argparse.Namespace) -> int:
         "signaling_defect": table.signaling_defect(),
         "weights": weights,
     }
-    _emit(_format_verdict(report, args.format), args.out)
+    text = _format_verdict(report, args.format)
+    with _sink(args.out) as write:
+        write(text)
     if method != args.method:  # after the write, so an I/O error stays the only stderr line
         print("notice: facet criterion not applicable to a signaling table; falling back to LP", file=sys.stderr)
     return EXIT_OK if local else EXIT_NONLOCAL

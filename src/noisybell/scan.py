@@ -25,9 +25,13 @@ CSV_HEADER = "N,F,S,violates,threshold,separable,gap,success_prob"
 VIOLATION_MARGIN = 1e-12
 BISECT_TOL = 1e-12  # bisect_threshold stops once its bracket is this narrow
 
-# Largest number of records one scan may produce; grids are sized against it
-# before anything is allocated.
-MAX_SCAN_RECORDS = 2_000_000
+# Largest number of records one scan may produce, the int64 range its record
+# indices live in; grids are sized against it before anything is allocated.
+MAX_SCAN_RECORDS = 2**63 - 1
+
+# Records per block when a scan is written out block by block, so the memory
+# a scan takes does not grow with its grid.
+BLOCK = 2**14
 
 
 @dataclass(frozen=True)
@@ -99,35 +103,81 @@ def _grid_points(f_min: float, f_max: float, f_step: float) -> int:
     return int(steps) + 1
 
 
-def noise_grid(f_min: float, f_max: float, f_step: float) -> np.ndarray:
-    """Inclusive grid f_min, f_min + step, ... clamped into [f_min, f_max]."""
-    grid = f_min + np.arange(_grid_points(f_min, f_max, f_step)) * f_step
+def _record_count(dims: list[int], points: int) -> int:
+    records = len(dims) * points
+    if records > MAX_SCAN_RECORDS:
+        raise ValueError(f"scan of {records} records exceeds the limit of {MAX_SCAN_RECORDS}")
+    return records
+
+
+def noise_grid(f_min: float, f_max: float, f_step: float, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Inclusive grid f_min, f_min + step, ... clamped into [f_min, f_max].
+
+    ``start`` and ``stop`` select the points k = start .. stop - 1 of that
+    grid, each still f_min + k * step.
+    """
+    points = _grid_points(f_min, f_max, f_step)
+    grid = f_min + np.arange(start, points if stop is None else stop) * f_step
     # min(f, f_max), which keeps f on a tie: np.minimum would turn 0.0 into -0.0.
     return np.where(f_max < grid, f_max, grid)
 
 
-def scan_grid(dims: list[int], f_min: float, f_max: float, f_step: float) -> ScanGrid:
-    """Records of every (N, F) pair, N ascending, F along :func:`noise_grid`."""
-    records = len(dims) * _grid_points(f_min, f_max, f_step)
-    if records > MAX_SCAN_RECORDS:
-        raise ValueError(f"scan of {records} records exceeds the limit of {MAX_SCAN_RECORDS}")
-    grid = noise_grid(f_min, f_max, f_step)
+def _closed_forms(n: int, grid: np.ndarray) -> tuple:
+    """S, threshold, separability and success probability of dimension n along grid."""
+    return (
+        chsh_closed_form(n, grid),
+        violation_threshold(n),
+        is_separable_family(n, grid),
+        success_probability(n, grid),
+    )
+
+
+def scan_size(dims: list[int], f_min: float, f_max: float, f_step: float) -> int:
+    """Record count of :func:`scan_grid`, after every check any block of it makes.
+
+    Raises ``ValueError`` for a bad grid or a count past
+    :data:`MAX_SCAN_RECORDS`, and ``OverflowError`` for a dimension past the
+    float range, which depends on N alone; nothing grid-sized is allocated.
+    """
+    records = _record_count(dims, _grid_points(f_min, f_max, f_step))
+    for n in dims:
+        _closed_forms(n, np.array([f_min]))
+    return records
+
+
+def scan_grid(
+    dims: list[int], f_min: float, f_max: float, f_step: float, start: int = 0, stop: int | None = None
+) -> ScanGrid:
+    """Records of every (N, F) pair, N ascending, F along :func:`noise_grid`.
+
+    ``start`` and ``stop`` select records start .. stop - 1 of that order, so
+    a caller can take a grid in blocks of bounded size; each block equals the
+    same slice of the whole grid.
+    """
+    points = _grid_points(f_min, f_max, f_step)
+    records = _record_count(dims, points)
+    stop = records if stop is None else stop
+    if not 0 <= start <= stop <= records:
+        raise ValueError(f"record range [{start}, {stop}) is not inside the {records} records of the scan")
     ordered = sorted(dims)
-    s_value = np.empty(records)
-    threshold = np.empty(records)
-    separable = np.empty(records, dtype=bool)
-    success_prob = np.empty(records)
-    for i, n in enumerate(ordered):
-        block = slice(i * grid.size, (i + 1) * grid.size)
-        s_value[block] = chsh_closed_form(n, grid)
-        threshold[block] = violation_threshold(n)
-        separable[block] = is_separable_family(n, grid)
-        success_prob[block] = success_probability(n, grid)
-    noise = np.tile(grid, len(ordered))
+    size = stop - start
+    noise = np.empty(size)
+    s_value = np.empty(size)
+    threshold = np.empty(size)
+    separable = np.empty(size, dtype=bool)
+    success_prob = np.empty(size)
+    first, counts = start // points, []
+    for i in range(first, -(-stop // points)):  # the dimensions this range touches
+        lo, hi = max(start, i * points), min(stop, (i + 1) * points)
+        grid = noise_grid(f_min, f_max, f_step, lo - i * points, hi - i * points)
+        rows = slice(lo - start, hi - start)
+        noise[rows] = grid
+        s_value[rows], threshold[rows], separable[rows], success_prob[rows] = _closed_forms(ordered[i], grid)
+        counts.append(hi - lo)
     # Dimensions past int64 are valid; an object column keeps them exact.
     dim_type = object if ordered and ordered[-1] > np.iinfo(np.int64).max else np.int64
     return ScanGrid(
-        dim=np.repeat(np.array(ordered, dtype=dim_type), grid.size),
+        dim=np.repeat(np.array(ordered[first : first + len(counts)], dtype=dim_type), counts),
         noise=noise,
         s_value=s_value,
         violates=s_value > 2.0 + VIOLATION_MARGIN,
@@ -182,11 +232,16 @@ def gap_rows(dims: list[int]) -> list[dict]:
     return rows
 
 
-_CSV_ROW = "%d,%.12g,%.12g,%s,%.12g,%s,%s,%.12g"
+_CSV_ROW = "%d,%.12g,%.12g,%s,%.12g,%s,%s,%.12g\n"
 _SCAN_KEYS = tuple(CSV_HEADER.split(","))
 
 
-def records_to_csv(records: ScanGrid) -> str:
+def records_to_csv(records: ScanGrid, header: bool = True) -> str:
+    """One line per record, after the header line unless ``header`` is false.
+
+    The texts of consecutive blocks, only the first with its header, join
+    into the text of the whole grid.
+    """
     r = records
     rows = zip(
         r.dim.tolist(),
@@ -198,10 +253,17 @@ def records_to_csv(records: ScanGrid) -> str:
         _flags(r.gap),
         r.success_prob.tolist(),
     )
-    return "\n".join([CSV_HEADER, *(_CSV_ROW % row for row in rows)]) + "\n"
+    body = "".join([_CSV_ROW % row for row in rows])
+    return f"{CSV_HEADER}\n{body}" if header else body
 
 
-def records_to_json(records: ScanGrid) -> str:
+def records_to_json(records: ScanGrid, first: bool = True, last: bool = True) -> str:
+    """The records as a JSON list, or the part of one that a block holds.
+
+    ``first`` opens the list and ``last`` closes it; the texts of
+    consecutive non-empty blocks, flagged so, join into the text of the
+    whole grid.
+    """
     r = records
     rows = zip(
         r.dim.tolist(),
@@ -213,7 +275,7 @@ def records_to_json(records: ScanGrid) -> str:
         _flags(r.gap),
         _reals(r.success_prob),
     )
-    return _json_list(_SCAN_KEYS, rows)
+    return _json_list(_SCAN_KEYS, rows, first, last)
 
 
 def rows_to_csv(rows: list[dict]) -> str:
@@ -231,15 +293,18 @@ def rows_to_json(rows: list[dict]) -> str:
     return _json_list(keys, (tuple(_json_value(row[key]) for key in keys) for row in rows))
 
 
-def _json_list(keys: tuple[str, ...], rows: Iterable[tuple]) -> str:
-    """What ``json.dumps(objects, indent=2)`` plus a newline writes.
+def _json_list(keys: tuple[str, ...], rows: Iterable[tuple], first: bool = True, last: bool = True) -> str:
+    """What ``json.dumps(objects, indent=2)`` plus a newline writes, or a part of it.
 
     Each row holds the values of one object, in ``keys`` order, already
-    written as JSON.
+    written as JSON.  ``first`` and ``last`` say whether the rows open and
+    close the list.
     """
     template = "  {\n" + ",\n".join(f'    "{key}": %s' for key in keys) + "\n  }"
-    body = ",\n".join(template % row for row in rows)
-    return f"[\n{body}\n]\n" if body else "[]\n"
+    body = ",\n".join([template % row for row in rows])
+    if first and last and not body:
+        return "[]\n"
+    return ("[\n" if first else ",\n") + body + ("\n]\n" if last else "")
 
 
 def _json_value(value: object) -> object:
@@ -250,8 +315,20 @@ def _json_value(value: object) -> object:
     return value
 
 
+# "%.12g" already reads like repr of the float it rounds to on normal floats
+# below 999999999999.5: repr also gives the shortest text that reads back as
+# that float, and switches to exponent form only from 1e16, where "%.12g"
+# does from a rounded 1e12.  Below the smallest normal float, fewer digits
+# can read back as the same float.
+_MIN_NORMAL = 2.2250738585072014e-308
+_ROUNDS_TO_1E12 = 999999999999.5
+
+
 def _json_real(value: float) -> str:
     """A real rounded to 12 significant digits, as json writes that float."""
+    if _MIN_NORMAL <= abs(value) < _ROUNDS_TO_1E12:
+        text = "%.12g" % value
+        return text if "." in text or "e" in text else text + ".0"
     return repr(float(format_real(value)))
 
 

@@ -90,7 +90,8 @@ def test_duplicate_dims_collapse(command, capsys):
         (["--f-step", "nan"], "must be finite"),
         (["--f-min", "nan"], "must be finite"),
         (["--f-step", "1e-300"], "noise points"),
-        (["--dims", "2,3", "--f-step", "1e-6"], "exceeds the limit"),
+        (["--dims", "2,3", "--f-step", "2e-19"], "exceeds the limit"),  # 2 * (5e18 + 1) records
+        (["--f-step", "1e-19"], "noise points"),  # 1e19 points, just past 2**63 - 1
     ],
 )
 def test_scan_rejects_unbounded_grids(flags, message, capsys):
@@ -104,17 +105,38 @@ def test_scan_rejects_unbounded_grids(flags, message, capsys):
     "argv",
     [
         ["scan", "--dims", str(10**160)],  # N^2 in success_prob
+        ["scan", "--dims", f"2,{10**160}"],  # the N = 2 records are valid and must not be written
         ["threshold", "--dims", str(10**400)],  # N / (N + c)
         ["gap", "--dims", str(10**400)],
         ["sample", "--dim", str(10**200)],  # N^2 in success_probability
     ],
-    ids=["scan", "threshold", "gap", "sample"],
+    ids=["scan", "scan_second_dim", "threshold", "gap", "sample"],
 )
 def test_dimension_past_float_range_is_usage_error(argv, capsys):
     code, stdout, stderr = run(argv, capsys)
     assert code == 1
     assert stdout == ""
     assert stderr.startswith("error: ") and "floating-point range" in stderr and stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["missing", "existing"])
+@pytest.mark.parametrize(
+    "flags",
+    [["--dims", f"2,{10**160}"], ["--dims", "2,3", "--f-step", "2e-19"]],
+    ids=["dimension_past_float_range", "records_past_bound"],
+)
+def test_scan_usage_error_leaves_out_untouched(flags, existing, tmp_path, capsys):
+    out = tmp_path / "scan.csv"
+    if existing:
+        out.write_bytes(b"kept\n")
+    code, stdout, stderr = run(["scan", *flags, "--out", str(out)], capsys)
+    assert code == 1
+    assert stdout == ""
+    assert stderr.startswith("error: ") and stderr.count("\n") == 1
+    if existing:
+        assert out.read_bytes() == b"kept\n"
+    else:
+        assert not out.exists()
 
 
 def test_unknown_flag_is_usage_error(capsys):

@@ -11,9 +11,13 @@ Regenerate only when an output change is intended, by running this file as a
 script with the package to capture on the import path::
 
     PYTHONPATH=src python tests/test_golden.py
+
+Outputs too large to commit are pinned by digest in ``DIGESTS``; the script
+prints that table for pasting into this file.
 """
 
 import contextlib
+import hashlib
 import io
 import itertools
 import json
@@ -91,6 +95,8 @@ CASES = (
     # Dimensions near the float range: N^2 in success_prob overflows just past 10^154, N / (N + c) past 10^308.
     ("scan_dim_1e154_csv", ["scan", "--dims", f"2,{10**154}", "--f-step", "0.5"], 0),
     ("threshold_dim_1e300_csv", ["threshold", "--dims", f"2,{10**300}"], 0),
+    # A subnormal noise bound: JSON prints the shortest float that the 12-digit text reads back as.
+    ("scan_subnormal_json", ["scan", "--dims", "2", "--f-min", "5e-320", "--f-max", "5e-320", "--format", "json"], 0),
     ("gap_dim_1e300_json", ["gap", "--dims", f"2,{10**300}", "--format", "json"], 0),
     ("threshold_csv", ["threshold"], 0),
     ("threshold_json", ["threshold", "--dims", "2,5,1024", "--format", "json"], 0),
@@ -126,6 +132,48 @@ CASES = (
 )
 
 
+# Outputs too large to commit, pinned by SHA-256 and byte length.  scan writes
+# in blocks of 2**14 records: one dimension with one record fewer than a block,
+# a whole block and one record more (F steps of 2**-15, so the point counts are
+# exact), and three dimensions of about 3.5 blocks each on an off-grid F range,
+# one of them past int64.  Each goes to stdout and to --out ("{out}"), where
+# the digest is of the written file and stdout must stay empty.
+_EDGE = ["--dims", "5", "--f-step", "3.0517578125e-05", "--f-max"]
+_WIDE = ["--dims", f"3,97,{10**20}", "--f-min", "0.0123", "--f-max", "0.9871", "--f-step", "1.7e-5"]
+
+
+def _digest_cases() -> dict[str, list[str]]:
+    cases = {}
+    for fmt in ("csv", "json"):
+        for sink, tail in (("stdout", []), ("out", ["--out", "{out}"])):
+            flags = ["--format", fmt, *tail]
+            for edge, f_max in (("below", "0.49993896484375"), ("at", "0.499969482421875"), ("above", "0.5")):
+                cases[f"scan_block_{edge}_{fmt}_{sink}"] = ["scan", *_EDGE, f_max, *flags]
+            cases[f"scan_wide_{fmt}_{sink}"] = ["scan", *_WIDE, *flags]
+    return cases
+
+
+DIGEST_CASES = _digest_cases()
+DIGESTS = {
+    'scan_block_below_csv_stdout': ('a26edceed2aeca8c687fb721948b7a1a38780141e7a1eba625d1e56642a4d0f9', 1273104),
+    'scan_block_at_csv_stdout': ('ca9145aaae6a9661090cd6dce4c9705284807e92d7e5f4ddc271cce105f32ec5', 1273182),
+    'scan_block_above_csv_stdout': ('d9b6d2b9a5580298bf7790dc513a0f2879ceccbfc7bf90a8804bd4f9f5116083', 1273238),
+    'scan_wide_csv_stdout': ('b214266f7016867573a25df6934ab6f5671a00fd92ff3256d7d9389d5c311460', 12709335),
+    'scan_block_below_csv_out': ('a26edceed2aeca8c687fb721948b7a1a38780141e7a1eba625d1e56642a4d0f9', 1273104),
+    'scan_block_at_csv_out': ('ca9145aaae6a9661090cd6dce4c9705284807e92d7e5f4ddc271cce105f32ec5', 1273182),
+    'scan_block_above_csv_out': ('d9b6d2b9a5580298bf7790dc513a0f2879ceccbfc7bf90a8804bd4f9f5116083', 1273238),
+    'scan_wide_csv_out': ('b214266f7016867573a25df6934ab6f5671a00fd92ff3256d7d9389d5c311460', 12709335),
+    'scan_block_below_json_stdout': ('cf62f05efe88444322c9e01a81ab9313a14945a828dc1736dab2c569f888a8d6', 3304549),
+    'scan_block_at_json_stdout': ('10e705df007a84f799351abdfbd3f3c2b7637b4979ca965e5555a2fdd784caf3', 3304751),
+    'scan_block_above_json_stdout': ('aff71c7acc3863f362325f819f260100d45c333a5d6d281ab68f302715a9a8e1', 3304931),
+    'scan_wide_json_stdout': ('68616f96750e1c39eabd28a5e4259c0dbb82f0211dadb80be52af2635397bf29', 34155194),
+    'scan_block_below_json_out': ('cf62f05efe88444322c9e01a81ab9313a14945a828dc1736dab2c569f888a8d6', 3304549),
+    'scan_block_at_json_out': ('10e705df007a84f799351abdfbd3f3c2b7637b4979ca965e5555a2fdd784caf3', 3304751),
+    'scan_block_above_json_out': ('aff71c7acc3863f362325f819f260100d45c333a5d6d281ab68f302715a9a8e1', 3304931),
+    'scan_wide_json_out': ('68616f96750e1c39eabd28a5e4259c0dbb82f0211dadb80be52af2635397bf29', 34155194),
+}
+
+
 def run_case(argv: list[str], workdir: Path) -> tuple[int, str, str | None]:
     """Exit code, stdout, and the written table (if any) of one CLI run."""
     out = workdir / "out.json"
@@ -144,6 +192,25 @@ def test_golden_bytes(name, argv, exit_code, tmp_path):
     assert stdout == (GOLDEN / f"{name}.out").read_text(encoding="utf-8")
     table_file = GOLDEN / f"{name}.table.json"
     assert table == (table_file.read_text(encoding="utf-8") if table_file.exists() else None)
+
+
+@pytest.mark.parametrize("name", DIGESTS)
+def test_digest_bytes(name, tmp_path):
+    argv = DIGEST_CASES[name]
+    code, stdout, written = run_case(argv, tmp_path)
+    assert code == 0
+    if "{out}" in argv:
+        assert stdout == ""
+        text = written
+    else:
+        assert written is None
+        text = stdout
+    assert _digest(text) == DIGESTS[name]
+
+
+def _digest(text: str) -> tuple[str, int]:
+    data = text.encode("utf-8")
+    return hashlib.sha256(data).hexdigest(), len(data)
 
 
 @pytest.mark.parametrize("name", ["sample_n65_csv", "sample_dim_1e6_json", "sample_dim_1e150_csv"])
@@ -186,6 +253,14 @@ def _write_golden() -> None:
         (GOLDEN / f"{name}.out").write_text(stdout, encoding="utf-8")
         if table is not None:
             (GOLDEN / f"{name}.table.json").write_text(table, encoding="utf-8")
+    print("DIGESTS = {")
+    for name, argv in DIGEST_CASES.items():
+        with tempfile.TemporaryDirectory() as tmp:
+            code, stdout, written = run_case(argv, Path(tmp))
+        if code != 0:
+            sys.exit(f"{name}: exit {code}, expected 0")
+        print(f"    {name!r}: {_digest(written if '{out}' in argv else stdout)!r},")
+    print("}")
 
 
 if __name__ == "__main__":

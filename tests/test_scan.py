@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,6 +20,7 @@ from noisybell import (
 )
 from noisybell import cli, scan
 from noisybell.scan import (
+    BLOCK,
     CSV_HEADER,
     MAX_SCAN_RECORDS,
     VIOLATION_MARGIN,
@@ -26,6 +28,7 @@ from noisybell.scan import (
     noise_grid,
     records_to_csv,
     records_to_json,
+    scan_size,
 )
 
 
@@ -138,8 +141,8 @@ def test_noise_grid_rejects_non_finite_config():
 
 
 def test_noise_grid_caps_point_count_before_allocating():
-    # 0.5 / 2.5e-7 is 2e6 steps, one point past the cap; 1e-300 would be 1e300.
-    for f_max, f_step in ((0.5, 2.5e-7), (1.0, 1e-300), (1.0, 5e-324)):
+    # 1 / 1e-19 is 1e19 steps, just past the cap of 2**63 - 1; 1e-300 would be 1e300.
+    for f_max, f_step in ((1.0, 1e-19), (1.0, 1e-300), (1.0, 5e-324)):
         with pytest.raises(ValueError, match=f"more than {MAX_SCAN_RECORDS} noise points"):
             noise_grid(0.0, f_max, f_step)
 
@@ -149,9 +152,30 @@ def test_scan_grid_caps_record_count_before_allocating(monkeypatch):
         raise AssertionError("the grid was built before the size check")
 
     monkeypatch.setattr(scan, "noise_grid", allocate)
-    # Two dimensions times 1e6 + 1 points is two records past the cap.
+    # Two dimensions times 5e18 + 1 points is past the cap of 2**63 - 1.
     with pytest.raises(ValueError, match=f"exceeds the limit of {MAX_SCAN_RECORDS}"):
-        scan_grid([2, 3], 0.0, 1.0, 1e-6)
+        scan_grid([2, 3], 0.0, 1.0, 2e-19)
+
+
+def test_scan_size_checks_the_whole_request_without_allocating(monkeypatch):
+    def allocate(*args):
+        raise AssertionError("scan_size built a grid")
+
+    monkeypatch.setattr(scan, "noise_grid", allocate)
+    assert scan_size([2, 16, 1024], 0.0, 1.0, 0.01) == 3 * 101
+    assert scan_size([2, 3], 0.0, 1.0, 2.0**-60) == 2 * (2**60 + 1)  # valid, and never built here
+    with pytest.raises(OverflowError):  # N^2 in success_prob, whichever dimension it is
+        scan_size([2, 10**160], 0.0, 1.0, 0.5)
+    with pytest.raises(ValueError, match="at least 2"):
+        scan_size([2, 1], 0.0, 1.0, 0.5)
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        scan_size([2, 3], 0.0, 1.0, 2e-19)
+
+
+def test_scan_grid_rejects_record_ranges_outside_the_grid():
+    for start, stop in ((-1, 2), (2, 1), (0, 7)):
+        with pytest.raises(ValueError, match="record range"):
+            scan_grid([2, 5], 0.0, 1.0, 0.5, start, stop)
 
 
 def test_scan_grid_columns_are_read_only():
@@ -237,3 +261,71 @@ def test_columnar_scan_matches_per_point_oracle(dims, bounds, f_step):
     assert [tuple(vars(record).values()) for record in grid] == expected
     assert records_to_csv(grid) == _oracle_csv(expected)
     assert records_to_json(grid) == _oracle_json(expected)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.lists(st.sampled_from([2, 3, 64, 10**6, 10**20]), min_size=1, max_size=4),
+    bounds=st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=2).map(sorted),
+    f_step=st.floats(min_value=1e-3, max_value=1.0),
+    cuts=st.lists(st.integers(min_value=0, max_value=5000), max_size=6),
+)
+def test_blocks_join_into_the_whole_grid(dims, bounds, f_step, cuts):
+    """Any cut of the record range into blocks gives the whole grid's records and bytes."""
+    f_min, f_max = bounds
+    whole = scan_grid(dims, f_min, f_max, f_step)
+    edges = sorted({0, len(whole), *(cut % (len(whole) + 1) for cut in cuts)})
+    blocks = [scan_grid(dims, f_min, f_max, f_step, a, b) for a, b in zip(edges, edges[1:])]
+    assert [vars(r) for block in blocks for r in block] == [vars(r) for r in whole]
+    assert all(block.dim.dtype == whole.dim.dtype for block in blocks)
+    last = len(blocks) - 1
+    csv = "".join(records_to_csv(block, header=i == 0) for i, block in enumerate(blocks))
+    assert csv == records_to_csv(whole)
+    text = "".join(records_to_json(block, first=i == 0, last=i == last) for i, block in enumerate(blocks))
+    assert text == records_to_json(whole)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(
+    value=st.one_of(
+        st.floats(),
+        st.builds(math.ldexp, st.floats(0.5, 1.0), st.integers(-1074, 1024)).filter(math.isfinite),  # every exponent
+        st.floats(-1e-307, 1e-307),  # subnormals and their neighbours
+        st.floats(1e12, 1e16) | st.floats(-1e16, -1e12),
+        st.floats(999999999999.0, 1000000000001.0),
+    )
+)
+@example(0.0)
+@example(-0.0)
+@example(5e-320)
+@example(2.2250738585072014e-308)
+@example(math.nextafter(2.2250738585072014e-308, 0.0))
+@example(999999999999.5)
+@example(math.nextafter(999999999999.5, 0.0))
+@example(1e12)
+@example(1e16)
+@example(1e11)
+@example(-3.0)
+@example(9.99999999999999e-05)
+def test_json_real_matches_repr_of_the_rounded_float(value):
+    assert scan._json_real(value) == repr(float(format_real(value)))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_scan_memory_is_flat_in_grid_size(fmt, tmp_path):
+    """The CLI writes a scan block by block, so its peak memory does not grow with the grid."""
+    out = tmp_path / "scan.out"
+
+    def peak(f_step):
+        tracemalloc.start()
+        try:
+            assert cli.main(["scan", "--dims", "2", "--f-step", f_step, "--format", fmt, "--out", str(out)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            out.unlink()
+
+    peak("0.5")  # one-time allocations (caches, lazy imports) stay out of both peaks
+    small, large = peak("5e-5"), peak("2.5e-6")  # 20,001 and 400,001 records
+    assert 20_001 > BLOCK
+    assert large <= 1.5 * small, (small, large)
