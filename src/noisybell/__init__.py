@@ -10,11 +10,7 @@ from .chsh import (
     C_THRESHOLD,
     TSIRELSON_BOUND,
     ChshSettings,
-    DichotomicObservable,
-    behavior_table,
     chsh_closed_form,
-    chsh_value,
-    correlator,
     retained_fraction,
     tsirelson_settings,
     violation_threshold,
@@ -32,25 +28,12 @@ from .sampling import ExperimentSample, sample_experiment
 from .scan import ScanGrid, ScanRecord, bisect_threshold, gap_rows, scan_grid, scan_record, threshold_rows
 from .sequential import (
     SequentialJointDistribution,
-    SubspaceProjector,
     ZeroProbabilityBranch,
     condition_on_first,
-    first_two_levels,
-    post_select,
-    post_selected_closed_form,
     sequential_joint_distribution,
     success_probability,
 )
-from .states import (
-    DensityMatrix,
-    PureState,
-    StateDiagnostics,
-    expectations,
-    is_separable_family,
-    max_entangled,
-    noisy_state,
-    validate,
-)
+from .states import is_separable_family, noisy_state
 
 __version__ = "0.1.0"
 
@@ -58,40 +41,27 @@ __all__ = [
     "BehaviorTable",
     "C_THRESHOLD",
     "ChshSettings",
-    "DensityMatrix",
-    "DichotomicObservable",
     "ExperimentSample",
     "FACET_LABELS",
     "LocalityVerdict",
-    "PureState",
     "ScanGrid",
     "ScanRecord",
     "SequentialJointDistribution",
     "SignalingTable",
-    "StateDiagnostics",
-    "SubspaceProjector",
     "TSIRELSON_BOUND",
     "TableFormatError",
     "ZeroProbabilityBranch",
-    "behavior_table",
     "bisect_threshold",
     "chsh_closed_form",
     "chsh_facets",
-    "chsh_value",
     "condition_on_first",
-    "correlator",
-    "expectations",
-    "first_two_levels",
     "gap_rows",
     "is_local_facets",
     "is_local_lp",
     "is_separable_family",
     "load_table",
     "local_vertices",
-    "max_entangled",
     "noisy_state",
-    "post_select",
-    "post_selected_closed_form",
     "retained_fraction",
     "sample_experiment",
     "save_table",
@@ -101,6 +71,5 @@ __all__ = [
     "success_probability",
     "threshold_rows",
     "tsirelson_settings",
-    "validate",
     "violation_threshold",
 ]

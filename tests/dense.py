@@ -1,0 +1,108 @@
+"""Dense Kronecker-product oracles for the package's closed forms.
+
+The package computes every quantity in closed form.  These references build
+the measurement operators as dense matrices, form A x B with plain np.kron
+and take traces, so they share no code path with the closed forms they
+check.  The joint law costs O(N^6): small N only.
+"""
+
+import itertools
+import math
+
+import numpy as np
+
+from noisybell import BehaviorTable, ChshSettings
+
+
+def projector(n: int) -> np.ndarray:
+    """Diagonal 0/1 projector of one n-level side onto its levels 0 and 1."""
+    return np.diag([1.0, 1.0] + [0.0] * (n - 2))
+
+
+def observable(theta: float) -> np.ndarray:
+    """cos(theta) * sigma_z + sin(theta) * sigma_x."""
+    c, s = math.cos(theta), math.sin(theta)
+    return np.array([[c, s], [s, -c]])
+
+
+def observable_projectors(theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenprojectors (plus, minus) of :func:`observable`."""
+    return (np.eye(2) + observable(theta)) / 2.0, (np.eye(2) - observable(theta)) / 2.0
+
+
+def sides(chsh: ChshSettings) -> tuple[tuple[float, float], tuple[float, float]]:
+    """Alice's and Bob's angles, indexed by setting."""
+    return (chsh.theta_a, chsh.theta_a_prime), (chsh.theta_b, chsh.theta_b_prime)
+
+
+def post_select(rho: np.ndarray, n: int) -> tuple[np.ndarray, float]:
+    """Keep levels 0 and 1 on both sides: the renormalized 4x4 block and its probability."""
+    keep = [a * n + b for a in (0, 1) for b in (0, 1)]
+    block = rho[np.ix_(keep, keep)]
+    prob = float(np.trace(block).real)
+    return block / prob, prob
+
+
+def kron_expectation(rho: np.ndarray, op_a: np.ndarray, op_b: np.ndarray) -> float:
+    return float(np.trace(rho @ np.kron(op_a, op_b)).real)
+
+
+def correlator(rho4: np.ndarray, theta_a: float, theta_b: float) -> float:
+    return kron_expectation(rho4, observable(theta_a), observable(theta_b))
+
+
+def chsh_value(rho4: np.ndarray, chsh: ChshSettings) -> float:
+    """E(A,B) + E(A,B') + E(A',B) - E(A',B') on a two-qubit state."""
+    (a, a_prime), (b, b_prime) = sides(chsh)
+    return (
+        correlator(rho4, a, b)
+        + correlator(rho4, a, b_prime)
+        + correlator(rho4, a_prime, b)
+        - correlator(rho4, a_prime, b_prime)
+    )
+
+
+def behavior_table(rho4: np.ndarray, chsh: ChshSettings) -> BehaviorTable:
+    """P(a, b | x, y) of a two-qubit state; outcome index 0 is +1."""
+    alice, bob = sides(chsh)
+    probs = np.zeros((2, 2, 2, 2))
+    for x, y, a, b in itertools.product(range(2), repeat=4):
+        probs[x, y, a, b] = kron_expectation(
+            rho4, observable_projectors(alice[x])[a], observable_projectors(bob[y])[b]
+        )
+    return BehaviorTable(probs)
+
+
+def dense_joint(rho: np.ndarray, n: int, chsh: ChshSettings) -> np.ndarray:
+    """P[x][y][a1][b1][a2][b2] of the two-stage experiment by Lueders update and full-space effects."""
+    kept = projector(n)
+    first = (kept, np.eye(n) - kept)
+
+    def second(theta):
+        # The observable acts on the kept pair; the rejected complement reads +1.
+        plus, minus = np.eye(n) - kept, np.zeros((n, n))
+        plus2, minus2 = observable_projectors(theta)
+        plus[:2, :2] += plus2
+        minus[:2, :2] += minus2
+        return plus, minus
+
+    alice, bob = sides(chsh)
+    second_a, second_b = [second(t) for t in alice], [second(t) for t in bob]
+    probs = np.zeros((2,) * 6)
+    for a1, b1, x, y, a2, b2 in itertools.product(range(2), repeat=6):
+        pi = np.kron(first[a1], first[b1])
+        effect = np.kron(second_a[x][a2], second_b[y][b2])
+        probs[x, y, a1, b1, a2, b2] = np.trace(effect @ pi @ rho @ pi).real
+    return probs
+
+
+def partial_transpose(rho: np.ndarray, n: int) -> np.ndarray:
+    """Transpose Bob's factor: <i j|rho^T_B|k l> = <i l|rho|k j>."""
+    return rho.reshape(n, n, n, n).transpose(0, 3, 2, 1).reshape(n * n, n * n)
+
+
+def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Ginibre-distributed density matrix of dimension dim."""
+    g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    mat = g @ g.conj().T
+    return mat / np.trace(mat).real

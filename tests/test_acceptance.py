@@ -14,20 +14,15 @@ from noisybell import (
     BehaviorTable,
     C_THRESHOLD,
     TSIRELSON_BOUND,
-    behavior_table,
     bisect_threshold,
     chsh_closed_form,
-    chsh_value,
     condition_on_first,
-    first_two_levels,
     gap_rows,
     is_local_facets,
     is_local_lp,
     local_vertices,
-    max_entangled,
     noisy_state,
-    post_select,
-    post_selected_closed_form,
+    retained_fraction,
     sample_experiment,
     scan_record,
     success_probability,
@@ -35,6 +30,8 @@ from noisybell import (
     violation_threshold,
 )
 from noisybell.cli import main
+
+from dense import behavior_table, chsh_value, post_select
 
 
 @contextmanager
@@ -63,18 +60,18 @@ def test_criterion_1_threshold_constant():
 def test_criterion_2_closed_form_conditioned_state():
     with criterion(2, "closed form == dense post-selection to 1e-12 for N in [2,8], F on 0.1 grid", budget=10.0):
         for n in range(2, 9):
-            proj = first_two_levels(n)
             for k in range(11):
                 noise = k / 10.0
-                dense, prob = post_select(noisy_state(n, noise), proj, proj)
-                closed = post_selected_closed_form(n, noise)
-                assert np.max(np.abs(dense.matrix - closed.matrix)) < 1e-12
+                dense, prob = post_select(noisy_state(n, noise), n)
+                # v |psi_2><psi_2| + (1 - v) I/4 is the qubit member of the family at noise 1 - v.
+                closed = noisy_state(2, 1.0 - retained_fraction(n, noise))
+                assert np.max(np.abs(dense - closed)) < 1e-12
                 assert abs(prob - success_probability(n, noise)) < 1e-12
 
 
 def test_criterion_3_maximal_violation():
     with criterion(3, "CHSH value of the entangled two-qubit state is 2*sqrt(2) to 1e-12"):
-        value = chsh_value(max_entangled(2).density(), tsirelson_settings())
+        value = chsh_value(noisy_state(2, 0.0), tsirelson_settings())
         assert abs(value - TSIRELSON_BOUND) < 1e-12
 
 
@@ -93,7 +90,7 @@ def test_criterion_5_lhv_oracle_agreement():
     with criterion(5, f"LP and 8-facet verdicts agree on 1000 random no-signaling tables (seed {seed})", budget=30.0):
         rng = np.random.default_rng(seed)
         vertices = local_vertices()
-        quantum = behavior_table(max_entangled(2).density(), tsirelson_settings())
+        quantum = behavior_table(noisy_state(2, 0.0), tsirelson_settings())
         checked_local = 0
         checked_nonlocal = 0
         for trial in range(1000):

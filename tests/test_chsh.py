@@ -6,31 +6,25 @@ import pytest
 from noisybell import (
     C_THRESHOLD,
     TSIRELSON_BOUND,
-    DensityMatrix,
-    DichotomicObservable,
-    behavior_table,
+    ChshSettings,
     chsh_closed_form,
-    chsh_value,
-    correlator,
-    first_two_levels,
-    max_entangled,
     noisy_state,
-    post_select,
-    post_selected_closed_form,
     retained_fraction,
     tsirelson_settings,
     violation_threshold,
 )
 
-PSI2 = max_entangled(2).density()
-UNIFORM4 = DensityMatrix(np.eye(4) / 4.0)
+from dense import behavior_table, chsh_value, correlator, observable, observable_projectors, post_select, random_state
+
+PSI2 = noisy_state(2, 0.0)
+UNIFORM4 = noisy_state(2, 1.0)
 
 ANGLES = [0.0, 0.3, math.pi / 4, -1.2, 2.9]
 
 
 @pytest.mark.parametrize("theta", ANGLES)
 def test_observable_is_hermitian_with_unit_eigenvalues(theta):
-    mat = DichotomicObservable(theta).matrix()
+    mat = observable(theta)
     assert np.allclose(mat, mat.conj().T)
     eigs = np.sort(np.linalg.eigvalsh(mat))
     assert np.allclose(eigs, [-1.0, 1.0], atol=1e-15)
@@ -38,11 +32,10 @@ def test_observable_is_hermitian_with_unit_eigenvalues(theta):
 
 @pytest.mark.parametrize("theta", ANGLES)
 def test_observable_projectors(theta):
-    obs = DichotomicObservable(theta)
-    plus, minus = obs.projectors()
+    plus, minus = observable_projectors(theta)
     assert np.allclose(plus + minus, np.eye(2), atol=1e-15)
     assert np.allclose(plus @ plus, plus, atol=1e-15)
-    assert np.allclose(plus - minus, obs.matrix(), atol=1e-15)
+    assert np.allclose(plus - minus, observable(theta), atol=1e-15)
 
 
 def test_tsirelson_point():
@@ -50,35 +43,29 @@ def test_tsirelson_point():
 
 
 def test_perfect_correlation_at_equal_angles():
-    obs = DichotomicObservable(0.0)
-    assert abs(correlator(PSI2, obs, obs) - 1.0) < 1e-12
+    assert abs(correlator(PSI2, 0.0, 0.0) - 1.0) < 1e-12
 
 
 def test_white_noise_has_no_correlations():
     settings = tsirelson_settings()
     assert abs(chsh_value(UNIFORM4, settings)) < 1e-12
-    assert abs(correlator(UNIFORM4, DichotomicObservable(0.4), DichotomicObservable(-0.9))) < 1e-12
+    assert abs(correlator(UNIFORM4, 0.4, -0.9)) < 1e-12
 
 
 @pytest.mark.parametrize("theta_a", ANGLES)
 @pytest.mark.parametrize("theta_b", ANGLES)
 def test_correlator_matches_angle_difference(theta_a, theta_b):
-    value = correlator(PSI2, DichotomicObservable(theta_a), DichotomicObservable(theta_b))
+    value = correlator(PSI2, theta_a, theta_b)
     assert abs(value - math.cos(theta_a - theta_b)) < 1e-12
 
 
 @pytest.mark.parametrize("n,noise", [(2, 0.3), (4, 0.5), (7, 0.9)])
 def test_correlator_scales_with_retained_fraction(n, noise):
-    rho = post_selected_closed_form(n, noise)
+    rho, _ = post_select(noisy_state(n, noise), n)
     v = retained_fraction(n, noise)
     for theta_a, theta_b in [(0.0, 0.7), (1.1, -0.4)]:
-        value = correlator(rho, DichotomicObservable(theta_a), DichotomicObservable(theta_b))
+        value = correlator(rho, theta_a, theta_b)
         assert abs(value - v * math.cos(theta_a - theta_b)) < 1e-12
-
-
-def test_correlator_rejects_wrong_dimension():
-    with pytest.raises(ValueError):
-        correlator(noisy_state(3, 0.0), DichotomicObservable(0.0), DichotomicObservable(0.0))
 
 
 def test_closed_form_at_zero_noise():
@@ -95,7 +82,7 @@ def test_closed_form_large_dimension_violates_at_high_noise():
 
 def test_post_selected_midpoint_does_not_violate():
     # v = 2/3 at (N=4, F=0.5): S = (2/3) * 2*sqrt(2) < 2
-    value = chsh_value(post_selected_closed_form(4, 0.5), tsirelson_settings())
+    value = chsh_value(post_select(noisy_state(4, 0.5), 4)[0], tsirelson_settings())
     assert abs(value - 1.8856180831641267) < 1e-12
     assert value < 2.0
 
@@ -134,10 +121,9 @@ def test_closed_form_decreasing_in_noise():
 def test_dense_pipeline_matches_closed_form(n):
     """Project, renormalize, take four correlators; compare to the closed form."""
     settings = tsirelson_settings()
-    proj = first_two_levels(n)
     for k in range(11):
         noise = k / 10.0
-        post, _ = post_select(noisy_state(n, noise), proj, proj)
+        post, _ = post_select(noisy_state(n, noise), n)
         assert abs(chsh_value(post, settings) - chsh_closed_form(n, noise)) < 1e-10
 
 
@@ -146,9 +132,7 @@ def test_tsirelson_bound_on_random_states():
     rng = np.random.default_rng(20250817)
     settings = tsirelson_settings()
     for _ in range(200):
-        ginibre = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
-        rho = DensityMatrix(ginibre @ ginibre.conj().T / np.trace(ginibre @ ginibre.conj().T))
-        value = chsh_value(rho, settings)
+        value = chsh_value(random_state(rng, 4), settings)
         assert abs(value) <= TSIRELSON_BOUND + 1e-9
 
 
@@ -160,3 +144,12 @@ def test_behavior_table_from_state():
         for y in range(2):
             sign = -1.0 if (x, y) == (1, 1) else 1.0
             assert abs(table.correlator(x, y) - sign / math.sqrt(2.0)) < 1e-12
+
+
+@pytest.mark.parametrize("position,bad", [(0, math.nan), (2, math.inf), (3, -math.inf)])
+def test_settings_reject_non_finite_angles(position, bad):
+    angles = [0.0] * 4
+    angles[position] = bad
+    name = ("theta_a", "theta_a_prime", "theta_b", "theta_b_prime")[position]
+    with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad}$"):
+        ChshSettings(*angles)

@@ -12,10 +12,9 @@ from hypothesis import strategies as st
 
 from noisybell import (
     BehaviorTable,
-    behavior_table,
     load_table,
     local_vertices,
-    max_entangled,
+    noisy_state,
     save_table,
     tsirelson_settings,
 )
@@ -24,7 +23,9 @@ from noisybell.cli import main
 from noisybell.sampling import MAX_SAMPLE_COUNT
 from noisybell.scan import CSV_HEADER
 
-QUANTUM_TABLE = behavior_table(max_entangled(2).density(), tsirelson_settings())
+from dense import behavior_table
+
+QUANTUM_TABLE = behavior_table(noisy_state(2, 0.0), tsirelson_settings())
 _SIGNALING = np.full((2, 2, 2, 2), 0.25)  # Bob's marginal moves with Alice's setting
 _SIGNALING[0, 1] = [[0.55, 0.05], [0.05, 0.35]]
 

@@ -7,19 +7,25 @@ from noisybell import (
     BehaviorTable,
     TableFormatError,
     SignalingTable,
-    behavior_table,
     chsh_facets,
     condition_on_first,
     is_local_facets,
     is_local_lp,
     local_vertices,
-    max_entangled,
-    post_selected_closed_form,
+    noisy_state,
+    sequential_joint_distribution,
     tsirelson_settings,
     violation_threshold,
 )
 
-QUANTUM_TABLE = behavior_table(max_entangled(2).density(), tsirelson_settings())
+from dense import behavior_table
+
+QUANTUM_TABLE = behavior_table(noisy_state(2, 0.0), tsirelson_settings())
+
+
+def post_selected_table(n, noise):
+    """Behavior of the (in, in) branch at the Tsirelson settings, from the closed-form joint law."""
+    return condition_on_first(sequential_joint_distribution(n, noise, tsirelson_settings()))
 
 
 def mix(tables, weights):
@@ -93,14 +99,14 @@ def test_quantum_table_is_nonlocal():
 
 def test_post_selected_state_above_threshold_is_local():
     noise = violation_threshold(4) + 0.02
-    table = behavior_table(post_selected_closed_form(4, noise), tsirelson_settings())
+    table = post_selected_table(4, noise)
     assert is_local_lp(table).is_local
     assert is_local_facets(table)
 
 
 def test_post_selected_state_below_threshold_is_nonlocal():
     noise = violation_threshold(4) - 0.02
-    table = behavior_table(post_selected_closed_form(4, noise), tsirelson_settings())
+    table = post_selected_table(4, noise)
     assert not is_local_lp(table).is_local
     assert not is_local_facets(table)
 
@@ -154,7 +160,7 @@ def test_lp_detects_signaling_table_as_nonmember():
 
 def test_high_noise_large_dimension_stays_nonlocal():
     """At N=100, F=0.9 the conditioned behavior still violates: max facet ~ 2.3969."""
-    table = behavior_table(post_selected_closed_form(100, 0.9), tsirelson_settings())
+    table = post_selected_table(100, 0.9)
     verdict = is_local_lp(table)
     assert not verdict.is_local
     assert abs(chsh_facets(table).max() - 2.396972139615415) < 1e-10

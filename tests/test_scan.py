@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import tracemalloc
 
 import pytest
@@ -289,7 +290,7 @@ def test_blocks_join_into_the_whole_grid(dims, bounds, f_step, cuts):
 @given(
     value=st.one_of(
         st.floats(),
-        st.builds(math.ldexp, st.floats(0.5, 1.0), st.integers(-1074, 1024)).filter(math.isfinite),  # every exponent
+        st.builds(math.ldexp, st.floats(0.5, 1.0, exclude_max=True), st.integers(-1074, 1024)),  # every exponent
         st.floats(-1e-307, 1e-307),  # subnormals and their neighbours
         st.floats(1e12, 1e16) | st.floats(-1e16, -1e12),
         st.floats(999999999999.0, 1000000000001.0),
@@ -307,6 +308,7 @@ def test_blocks_join_into_the_whole_grid(dims, bounds, f_step, cuts):
 @example(1e11)
 @example(-3.0)
 @example(9.99999999999999e-05)
+@example(sys.float_info.max)
 def test_json_real_matches_repr_of_the_rounded_float(value):
     assert scan._json_real(value) == repr(float(format_real(value)))
 

@@ -5,59 +5,56 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from noisybell import (
-    DensityMatrix,
-    PureState,
-    chsh_closed_form,
-    is_separable_family,
-    max_entangled,
-    noisy_state,
-    validate,
-)
+from noisybell import chsh_closed_form, is_separable_family, noisy_state
 from noisybell.states import check_family
+
+from dense import partial_transpose
+
+PSI2 = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+
+
+# The maximally entangled component is noisy_state(n, 0): the projector onto
+# amplitude 1/sqrt(n) at every doubled index m*n + m.
 
 
 def test_max_entangled_qubit_amplitudes():
-    psi = max_entangled(2)
-    expected = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
-    assert np.allclose(psi.amplitudes, expected, atol=1e-15)
+    eigs, vecs = np.linalg.eigh(noisy_state(2, 0.0))
+    assert abs(eigs[-1] - 1.0) < 1e-15
+    assert abs(abs(vecs[:, -1] @ PSI2) - 1.0) < 1e-15
 
 
 def test_max_entangled_qutrit_support():
-    psi = max_entangled(3)
-    nonzero = np.flatnonzero(np.abs(psi.amplitudes) > 0)
-    assert nonzero.tolist() == [0, 4, 8]
-    assert np.allclose(psi.amplitudes[nonzero], 1.0 / math.sqrt(3.0), atol=1e-15)
+    rho = noisy_state(3, 0.0)
+    rows, cols = np.nonzero(np.abs(rho) > 0)
+    assert sorted(set(rows.tolist())) == sorted(set(cols.tolist())) == [0, 4, 8]
+    assert np.allclose(rho[np.ix_([0, 4, 8], [0, 4, 8])], 1.0 / 3.0, atol=1e-15)
 
 
 @pytest.mark.parametrize("n", range(2, 9))
 def test_max_entangled_normalized(n):
-    psi = max_entangled(n)
-    assert psi.dim == n * n
-    assert abs(np.linalg.norm(psi.amplitudes) - 1.0) < 1e-12
+    rho = noisy_state(n, 0.0)
+    assert rho.shape == (n * n, n * n)
+    assert abs(np.trace(rho) - 1.0) < 1e-12
+    assert np.max(np.abs(rho @ rho - rho)) < 1e-12
 
 
 @pytest.mark.parametrize("n", [0, 1])
 def test_max_entangled_rejects_small_dimension(n):
     with pytest.raises(ValueError):
-        max_entangled(n)
+        noisy_state(n, 0.0)
 
 
 def test_noisy_state_zero_noise_is_pure():
-    psi = max_entangled(2)
-    rho = noisy_state(2, 0.0)
-    assert np.allclose(rho.matrix, np.outer(psi.amplitudes, psi.amplitudes.conj()), atol=1e-15)
+    assert np.allclose(noisy_state(2, 0.0), np.outer(PSI2, PSI2), atol=1e-15)
 
 
 def test_noisy_state_full_noise_is_uniform():
-    rho = noisy_state(2, 1.0)
-    assert np.allclose(rho.matrix, np.eye(4) / 4.0, atol=1e-15)
+    assert np.allclose(noisy_state(2, 1.0), np.eye(4) / 4.0, atol=1e-15)
 
 
 def test_noisy_state_half_noise_entry():
     # Hand evaluation of the two terms: 0.5 * 1/2 + 0.5 * 1/4.
-    rho = noisy_state(2, 0.5)
-    assert abs(rho.matrix[0, 0] - 0.375) < 1e-15
+    assert abs(noisy_state(2, 0.5)[0, 0] - 0.375) < 1e-15
 
 
 @pytest.mark.parametrize("noise", [-0.1, 1.1, math.inf])
@@ -71,7 +68,7 @@ def test_noisy_state_rejects_bad_noise(noise):
 def test_noisy_state_spectrum(n, noise):
     """Eigenvalues are (1-F) + F/N^2 once and F/N^2 with multiplicity N^2 - 1."""
     dim = n * n
-    eigs = np.sort(np.linalg.eigvalsh(noisy_state(n, noise).matrix))
+    eigs = np.sort(np.linalg.eigvalsh(noisy_state(n, noise)))
     expected = np.sort(np.concatenate([[1.0 - noise + noise / dim], np.full(dim - 1, noise / dim)]))
     assert np.max(np.abs(eigs - expected)) < 1e-10
 
@@ -79,11 +76,18 @@ def test_noisy_state_spectrum(n, noise):
 @pytest.mark.parametrize("n", range(2, 9))
 @pytest.mark.parametrize("noise", [0.0, 0.25, 0.5, 0.75, 1.0])
 def test_noisy_state_passes_validate(n, noise):
-    report = validate(noisy_state(n, noise))
-    assert report.ok
-    assert report.hermiticity_defect < 1e-12
-    assert report.trace_defect < 1e-12
-    assert report.min_eigenvalue >= -1e-10
+    """Hermitian, unit trace and positive semidefinite."""
+    rho = noisy_state(n, noise)
+    assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
+    assert abs(np.trace(rho) - 1.0) < 1e-12
+    assert np.linalg.eigvalsh(rho)[0] >= -1e-10
+
+
+def test_density_matrix_eigenvalues_sorted():
+    eigs = np.linalg.eigvalsh(noisy_state(2, 0.5))
+    assert eigs.shape == (4,)
+    assert abs(eigs[-1] - (0.5 + 0.125)) < 1e-12
+    assert all(a <= b for a, b in zip(eigs, eigs[1:]))
 
 
 def test_separability_examples():
@@ -99,11 +103,6 @@ def test_separability_flips_at_boundary(n):
     assert is_separable_family(n, boundary + 1e-9)
 
 
-def _partial_transpose(rho: DensityMatrix, n: int) -> np.ndarray:
-    """Transpose Bob's factor: <i j|rho^T_B|k l> = <i l|rho|k j>."""
-    return rho.matrix.reshape(n, n, n, n).transpose(0, 3, 2, 1).reshape(n * n, n * n)
-
-
 @settings(max_examples=80, deadline=None)
 @given(n=st.integers(2, 5), noise=st.floats(0.0, 1.0))
 def test_separability_matches_ppt(n, noise):
@@ -113,7 +112,7 @@ def test_separability_matches_ppt(n, noise):
     1e-9 away from the boundary its sign is far above round-off.
     """
     assume(abs(noise - n / (n + 1)) > 1e-9)
-    min_eig = np.linalg.eigvalsh(_partial_transpose(noisy_state(n, noise), n))[0]
+    min_eig = np.linalg.eigvalsh(partial_transpose(noisy_state(n, noise), n))[0]
     assert is_separable_family(n, noise) == (min_eig >= 0.0)
 
 
@@ -135,47 +134,15 @@ def test_family_closed_forms_take_noise_arrays():
 
 
 def test_validate_off_grid_state():
-    report = validate(noisy_state(3, 0.4))
-    assert report.ok
-    assert report.min_eigenvalue >= 0.0
-
-
-def test_density_matrix_eigenvalues_sorted():
-    eigs = noisy_state(2, 0.5).eigenvalues()
-    assert eigs.shape == (4,)
-    assert abs(eigs[-1] - (0.5 + 0.125)) < 1e-12
-    assert all(a <= b for a, b in zip(eigs, eigs[1:]))
-
-
-def test_validate_reports_trace_defect():
-    report = validate(np.eye(2, dtype=complex))  # trace 2
-    assert abs(report.trace_defect - 1.0) < 1e-15
-    assert not report.ok
+    assert np.linalg.eigvalsh(noisy_state(3, 0.4))[0] >= 0.0
 
 
 def test_validate_pure_state_has_zero_min_eigenvalue():
-    report = validate(noisy_state(2, 0.0))
-    assert abs(report.min_eigenvalue) < 1e-10
-
-
-def test_pure_state_rejects_unnormalized():
-    with pytest.raises(ValueError):
-        PureState(np.array([1.0, 1.0]))
-
-
-def test_density_matrix_rejects_non_square():
-    with pytest.raises(ValueError):
-        DensityMatrix(np.zeros((2, 3)))
-
-
-def test_density_matrix_rejects_non_finite():
-    mat = np.eye(2, dtype=complex)
-    mat[0, 0] = np.nan
-    with pytest.raises(ValueError):
-        DensityMatrix(mat)
+    assert abs(np.linalg.eigvalsh(noisy_state(2, 0.0))[0]) < 1e-10
 
 
 def test_states_are_immutable():
     rho = noisy_state(2, 0.5)
+    assert rho.dtype == complex
     with pytest.raises(ValueError):
-        rho.matrix[0, 0] = 9.0
+        rho[0, 0] = 9.0
