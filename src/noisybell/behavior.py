@@ -13,6 +13,7 @@ and must equal [2, 2].  Unknown keys (e.g. ``meta``) are ignored on load.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -32,6 +33,21 @@ class TableFormatError(ValueError):
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _once(method):
+    """Compute a table quantity on first use and keep it: tables are immutable."""
+    key = f"_{method.__name__}"
+
+    @functools.wraps(method)
+    def memoised(self):
+        try:
+            return self.__dict__[key]
+        except KeyError:
+            value = self.__dict__[key] = method(self)  # not setattr: the dataclass is frozen
+            return value
+
+    return memoised
 
 
 @dataclass(frozen=True)
@@ -62,15 +78,17 @@ class BehaviorTable:
     def to_flat(self) -> list[float]:
         return [float(v) for v in self.probs.reshape(-1)]
 
+    @_once
     def correlators(self) -> np.ndarray:
-        """All E(x, y) = P(++) - P(+-) - P(-+) + P(--) as a 2x2 array [x][y]."""
+        """All E(x, y) = P(++) - P(+-) - P(-+) + P(--) as a read-only 2x2 array [x][y]."""
         p = self.probs
-        return p[:, :, 0, 0] - p[:, :, 0, 1] - p[:, :, 1, 0] + p[:, :, 1, 1]
+        return _freeze(p[:, :, 0, 0] - p[:, :, 0, 1] - p[:, :, 1, 0] + p[:, :, 1, 1])
 
     def correlator(self, x: int, y: int) -> float:
         """E(x, y) for one setting pair."""
         return float(self.correlators()[x, y])
 
+    @_once
     def normalization_defect(self) -> float:
         """Largest deviation of a per-setting total from 1."""
         return float(np.max(np.abs(self.probs.sum(axis=(2, 3)) - 1.0)))
@@ -78,6 +96,7 @@ class BehaviorTable:
     def min_entry(self) -> float:
         return float(self.probs.min())
 
+    @_once
     def signaling_defect(self) -> float:
         """How much one side's marginals depend on the other side's setting."""
         marg_a = self.probs.sum(axis=3)  # [x][y][a]

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
@@ -74,6 +75,12 @@ def _parse_tol(text: str) -> float:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on the first call of the process."""
+    return _parser()
+
+
+@functools.cache  # parse_args leaves the parser as it found it, so one serves every main() call
+def _parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="noisybell", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -83,7 +90,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_scan = sub.add_parser("scan", help="classify an (N, F) grid")
     add_common(p_scan)
-    p_scan.add_argument("--dims", type=_parse_dims, default=[2, 4, 8], help="comma-separated dimensions, e.g. 2,4,8")
+    p_scan.add_argument("--dims", type=_parse_dims, default="2,4,8", help="comma-separated dimensions, e.g. 2,4,8")
     p_scan.add_argument("--f-min", type=float, default=0.0)
     p_scan.add_argument("--f-max", type=float, default=1.0)
     p_scan.add_argument("--f-step", type=float, default=0.1)
@@ -91,12 +98,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_threshold = sub.add_parser("threshold", help="violation threshold per dimension")
     add_common(p_threshold)
-    p_threshold.add_argument("--dims", type=_parse_dims, default=[2, 3, 4, 8, 16, 100])
+    p_threshold.add_argument("--dims", type=_parse_dims, default="2,3,4,8,16,100")
     p_threshold.set_defaults(func=cmd_threshold)
 
     p_gap = sub.add_parser("gap", help="entangled-but-not-violating noise interval per dimension")
     add_common(p_gap)
-    p_gap.add_argument("--dims", type=_parse_dims, default=[2, 3, 4, 8, 16, 100])
+    p_gap.add_argument("--dims", type=_parse_dims, default="2,3,4,8,16,100")
     p_gap.set_defaults(func=cmd_gap)
 
     p_check = sub.add_parser("lhv-check", help="decide whether a table file admits an LHV model")

@@ -14,7 +14,7 @@ from itertools import product
 
 import numpy as np
 
-from .behavior import SIGNALING_TOL, BehaviorTable, _freeze
+from .behavior import SIGNALING_TOL, BehaviorTable, _freeze, _once
 from .simplex import l1_feasibility
 
 LOCALITY_TOL = 1e-9  # default LP residual and facet margin of a local verdict
@@ -63,12 +63,20 @@ def local_vertices() -> tuple[BehaviorTable, ...]:
 def chsh_facets(table: BehaviorTable) -> np.ndarray:
     """The 8 CHSH expressions (setting/sign relabelings), in FACET_LABELS order.
 
+    Read-only, and computed once per table: the facet test and the
+    ``lhv-check`` report share one evaluation.
+
     These are plain linear functionals of the table; using them as a locality
     criterion is only sound for no-signaling tables (see is_local_facets).
     """
+    return _facets(table)
+
+
+@_once
+def _facets(table: BehaviorTable) -> np.ndarray:
     corr = table.correlators()
     base = corr.sum() - 2.0 * corr.reshape(-1)  # the minus sign on E00, E01, E10, E11 in turn
-    return np.stack([base, -base], axis=1).reshape(-1)
+    return _freeze(np.stack([base, -base], axis=1).reshape(-1))
 
 
 def is_local_lp(table: BehaviorTable, tol: float = LOCALITY_TOL) -> LocalityVerdict:

@@ -45,19 +45,25 @@ def l1_feasibility(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     for row in range(m):
         tableau[m, :] -= tableau[row, :]
 
+    reduced = tableau[m, :-1]  # a view, so it follows every pivot
     for _ in range(_MAX_PIVOTS):
         # Bland's rule: the lowest-index improving column enters.
-        improving = np.flatnonzero(tableau[m, :-1] < -_COST_EPS)
+        improving = (reduced < -_COST_EPS).nonzero()[0]
         if improving.size == 0:
             break
         entering = int(improving[0])
 
+        # The ratio test runs on Python floats, read once per pivot: IEEE
+        # division and comparison give the same bits as on float64 scalars.
+        column = tableau[:, entering]
+        coefs = column[:m].tolist()
+        rhs = tableau[:m, -1].tolist()
         leaving = -1
         best_ratio = np.inf
         for i in range(m):
-            coef = tableau[i, entering]
+            coef = coefs[i]
             if coef > _PIVOT_EPS:
-                ratio = tableau[i, -1] / coef
+                ratio = rhs[i] / coef
                 if ratio < best_ratio - _PIVOT_EPS or (
                     abs(ratio - best_ratio) <= _PIVOT_EPS
                     and (leaving < 0 or basis[i] < basis[leaving])
@@ -70,9 +76,9 @@ def l1_feasibility(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
         tableau[leaving, :] /= tableau[leaving, entering]
         # Only rows with a nonzero entry change, so the others keep their exact
         # bits (a -0.0 stays -0.0).
-        rows = np.flatnonzero(tableau[:, entering])
-        rows = rows[rows != leaving]
-        tableau[rows] -= np.outer(tableau[rows, entering], tableau[leaving])
+        changed = column != 0.0
+        changed[leaving] = False
+        np.subtract(tableau, column[:, None] * tableau[leaving], out=tableau, where=changed[:, None])
         basis[leaving] = entering
     else:
         raise RuntimeError(f"simplex did not converge within {_MAX_PIVOTS} pivots")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisybell import BehaviorTable, TableFormatError, load_table, save_table
+from noisybell import BehaviorTable, TableFormatError, chsh_facets, load_table, save_table
 from noisybell.behavior import table_from_json, table_to_json
 
 
@@ -127,6 +127,20 @@ def test_signaling_defect_detects_marginal_shift():
     table = BehaviorTable(probs)
     assert table.signaling_defect() > 0.09
     assert not table.is_no_signaling()
+
+
+def test_table_quantities_are_computed_once_and_read_only():
+    """Loading, the facet test and the lhv-check report share one evaluation per table."""
+    probs = np.full((2, 2, 2, 2), 0.25)
+    probs[0, 1] = np.array([[0.5, 0.1], [0.1, 0.3]])
+    table = BehaviorTable(probs)
+    for quantity in (table.correlators, table.signaling_defect, table.normalization_defect, lambda: chsh_facets(table)):
+        assert quantity() is quantity()
+    assert chsh_facets(table=table) is chsh_facets(table)  # the public signature is unchanged
+    for array in (table.correlators(), chsh_facets(table)):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    assert BehaviorTable(probs).correlators() is not table.correlators()
 
 
 # Per setting pair, four weights with a positive sum; subnormals and exact zeros included.

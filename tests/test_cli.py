@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -350,6 +353,52 @@ def test_lhv_call_sites_the_benchmark_traces(monkeypatch, tmp_path, capsys):
         code, _, _ = run(["lhv-check", str(path), "--method", method], capsys)
         assert code == 3
         assert calls == expected
+
+
+def test_parser_is_built_once_per_process(capsys):
+    """A per-call argparse rebuild used to cost more than an LP; it must not come back."""
+    cli._parser.cache_clear()
+    for k in range(20):
+        assert main(["threshold", "--dims", str(2 + k)]) == 0
+    capsys.readouterr()
+    assert cli._parser.cache_info().misses == 1
+    # perfbench's tracer reads a __wrapped__ on a traced name as its own wrapper left in place.
+    assert not hasattr(cli.build_parser, "__wrapped__")
+
+
+def test_cached_parser_leaks_nothing_between_calls(tmp_path, capsys):
+    """Each call in one process prints what a fresh interpreter prints for the same argv."""
+    quantum = tmp_path / "quantum.json"
+    save_table(QUANTUM_TABLE, quantum)
+    signaling = tmp_path / "signaling.json"
+    save_table(BehaviorTable(_SIGNALING), signaling)
+    sequence = [
+        ["scan"],
+        ["lhv-check", str(quantum)],
+        ["scan", "--dims", "16,2", "--f-min", "0.2", "--f-step", "0.25", "--format", "json"],
+        ["threshold"],
+        ["lhv-check", str(quantum), "--method", "facets", "--format", "json"],
+        ["gap", "--dims", "3,5", "--format", "json"],
+        ["lhv-check", str(signaling), "--method", "facets"],
+        ["sample", "--dim", "3", "--noise", "0.2", "--count", "2000", "--seed", "4"],
+        ["scan", "--dims", "1"],
+        ["lhv-check", str(quantum), "--tol", "nan"],
+        ["threshold", "--dims", "5"],
+        ["gap"],
+        ["scan"],
+        ["threshold"],
+        ["gap", "--format", "json"],
+        ["gap"],
+        ["sample", "--format", "json"],
+    ]
+    in_process = [run(argv, capsys) for argv in sequence]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    for argv, result in zip(sequence, in_process):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "noisybell.cli", *argv], capture_output=True, text=True, env=env, timeout=60
+        )
+        assert result == (fresh.returncode, fresh.stdout, fresh.stderr), argv
+    assert [code for code, _, _ in in_process] == [0, 3, 0, 0, 3, 0, 3, 0, 1, 1] + [0] * 7
 
 
 def test_sample_stdout_deterministic(capsys):

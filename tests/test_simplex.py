@@ -1,7 +1,20 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from noisybell import local_vertices
+import simplex_oracle
+from noisybell import (
+    BehaviorTable,
+    condition_on_first,
+    local_vertices,
+    sample_experiment,
+    sequential_joint_distribution,
+    tsirelson_settings,
+)
+from noisybell.polytope import _LP_SYSTEM
 from noisybell.simplex import l1_feasibility
 
 
@@ -50,50 +63,9 @@ def test_rejects_bad_shapes():
         l1_feasibility(np.zeros((2, 2)), np.zeros(3))
 
 
-# --- per-element oracle ------------------------------------------------------
-# The route the vectorized pivot replaced: the entering column found by a scan,
-# and each row with a nonzero entering entry eliminated on its own.
-
-
-def _loop_l1_feasibility(a, b):
-    m, n = a.shape
-    signs = np.where(b < 0.0, -1.0, 1.0)
-    tableau = np.zeros((m + 1, n + 2 * m + 1))
-    tableau[:m, :n] = a * signs[:, None]
-    tableau[:m, n:n + m] = np.eye(m)
-    tableau[:m, n + m:n + 2 * m] = -np.eye(m)
-    tableau[:m, -1] = b * signs
-    cost = np.zeros(n + 2 * m)
-    cost[n:] = 1.0
-    basis = list(range(n, n + m))
-    tableau[m, :-1] = cost
-    for row in range(m):
-        tableau[m, :] -= tableau[row, :]
-    while True:
-        reduced = tableau[m, :-1]
-        entering = next((j for j in range(reduced.size) if reduced[j] < -1e-11), -1)
-        if entering < 0:
-            break
-        leaving, best_ratio = -1, np.inf
-        for i in range(m):
-            coef = tableau[i, entering]
-            if coef > 1e-12:
-                ratio = tableau[i, -1] / coef
-                if ratio < best_ratio - 1e-12 or (
-                    abs(ratio - best_ratio) <= 1e-12 and (leaving < 0 or basis[i] < basis[leaving])
-                ):
-                    best_ratio, leaving = ratio, i
-        pivot = tableau[leaving, entering]
-        tableau[leaving, :] /= pivot
-        for i in range(m + 1):
-            if i != leaving and abs(tableau[i, entering]) > 0.0:
-                tableau[i, :] -= tableau[i, entering] * tableau[leaving, :]
-        basis[leaving] = entering
-    x = np.zeros(n)
-    for i, var in enumerate(basis):
-        if var < n:
-            x[var] = max(tableau[i, -1], 0.0)
-    return x, max(-float(tableau[m, -1]), 0.0)
+# --- the per-element oracle ------------------------------------------------
+# tests/simplex_oracle.py keeps the per-element route; the locality LP must
+# give the same weights and residual, byte for byte, on every kind of table.
 
 
 def test_pivots_match_the_per_element_route_bit_for_bit():
@@ -113,9 +85,55 @@ def test_pivots_match_the_per_element_route_bit_for_bit():
             target = rng.dirichlet(np.ones(16)) @ tables
         rhs = np.concatenate([target, [1.0]])
         x, residual = l1_feasibility(system, rhs)
-        x_ref, residual_ref = _loop_l1_feasibility(system, rhs)
+        x_ref, residual_ref = simplex_oracle.l1_feasibility(system, rhs)
         assert x.tobytes() == x_ref.tobytes()
         assert np.float64(residual).tobytes() == np.float64(residual_ref).tobytes()
         values = np.append(x, residual)
         signed_zeros += int(np.sum(np.signbit(values) & (values == 0.0)))
     assert signed_zeros > 0  # the comparison reaches -0.0 results
+
+
+def _assert_same_bits(a, b):
+    x, residual = l1_feasibility(a, b)
+    x_ref, residual_ref = simplex_oracle.l1_feasibility(a, b)
+    assert x.tobytes() == x_ref.tobytes()
+    assert np.float64(residual).tobytes() == np.float64(residual_ref).tobytes()
+
+
+def _assert_matches_oracle(probs):
+    _assert_same_bits(_LP_SYSTEM, np.concatenate([np.asarray(probs, dtype=float).reshape(-1), [1.0]]))
+
+
+def _oracle_cases():
+    vertices = [vertex.probs for vertex in local_vertices()]
+    yield from vertices
+    yield BehaviorTable.uniform().probs
+    yield from ((vertices[i] + vertices[j]) / 2.0 for i, j in combinations(range(16), 2))  # many ties
+    rng = np.random.default_rng(23)
+    for alpha in (0.2, 1.0):
+        yield from np.einsum("tk,kxyab->txyab", rng.dirichlet(np.full(16, alpha), size=30), np.array(vertices))
+    for n in (2, 3, 8):
+        for noise in (0.0, 0.3, 0.6, 0.9):
+            yield condition_on_first(sequential_joint_distribution(n, noise, tsirelson_settings())).probs
+    for seed in range(20):
+        yield sample_experiment(2 + seed % 3, 0.1 * (seed % 10), 500, seed).empirical_table.probs  # signaling
+
+
+def test_locality_lp_matches_the_oracle_bit_for_bit():
+    for probs in _oracle_cases():
+        _assert_matches_oracle(probs)
+
+
+_distribution = st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(lambda p: sum(p) > 0.0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_distribution, min_size=4, max_size=4))
+def test_random_normalized_tables_match_the_oracle_bit_for_bit(blocks):
+    blocks = np.array(blocks)  # one outcome distribution per setting pair
+    _assert_matches_oracle(blocks / blocks.sum(axis=1, keepdims=True))
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (1, 0)])
+def test_empty_systems_match_the_oracle(shape):
+    _assert_same_bits(np.zeros(shape), np.ones(shape[0]))
