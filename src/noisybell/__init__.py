@@ -25,7 +25,7 @@ from .polytope import (
     local_vertices,
 )
 from .sampling import ExperimentSample, sample_experiment
-from .scan import ScanGrid, ScanRecord, bisect_threshold, gap_rows, scan_grid, scan_record, threshold_rows
+from .scan import Table, bisect_threshold, gap_rows, scan_grid, threshold_rows
 from .sequential import (
     SequentialJointDistribution,
     ZeroProbabilityBranch,
@@ -44,11 +44,10 @@ __all__ = [
     "ExperimentSample",
     "FACET_LABELS",
     "LocalityVerdict",
-    "ScanGrid",
-    "ScanRecord",
     "SequentialJointDistribution",
     "SignalingTable",
     "TSIRELSON_BOUND",
+    "Table",
     "TableFormatError",
     "ZeroProbabilityBranch",
     "bisect_threshold",
@@ -66,7 +65,6 @@ __all__ = [
     "sample_experiment",
     "save_table",
     "scan_grid",
-    "scan_record",
     "sequential_joint_distribution",
     "success_probability",
     "threshold_rows",

@@ -15,13 +15,20 @@ import argparse
 import contextlib
 import functools
 import json
-import math
 import sys
 from collections.abc import Callable, Iterator
 from pathlib import Path
 
 from .behavior import load_table, save_table
-from .polytope import FACET_LABELS, LOCALITY_TOL, SignalingTable, chsh_facets, is_local_facets, is_local_lp
+from .polytope import (
+    FACET_LABELS,
+    LOCALITY_TOL,
+    SignalingTable,
+    check_tolerance,
+    chsh_facets,
+    is_local_facets,
+    is_local_lp,
+)
 from .sampling import GENERATOR_NAME, sample_experiment
 from .scan import (
     BLOCK,
@@ -69,9 +76,10 @@ def _parse_tol(text: str) -> float:
         tol = float(text)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad tolerance {text!r}") from exc
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise argparse.ArgumentTypeError(f"tolerance must be finite and non-negative, got {text}")
-    return tol
+    try:
+        return check_tolerance(tol)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,6 +9,7 @@ no-signaling tables.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 
@@ -79,6 +80,13 @@ def _facets(table: BehaviorTable) -> np.ndarray:
     return _freeze(np.stack([base, -base], axis=1).reshape(-1))
 
 
+def check_tolerance(tol: float) -> float:
+    """Return ``tol`` if it is a finite real >= 0; a NaN or negative one would decide verdicts."""
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tolerance must be finite and non-negative, got {tol}")
+    return tol
+
+
 def is_local_lp(table: BehaviorTable, tol: float = LOCALITY_TOL) -> LocalityVerdict:
     """Decide polytope membership by LP over the 16 vertex weights.
 
@@ -86,6 +94,7 @@ def is_local_lp(table: BehaviorTable, tol: float = LOCALITY_TOL) -> LocalityVerd
     within ``tol``; the weights are returned as the certificate.  Works for
     signaling tables too (they are simply never members).
     """
+    check_tolerance(tol)
     table.check_normalized()
     target = np.concatenate([table.probs.reshape(-1), [1.0]])
     weights, residual = l1_feasibility(_LP_SYSTEM, target)
@@ -100,6 +109,7 @@ def is_local_facets(table: BehaviorTable, tol: float = LOCALITY_TOL) -> bool:
     :class:`SignalingTable` otherwise because the criterion is not a valid
     locality test when marginals depend on the remote setting.
     """
+    check_tolerance(tol)
     table.check_normalized()
     if not table.is_no_signaling():
         raise SignalingTable(

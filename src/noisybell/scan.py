@@ -9,8 +9,9 @@ last-bit float noise of grid generation.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, fields
+from collections.abc import Mapping
+from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -18,8 +19,6 @@ from .behavior import _freeze
 from .chsh import chsh_closed_form, violation_threshold
 from .sequential import success_probability
 from .states import is_separable_family
-
-CSV_HEADER = "N,F,S,violates,threshold,separable,gap,success_prob"
 
 # Strict-violation margin: S must clear 2 by more than accumulated round-off.
 VIOLATION_MARGIN = 1e-12
@@ -34,59 +33,32 @@ MAX_SCAN_RECORDS = 2**63 - 1
 BLOCK = 2**14
 
 
-@dataclass(frozen=True)
-class ScanRecord:
-    """Classification of one (N, F) grid point."""
+@dataclass(frozen=True, eq=False)
+class Table:
+    """Records as named, read-only columns of equal length, in output order.
 
-    dim: int
-    noise: float
-    s_value: float
-    violates: bool
-    threshold: float
-    separable: bool
-    gap: bool
-    success_prob: float
-
-
-@dataclass(frozen=True)
-class ScanGrid:
-    """All records of an (N, F) scan as read-only columns, in (N, F) order.
-
-    Column ``i`` of every field belongs to record ``i``; iterating yields the
-    records as :class:`ScanRecord` values.
+    The names are the CSV header and the JSON keys; element ``i`` of every
+    column belongs to record ``i``, and ``len`` is the record count.
     """
 
-    dim: np.ndarray
-    noise: np.ndarray
-    s_value: np.ndarray
-    violates: np.ndarray
-    threshold: np.ndarray
-    separable: np.ndarray
-    gap: np.ndarray
-    success_prob: np.ndarray
+    columns: Mapping[str, np.ndarray]
 
     def __post_init__(self) -> None:
-        for column in self._columns():
+        if len({len(column) for column in self.columns.values()}) != 1:
+            raise ValueError("a table has one or more columns, all of one length")
+        for column in self.columns.values():
             _freeze(column)
+        object.__setattr__(self, "columns", MappingProxyType(dict(self.columns)))
 
-    def _columns(self) -> list[np.ndarray]:
-        return [getattr(self, f.name) for f in fields(self)]
+    def __getitem__(self, name: str) -> np.ndarray:
+        return self.columns[name]
 
     def __len__(self) -> int:
-        return len(self.dim)
-
-    def __iter__(self) -> Iterator[ScanRecord]:
-        for row in zip(*(column.tolist() for column in self._columns())):
-            yield ScanRecord(*row)
+        return len(next(iter(self.columns.values())))
 
 
 def format_real(value: float) -> str:
     return f"{value:.12g}"
-
-
-def scan_record(n: int, noise: float) -> ScanRecord:
-    """Evaluate the closed forms at one point and derive the consistency flags."""
-    return next(iter(scan_grid([n], noise, noise, 1.0)))
 
 
 def _grid_points(f_min: float, f_max: float, f_step: float) -> int:
@@ -132,6 +104,15 @@ def _closed_forms(n: int, grid: np.ndarray) -> tuple:
     )
 
 
+def _dim_type(ordered: list[int]) -> type:
+    """Column type of a table's dimensions, from all of them in ascending order.
+
+    Dimensions past int64 are valid; an object column keeps them exact.  Every
+    block of one scan takes the type of the whole scan.
+    """
+    return object if ordered and ordered[-1] > np.iinfo(np.int64).max else np.int64
+
+
 def scan_size(dims: list[int], f_min: float, f_max: float, f_step: float) -> int:
     """Record count of :func:`scan_grid`, after every check any block of it makes.
 
@@ -147,7 +128,7 @@ def scan_size(dims: list[int], f_min: float, f_max: float, f_step: float) -> int
 
 def scan_grid(
     dims: list[int], f_min: float, f_max: float, f_step: float, start: int = 0, stop: int | None = None
-) -> ScanGrid:
+) -> Table:
     """Records of every (N, F) pair, N ascending, F along :func:`noise_grid`.
 
     ``start`` and ``stop`` select records start .. stop - 1 of that order, so
@@ -174,17 +155,18 @@ def scan_grid(
         noise[rows] = grid
         s_value[rows], threshold[rows], separable[rows], success_prob[rows] = _closed_forms(ordered[i], grid)
         counts.append(hi - lo)
-    # Dimensions past int64 are valid; an object column keeps them exact.
-    dim_type = object if ordered and ordered[-1] > np.iinfo(np.int64).max else np.int64
-    return ScanGrid(
-        dim=np.repeat(np.array(ordered[first : first + len(counts)], dtype=dim_type), counts),
-        noise=noise,
-        s_value=s_value,
-        violates=s_value > 2.0 + VIOLATION_MARGIN,
-        threshold=threshold,
-        separable=separable,
-        gap=(noise >= threshold) & ~separable,
-        success_prob=success_prob,
+    dim = np.array(ordered[first : first + len(counts)], dtype=_dim_type(ordered))
+    return Table(
+        {
+            "N": np.repeat(dim, counts),
+            "F": noise,
+            "S": s_value,
+            "violates": s_value > 2.0 + VIOLATION_MARGIN,
+            "threshold": threshold,
+            "separable": separable,
+            "gap": (noise >= threshold) & ~separable,
+            "success_prob": success_prob,
+        }
     )
 
 
@@ -206,113 +188,64 @@ def bisect_threshold(n: int) -> float:
     return (lo + hi) / 2.0
 
 
-def threshold_rows(dims: list[int]) -> list[dict]:
-    rows = []
-    for n in sorted(dims):
-        closed = violation_threshold(n)
-        root = bisect_threshold(n)
-        rows.append(
-            {
-                "N": n,
-                "threshold_closed_form": closed,
-                "bisection_root": root,
-                "abs_diff": abs(closed - root),
-            }
-        )
-    return rows
+def threshold_rows(dims: list[int]) -> Table:
+    """Closed-form violation threshold of each dimension beside its bisection root, N ascending."""
+    ordered = sorted(dims)
+    closed = np.array([violation_threshold(n) for n in ordered], dtype=float)
+    root = np.array([bisect_threshold(n) for n in ordered], dtype=float)
+    return Table(
+        {
+            "N": np.array(ordered, dtype=_dim_type(ordered)),
+            "threshold_closed_form": closed,
+            "bisection_root": root,
+            "abs_diff": np.abs(closed - root),
+        }
+    )
 
 
-def gap_rows(dims: list[int]) -> list[dict]:
-    """Noise intervals where the state is entangled but does not violate CHSH."""
-    rows = []
-    for n in sorted(dims):
-        lo = violation_threshold(n)
-        hi = n / (n + 1)
-        rows.append({"N": n, "gap_lo": lo, "gap_hi": hi, "width": hi - lo})
-    return rows
+def gap_rows(dims: list[int]) -> Table:
+    """Noise intervals where the state is entangled but does not violate CHSH, N ascending."""
+    ordered = sorted(dims)
+    lo = np.array([violation_threshold(n) for n in ordered], dtype=float)
+    hi = np.array([n / (n + 1) for n in ordered], dtype=float)
+    return Table({"N": np.array(ordered, dtype=_dim_type(ordered)), "gap_lo": lo, "gap_hi": hi, "width": hi - lo})
 
 
-_CSV_ROW = "%d,%.12g,%.12g,%s,%.12g,%s,%s,%.12g\n"
-_SCAN_KEYS = tuple(CSV_HEADER.split(","))
-
-
-def records_to_csv(records: ScanGrid, header: bool = True) -> str:
+def records_to_csv(records: Table, header: bool = True) -> str:
     """One line per record, after the header line unless ``header`` is false.
 
-    The texts of consecutive blocks, only the first with its header, join
-    into the text of the whole grid.
+    Reals are written with 12 significant digits.  The texts of consecutive
+    blocks, only the first with its header, join into the text of the whole
+    grid.
     """
-    r = records
-    rows = zip(
-        r.dim.tolist(),
-        r.noise.tolist(),
-        r.s_value.tolist(),
-        _flags(r.violates),
-        r.threshold.tolist(),
-        _flags(r.separable),
-        _flags(r.gap),
-        r.success_prob.tolist(),
-    )
-    body = "".join([_CSV_ROW % row for row in rows])
-    return f"{CSV_HEADER}\n{body}" if header else body
+    columns = records.columns.values()
+    template = ",".join("%.12g" if _is_real(c) else "%s" for c in columns) + "\n"
+    rows = zip(*(c.tolist() if _is_real(c) else _cells(c) for c in columns))
+    body = "".join([template % row for row in rows])
+    return ",".join(records.columns) + "\n" + body if header else body
 
 
-def records_to_json(records: ScanGrid, first: bool = True, last: bool = True) -> str:
-    """The records as a JSON list, or the part of one that a block holds.
-
-    ``first`` opens the list and ``last`` closes it; the texts of
-    consecutive non-empty blocks, flagged so, join into the text of the
-    whole grid.
-    """
-    r = records
-    rows = zip(
-        r.dim.tolist(),
-        _reals(r.noise),
-        _reals(r.s_value),
-        _flags(r.violates),
-        _reals(r.threshold),
-        _flags(r.separable),
-        _flags(r.gap),
-        _reals(r.success_prob),
-    )
-    return _json_list(_SCAN_KEYS, rows, first, last)
-
-
-def rows_to_csv(rows: list[dict]) -> str:
-    if not rows:
-        return "\n"
-    header = list(rows[0].keys())
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(row[key]) for key in header))
-    return "\n".join(lines) + "\n"
-
-
-def rows_to_json(rows: list[dict]) -> str:
-    keys = tuple(rows[0].keys()) if rows else ()
-    return _json_list(keys, (tuple(_json_value(row[key]) for key in keys) for row in rows))
-
-
-def _json_list(keys: tuple[str, ...], rows: Iterable[tuple], first: bool = True, last: bool = True) -> str:
+def records_to_json(records: Table, first: bool = True, last: bool = True) -> str:
     """What ``json.dumps(objects, indent=2)`` plus a newline writes, or a part of it.
 
-    Each row holds the values of one object, in ``keys`` order, already
-    written as JSON.  ``first`` and ``last`` say whether the rows open and
-    close the list.
+    Each record is one object with the columns' names as keys and reals
+    rounded to 12 significant digits.  ``first`` opens the list and ``last``
+    closes it; the texts of consecutive non-empty blocks, flagged so, join
+    into the text of the whole grid.
     """
-    template = "  {\n" + ",\n".join(f'    "{key}": %s' for key in keys) + "\n  }"
+    template = "  {\n" + ",\n".join(f'    "{key}": %s' for key in records.columns) + "\n  }"
+    columns = records.columns.values()
+    rows = zip(*([_json_real(x) for x in c.tolist()] if _is_real(c) else _cells(c) for c in columns))
     body = ",\n".join([template % row for row in rows])
     if first and last and not body:
         return "[]\n"
     return ("[\n" if first else ",\n") + body + ("\n]\n" if last else "")
 
 
-def _json_value(value: object) -> object:
-    if isinstance(value, bool):
-        return _bool_str(value)
-    if isinstance(value, float):
-        return _json_real(value)
-    return value
+# threshold and gap output goes through these names too: the benchmark's
+# tracer (perfbench/tracing.py) times them as call sites in noisybell.cli.
+rows_to_csv = records_to_csv
+rows_to_json = records_to_json
 
 
 # "%.12g" already reads like repr of the float it rounds to on normal floats
@@ -332,24 +265,14 @@ def _json_real(value: float) -> str:
     return repr(float(format_real(value)))
 
 
-def _reals(column: np.ndarray) -> list[str]:
-    return [_json_real(x) for x in column.tolist()]
-
-
-def _flags(column: np.ndarray) -> list[str]:
-    return list(map(_BOOL_WORDS.__getitem__, column.tolist()))
+def _is_real(column: np.ndarray) -> bool:
+    return column.dtype.kind == "f"
 
 
 _BOOL_WORDS = ("false", "true")
 
 
-def _bool_str(flag: bool) -> str:
-    return _BOOL_WORDS[flag]
-
-
-def _cell(value: object) -> str:
-    if isinstance(value, bool):
-        return _bool_str(value)
-    if isinstance(value, float):
-        return format_real(value)
-    return str(value)
+def _cells(column: np.ndarray) -> list:
+    """A column's values for a ``%s`` field: flags as JSON words, integers as they are."""
+    values = column.tolist()
+    return list(map(_BOOL_WORDS.__getitem__, values)) if column.dtype == bool else values

@@ -7,17 +7,21 @@ decides separability for that family from its known closed-form boundary.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from .behavior import _freeze
 
 
 def check_family(n: int, noise: float | np.ndarray) -> None:
-    """Reject parameters outside the family: n >= 2 levels, noise in [0, 1].
+    """Reject parameters outside the family: an integer n >= 2 levels, noise in [0, 1].
 
     ``noise`` may be a scalar or an array; every entry must lie in [0, 1]
     (NaN does not), and the message names the first one that does not.
     """
+    if not isinstance(n, numbers.Integral):
+        raise ValueError(f"local dimension must be an integer, got {n!r}")
     if n < 2:
         raise ValueError(f"local dimension must be at least 2, got {n}")
     values = np.asarray(noise)

@@ -24,7 +24,7 @@ from noisybell import (
     noisy_state,
     retained_fraction,
     sample_experiment,
-    scan_record,
+    scan_grid,
     success_probability,
     tsirelson_settings,
     violation_threshold,
@@ -133,16 +133,18 @@ def test_criterion_6_conditioned_locality(lhv_world_factory):
 
 def test_criterion_7_gap_region():
     with criterion(7, "N=4 gap interval [0.45308, 0.80000) and non-separable/non-violating flags inside"):
-        row = gap_rows([4])[0]
+        row = gap_rows([4])
+        lo, hi = row["gap_lo"][0], row["gap_hi"][0]
         # Endpoints derived from the threshold formula N/(N+c) and the
         # separability boundary N/(N+1): (6 - 2*sqrt(2))/7 and 4/5 exactly.
-        assert abs(row["gap_lo"] - (6.0 - 2.0 * math.sqrt(2.0)) / 7.0) < 1e-5
-        assert abs(row["gap_hi"] - 0.8) < 1e-5
-        for noise in np.linspace(row["gap_lo"] + 1e-6, row["gap_hi"] - 1e-6, 9):
-            record = scan_record(4, float(noise))
-            assert record.gap
-            assert not record.violates
-            assert not record.separable
+        assert abs(lo - (6.0 - 2.0 * math.sqrt(2.0)) / 7.0) < 1e-5
+        assert abs(hi - 0.8) < 1e-5
+        for noise in np.linspace(lo + 1e-6, hi - 1e-6, 9):
+            record = scan_grid([4], float(noise), float(noise), 1.0)
+            assert len(record) == 1
+            assert record["gap"][0]
+            assert not record["violates"][0]
+            assert not record["separable"][0]
 
 
 def test_criterion_8_monte_carlo(capsys):

@@ -24,7 +24,6 @@ from noisybell import (
 from noisybell import behavior, cli, polytope, sampling, simplex
 from noisybell.cli import main
 from noisybell.sampling import MAX_SAMPLE_COUNT
-from noisybell.scan import CSV_HEADER
 
 from dense import behavior_table
 
@@ -48,7 +47,7 @@ def test_scan_writes_csv(tmp_path, capsys):
     assert code == 0
     assert stdout == ""
     lines = out.read_text().strip().split("\n")
-    assert lines[0] == CSV_HEADER
+    assert lines[0] == "N,F,S,violates,threshold,separable,gap,success_prob"
     assert len(lines) == 1 + 2 * 11
 
 

@@ -43,3 +43,36 @@ def test_init_exports_exactly_what_it_imports():
     source = (PACKAGE / "__init__.py").read_text()
     tree = ast.parse(source)
     assert imported(tree, source.splitlines()) == set(exported(tree))
+
+
+def module_private_names(tree: ast.Module) -> set[str]:
+    """Names starting with one underscore that the module's top level defines."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)}
+    return {name for name in names if name.startswith("_") and not name.startswith("__")}
+
+
+def references(tree: ast.Module) -> set[str]:
+    """Names the module reads, looks up as attributes or imports from another module."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names |= {alias.name for alias in node.names}
+    return names
+
+
+def test_every_private_name_is_used():
+    """A module-level _name that nothing in the package reads is dead code left behind by a deletion."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    used = set().union(*(references(tree) for tree in trees.values()))
+    unused = {name: sorted(module_private_names(tree) - used) for name, tree in trees.items()}
+    assert {name: names for name, names in unused.items() if names} == {}

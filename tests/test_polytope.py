@@ -90,6 +90,20 @@ def test_uniform_table_is_local():
     assert chsh_facets(BehaviorTable.uniform()).max() <= 2.0
 
 
+@pytest.mark.parametrize("decide", [is_local_lp, is_local_facets], ids=["lp", "facets"])
+@pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-300, math.inf, -math.inf])
+def test_verdicts_refuse_nan_negative_and_infinite_tolerances(decide, tol):
+    """A NaN or negative tolerance used to call the uniform table nonlocal."""
+    with pytest.raises(ValueError, match="tolerance must be finite and non-negative"):
+        decide(BehaviorTable.uniform(), tol=tol)
+
+
+@pytest.mark.parametrize("decide", [is_local_lp, is_local_facets], ids=["lp", "facets"])
+def test_zero_tolerance_is_a_valid_tolerance(decide):
+    verdict = decide(BehaviorTable.uniform(), tol=0.0)
+    assert verdict if isinstance(verdict, bool) else verdict.is_local
+
+
 def test_quantum_table_is_nonlocal():
     verdict = is_local_lp(QUANTUM_TABLE)
     assert not verdict.is_local

@@ -3,18 +3,18 @@ import math
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noisybell import (
-    ScanGrid,
+    Table,
     bisect_threshold,
     chsh_closed_form,
     gap_rows,
     is_separable_family,
     scan_grid,
-    scan_record,
     success_probability,
     threshold_rows,
     violation_threshold,
@@ -22,47 +22,57 @@ from noisybell import (
 from noisybell import cli, scan
 from noisybell.scan import (
     BLOCK,
-    CSV_HEADER,
     MAX_SCAN_RECORDS,
     VIOLATION_MARGIN,
     format_real,
     noise_grid,
     records_to_csv,
     records_to_json,
+    rows_to_csv,
+    rows_to_json,
     scan_size,
 )
 
+SCAN_HEADER = "N,F,S,violates,threshold,separable,gap,success_prob"
+THRESHOLD_HEADER = "N,threshold_closed_form,bisection_root,abs_diff"
+GAP_HEADER = "N,gap_lo,gap_hi,width"
+
+
+def record(n, noise):
+    """The one record of the scan at (n, noise), as a dict of Python values."""
+    table = scan_grid([n], noise, noise, 1.0)
+    assert len(table) == 1
+    return {name: column.tolist()[0] for name, column in table.columns.items()}
+
 
 def test_record_large_dimension_high_noise_violates():
-    record = scan_record(100, 0.9)
-    assert abs(record.s_value - 2.396972139615415) < 1e-12
-    assert record.violates
-    assert not record.separable
-    assert not record.gap
+    point = record(100, 0.9)
+    assert abs(point["S"] - 2.396972139615415) < 1e-12
+    assert point["violates"]
+    assert not point["separable"]
+    assert not point["gap"]
 
 
 def test_record_qubit_half_noise_sits_in_gap():
-    record = scan_record(2, 0.5)
-    assert not record.violates  # 0.5 > 0.2929
-    assert not record.separable  # 0.5 < 2/3
-    assert record.gap
+    point = record(2, 0.5)
+    assert not point["violates"]  # 0.5 > 0.2929
+    assert not point["separable"]  # 0.5 < 2/3
+    assert point["gap"]
 
 
 def test_record_zero_noise_always_violates():
     for n in (2, 5, 64):
-        record = scan_record(n, 0.0)
-        assert abs(record.s_value - 2.0 * math.sqrt(2.0)) < 1e-12
-        assert record.violates
-        assert not record.gap
+        point = record(n, 0.0)
+        assert abs(point["S"] - 2.0 * math.sqrt(2.0)) < 1e-12
+        assert point["violates"]
+        assert not point["gap"]
 
 
 def test_record_flags_are_mutually_consistent():
-    for record in scan_grid([2, 3, 4, 8, 100], 0.0, 1.0, 0.05):
-        assert record.violates == (record.s_value > 2.0 + 1e-12)
-        if record.gap:
-            assert not record.violates
-            assert not record.separable
-        assert record.separable == (record.noise >= record.dim / (record.dim + 1))
+    grid = scan_grid([2, 3, 4, 8, 100], 0.0, 1.0, 0.05)
+    assert np.array_equal(grid["violates"], grid["S"] > 2.0 + 1e-12)
+    assert not (grid["gap"] & (grid["violates"] | grid["separable"])).any()
+    assert np.array_equal(grid["separable"], grid["F"] >= grid["N"] / (grid["N"] + 1))
 
 
 def test_noise_grid_inclusive_and_clamped():
@@ -88,31 +98,33 @@ def test_bisection_root_matches_closed_threshold(n):
 
 
 def test_threshold_rows_values():
-    rows = {row["N"]: row for row in threshold_rows([2, 100])}
-    assert abs(rows[2]["threshold_closed_form"] - 0.2928932188134525) < 1e-12
-    assert abs(rows[100]["threshold_closed_form"] - 0.9539397159989786) < 1e-12
-    assert rows[2]["abs_diff"] < 1e-9
+    rows = threshold_rows([100, 2])
+    assert rows["N"].tolist() == [2, 100]
+    assert abs(rows["threshold_closed_form"][0] - 0.2928932188134525) < 1e-12
+    assert abs(rows["threshold_closed_form"][1] - 0.9539397159989786) < 1e-12
+    assert rows["abs_diff"][0] < 1e-9
 
 
 def test_threshold_asymptote():
-    row = threshold_rows([10**6])[0]
-    assert abs(1.0 - row["threshold_closed_form"]) < 5e-6
+    rows = threshold_rows([10**6])
+    assert abs(1.0 - rows["threshold_closed_form"][0]) < 5e-6
 
 
 def test_gap_rows_values():
-    rows = {row["N"]: row for row in gap_rows([2, 4])}
-    assert abs(rows[4]["gap_lo"] - 0.4530818393219728) < 1e-12
-    assert abs(rows[4]["gap_hi"] - 0.8) < 1e-15
-    assert abs(rows[4]["width"] - 0.3469181606780271) < 1e-12
-    assert abs(rows[2]["gap_lo"] - 0.2928932188134525) < 1e-12
-    assert abs(rows[2]["gap_hi"] - 2.0 / 3.0) < 1e-15
+    rows = gap_rows([4, 2])
+    assert rows["N"].tolist() == [2, 4]
+    assert abs(rows["gap_lo"][1] - 0.4530818393219728) < 1e-12
+    assert abs(rows["gap_hi"][1] - 0.8) < 1e-15
+    assert abs(rows["width"][1] - 0.3469181606780271) < 1e-12
+    assert abs(rows["gap_lo"][0] - 0.2928932188134525) < 1e-12
+    assert abs(rows["gap_hi"][0] - 2.0 / 3.0) < 1e-15
 
 
 def test_csv_format():
     records = scan_grid([2], 0.0, 0.2, 0.1)
     text = records_to_csv(records)
     lines = text.strip().split("\n")
-    assert lines[0] == CSV_HEADER
+    assert lines[0] == SCAN_HEADER
     assert len(lines) == 4
     assert lines[1].startswith("2,0,2.82842712475,true,")
 
@@ -181,22 +193,38 @@ def test_scan_grid_rejects_record_ranges_outside_the_grid():
 
 def test_scan_grid_columns_are_read_only():
     grid = scan_grid([2, 5], 0.0, 1.0, 0.5)
-    assert isinstance(grid, ScanGrid)
     assert len(grid) == 6
-    assert grid.dim.tolist() == [2, 2, 2, 5, 5, 5]
-    with pytest.raises(ValueError):
-        grid.s_value[0] = 0.0
+    assert grid["N"].tolist() == [2, 2, 2, 5, 5, 5]
+    tables = ((grid, SCAN_HEADER), (threshold_rows([5, 2]), THRESHOLD_HEADER), (gap_rows([5, 2]), GAP_HEADER))
+    for table, header in tables:
+        assert isinstance(table, Table)
+        assert ",".join(table.columns) == header
+        for column in table.columns.values():
+            assert len(column) == len(table)
+            with pytest.raises(ValueError):
+                column[0] = column[1]
+        with pytest.raises(TypeError):
+            table.columns["N"] = table["N"]
+
+
+def test_table_columns_share_one_length():
+    for columns in ({}, {"N": np.arange(2), "F": np.zeros(3)}):
+        with pytest.raises(ValueError, match="all of one length"):
+            Table(columns)
 
 
 def test_empty_scan_grid_emits_header_and_empty_list():
-    grid = scan_grid([], 0.0, 1.0, 0.5)
-    assert len(grid) == 0
-    assert records_to_csv(grid) == CSV_HEADER + "\n"
-    assert records_to_json(grid) == "[]\n"
+    """An empty table writes its header line in CSV and an empty list in JSON."""
+    for table, header in ((scan_grid([], 0.0, 1.0, 0.5), SCAN_HEADER), (threshold_rows([]), THRESHOLD_HEADER)):
+        assert len(table) == 0
+        assert records_to_csv(table) == header + "\n"
+        assert records_to_json(table) == "[]\n"
+    assert records_to_csv(gap_rows([])) == GAP_HEADER + "\n"
 
 
 def test_scan_call_sites_the_benchmark_traces():
     """The benchmark's tracer rebinds these names in noisybell.cli and counts records with len()."""
+    assert scan.rows_to_csv is scan.records_to_csv and scan.rows_to_json is scan.records_to_json
     traced = {"scan_grid", "records_to_csv", "records_to_json", "rows_to_csv", "rows_to_json"}
     traced |= {"threshold_rows", "gap_rows"}
     for name in traced:
@@ -209,8 +237,9 @@ def test_scan_call_sites_the_benchmark_traces():
 
 
 # --- per-point oracle -------------------------------------------------------
-# The route scan_grid and the emitters replaced: one closed-form call per grid
-# point, text built field by field, and JSON through json.dumps.
+# The route scan_grid, threshold_rows, gap_rows and the emitters replaced: one
+# closed-form call per grid point or dimension, text built field by field, and
+# JSON through json.dumps.
 
 
 def _oracle_records(dims, f_min, f_max, f_step):
@@ -228,17 +257,28 @@ def _oracle_records(dims, f_min, f_max, f_step):
     return records
 
 
-def _oracle_csv(records):
+def _oracle_threshold(dims):
+    records = []
+    for n in sorted(dims):
+        closed, root = violation_threshold(n), bisect_threshold(n)
+        records.append((n, closed, root, abs(closed - root)))
+    return records
+
+
+def _oracle_gap(dims):
+    return [(n, violation_threshold(n), n / (n + 1), n / (n + 1) - violation_threshold(n)) for n in sorted(dims)]
+
+
+def _oracle_csv(records, keys):
     def cell(value):
         if isinstance(value, bool):
             return "true" if value else "false"
         return format_real(value) if isinstance(value, float) else str(value)
 
-    return "\n".join([CSV_HEADER] + [",".join(cell(v) for v in record) for record in records]) + "\n"
+    return "\n".join([",".join(keys)] + [",".join(cell(v) for v in record) for record in records]) + "\n"
 
 
-def _oracle_json(records):
-    keys = CSV_HEADER.split(",")
+def _oracle_json(records, keys):
     payload = [
         {key: float(format_real(v)) if isinstance(v, float) else v for key, v in zip(keys, record)}
         for record in records
@@ -259,9 +299,29 @@ def test_columnar_scan_matches_per_point_oracle(dims, bounds, f_step):
     f_min, f_max = bounds
     expected = _oracle_records(dims, f_min, f_max, f_step)
     grid = scan_grid(dims, f_min, f_max, f_step)
-    assert [tuple(vars(record).values()) for record in grid] == expected
-    assert records_to_csv(grid) == _oracle_csv(expected)
-    assert records_to_json(grid) == _oracle_json(expected)
+    assert list(zip(*(column.tolist() for column in grid.columns.values()))) == expected
+    keys = SCAN_HEADER.split(",")
+    assert records_to_csv(grid) == _oracle_csv(expected, keys)
+    assert records_to_json(grid) == _oracle_json(expected, keys)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    dims=st.lists(
+        st.integers(min_value=2, max_value=10**6) | st.sampled_from([2**63 - 1, 2**63, 10**20, 10**300]), max_size=5
+    )
+)
+@example(dims=[])
+@example(dims=[10**300, 2, 2])
+def test_threshold_and_gap_rows_match_per_dimension_oracle(dims):
+    """threshold and gap text, byte for byte, at any dimension: past int64 the N column stays exact."""
+    for rows, expected, header in (
+        (threshold_rows(dims), _oracle_threshold(dims), THRESHOLD_HEADER),
+        (gap_rows(dims), _oracle_gap(dims), GAP_HEADER),
+    ):
+        keys = header.split(",")
+        assert rows_to_csv(rows) == _oracle_csv(expected, keys)
+        assert rows_to_json(rows) == _oracle_json(expected, keys)
 
 
 @settings(max_examples=60, deadline=None)
@@ -277,8 +337,9 @@ def test_blocks_join_into_the_whole_grid(dims, bounds, f_step, cuts):
     whole = scan_grid(dims, f_min, f_max, f_step)
     edges = sorted({0, len(whole), *(cut % (len(whole) + 1) for cut in cuts)})
     blocks = [scan_grid(dims, f_min, f_max, f_step, a, b) for a, b in zip(edges, edges[1:])]
-    assert [vars(r) for block in blocks for r in block] == [vars(r) for r in whole]
-    assert all(block.dim.dtype == whole.dim.dtype for block in blocks)
+    for name, column in whole.columns.items():
+        assert [x for block in blocks for x in block[name].tolist()] == column.tolist()
+        assert all(block[name].dtype == column.dtype for block in blocks)
     last = len(blocks) - 1
     csv = "".join(records_to_csv(block, header=i == 0) for i, block in enumerate(blocks))
     assert csv == records_to_csv(whole)

@@ -5,7 +5,15 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from noisybell import chsh_closed_form, is_separable_family, noisy_state
+from noisybell import (
+    chsh_closed_form,
+    is_separable_family,
+    noisy_state,
+    sample_experiment,
+    scan_grid,
+    threshold_rows,
+    violation_threshold,
+)
 from noisybell.states import check_family
 
 from dense import partial_transpose
@@ -42,6 +50,28 @@ def test_max_entangled_normalized(n):
 def test_max_entangled_rejects_small_dimension(n):
     with pytest.raises(ValueError):
         noisy_state(n, 0.0)
+
+
+@pytest.mark.parametrize("n", [2.5, 2.0, np.float64(3.0)])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda n: scan_grid([n, 2], 0.0, 0.0, 1.0),
+        lambda n: threshold_rows([n, 2]),
+        lambda n: sample_experiment(n, 0.1, 100, seed=0),
+    ],
+    ids=["scan_grid", "threshold_rows", "sample_experiment"],
+)
+def test_family_rejects_a_non_integer_dimension(call, n):
+    """scan_grid([2.5, 2], ...) used to write two rows labelled N=2, and sample_experiment(2.5, ...) ran."""
+    with pytest.raises(ValueError, match="local dimension must be an integer"):
+        call(n)
+
+
+def test_family_takes_numpy_integer_dimensions():
+    assert scan_grid([np.int64(3), 2], 0.0, 0.0, 1.0)["N"].tolist() == [2, 3]
+    assert threshold_rows([np.int32(3)])["threshold_closed_form"][0] == pytest.approx(violation_threshold(3))
+    assert sample_experiment(np.int64(2), 0.1, 100, seed=0).dim == 2
 
 
 def test_noisy_state_zero_noise_is_pure():
