@@ -8,8 +8,9 @@ last-bit float noise of grid generation.
 
 from __future__ import annotations
 
+import json
 import math
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -32,18 +33,34 @@ MAX_SCAN_RECORDS = 2**63 - 1
 # a scan takes does not grow with its grid.
 BLOCK = 2**14
 
+# Shortest run of equal first-column values that gets a row template of its
+# own, with the columns constant on the run formatted once.
+RUN_MIN = 32
+
+# The column types a Table takes: reals, flags, and integers in and past int64.
+_COLUMN_TYPES = tuple(map(np.dtype, (np.float64, bool, np.int64, object)))
+
 
 @dataclass(frozen=True, eq=False)
 class Table:
     """Records as named, read-only columns of equal length, in output order.
 
     The names are the CSV header and the JSON keys; element ``i`` of every
-    column belongs to record ``i``, and ``len`` is the record count.
+    column belongs to record ``i``, and ``len`` is the record count.  A
+    column is a 1-D array of float64 (reals), bool (flags), int64 or object
+    (Python integers, exact past int64).
     """
 
     columns: Mapping[str, np.ndarray]
 
     def __post_init__(self) -> None:
+        for name, column in self.columns.items():
+            if not isinstance(name, str):
+                raise ValueError(f"column name {name!r} is not a string")
+            if not (isinstance(column, np.ndarray) and column.ndim == 1 and column.dtype in _COLUMN_TYPES):
+                raise ValueError(f"column {name!r} is not a 1-D array of float64, bool, int64 or object")
+            if column.dtype == object and not all(type(value) is int for value in column.tolist()):
+                raise ValueError(f"object column {name!r} holds something other than Python integers")
         if len({len(column) for column in self.columns.values()}) != 1:
             raise ValueError("a table has one or more columns, all of one length")
         for column in self.columns.values():
@@ -218,10 +235,7 @@ def records_to_csv(records: Table, header: bool = True) -> str:
     blocks, only the first with its header, join into the text of the whole
     grid.
     """
-    columns = records.columns.values()
-    template = ",".join("%.12g" if _is_real(c) else "%s" for c in columns) + "\n"
-    rows = zip(*(c.tolist() if _is_real(c) else _cells(c) for c in columns))
-    body = "".join([template % row for row in rows])
+    body = "".join(_rows(records, _csv_reals, format_real, _csv_template))
     return ",".join(records.columns) + "\n" + body if header else body
 
 
@@ -233,10 +247,12 @@ def records_to_json(records: Table, first: bool = True, last: bool = True) -> st
     closes it; the texts of consecutive non-empty blocks, flagged so, join
     into the text of the whole grid.
     """
-    template = "  {\n" + ",\n".join(f'    "{key}": %s' for key in records.columns) + "\n  }"
-    columns = records.columns.values()
-    rows = zip(*([_json_real(x) for x in c.tolist()] if _is_real(c) else _cells(c) for c in columns))
-    body = ",\n".join([template % row for row in rows])
+    keys = [json.dumps(name).replace("%", "%%") for name in records.columns]
+
+    def template(fields: list[str]) -> str:
+        return "  {\n" + ",\n".join([f"    {key}: {field}" for key, field in zip(keys, fields)]) + "\n  }"
+
+    body = ",\n".join(_rows(records, _json_reals, _json_text, template))
     if first and last and not body:
         return "[]\n"
     return ("[\n" if first else ",\n") + body + ("\n]\n" if last else "")
@@ -265,14 +281,127 @@ def _json_real(value: float) -> str:
     return repr(float(format_real(value)))
 
 
+# json.dumps writes the floats whose repr is on the left as on the right.
+_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(value: float) -> str:
+    """json's text of a real rounded to 12 significant digits, NaN and infinities too."""
+    text = _json_real(value)
+    return _JSON_NON_FINITE.get(text, text)
+
+
 def _is_real(column: np.ndarray) -> bool:
     return column.dtype.kind == "f"
 
 
-_BOOL_WORDS = ("false", "true")
+def _csv_reals(column: np.ndarray) -> tuple[list, str]:
+    return column.tolist(), "%.12g"
+
+
+def _json_reals(column: np.ndarray) -> tuple[list, str]:
+    """A real column's values for a ``%.12g`` field, or its json texts for a ``%s`` field.
+
+    ``"%.12g"`` is json's text for a normal real below 999999999999.5 unless
+    it lacks both ``.`` and ``e``, which takes a real within half a unit of
+    its 12th digit, at most 5e-12 of itself, of an integer.  Only the values
+    outside that range or within 1e-11 of themselves of an integer go through
+    :func:`_json_text`, once per float bit pattern, so ``0.0`` and ``-0.0``
+    keep their own texts.  A column with any such value is written as texts.
+    """
+    values = column.tolist()
+    magnitude = np.abs(column)
+    with np.errstate(invalid="ignore"):  # inf - rint(inf)
+        near_integer = np.abs(column - np.rint(column)) <= 1e-11 * magnitude
+    odd = ~((_MIN_NORMAL <= magnitude) & (magnitude < _ROUNDS_TO_1E12)) | near_integer
+    if not odd.any():
+        return values, "%.12g"
+    texts = ["%.12g" % x for x in values]
+    memo: dict[int, str] = {}
+    where = np.flatnonzero(odd)
+    for i, bits in zip(where.tolist(), column.view(np.int64)[where].tolist()):
+        if bits not in memo:
+            memo[bits] = _json_text(values[i])
+        texts[i] = memo[bits]
+    return texts, "%s"
+
+
+def _csv_template(fields: list[str]) -> str:
+    return ",".join(fields) + "\n"
+
+
+_BOOL_WORDS = np.array(["false", "true"], dtype=object)
 
 
 def _cells(column: np.ndarray) -> list:
     """A column's values for a ``%s`` field: flags as JSON words, integers as they are."""
-    values = column.tolist()
-    return list(map(_BOOL_WORDS.__getitem__, values)) if column.dtype == bool else values
+    return (_BOOL_WORDS[column.view(np.uint8)] if column.dtype == bool else column).tolist()
+
+
+def _rows(records: Table, reals: Callable, real_text: Callable, template: Callable) -> list[str]:
+    """The text of each record, from row templates of ``template(fields)``.
+
+    ``reals(column)`` gives a real column's cells and its field, and
+    ``real_text(x)`` the text of one real.  A run of at least
+    :data:`RUN_MIN` equal values of the first column gets a template of its
+    own, with each column that is constant on the run written in; the other
+    records share the block's plain template.  A column written into every
+    run's template is never converted.
+    """
+    columns = list(records.columns.values())
+
+    def convert(column: np.ndarray) -> tuple[list, str]:
+        return reals(column) if _is_real(column) else (_cells(column), "%s")
+
+    starts, stops = _long_runs(_key(columns[0]))
+    if not starts.size:
+        cells, fields = zip(*map(convert, columns))
+        plain = template(fields)
+        return [plain % row for row in zip(*cells)]
+    # constant[k, r]: column k holds one value all along long run r
+    constant = np.array([_constant(_key(c), starts, stops) for c in columns])
+    covered = int((stops - starts).sum()) == len(records)
+    everywhere = (covered & constant.all(axis=1)).tolist()
+    cells, fields = zip(*((None, None) if skip else convert(c) for c, skip in zip(columns, everywhere)))
+    plain = None if covered else template(fields)
+    rows: list[str] = []
+    done = 0
+    for a, b, flags in zip(starts.tolist(), stops.tolist(), constant.T.tolist()):
+        if done < a:
+            rows += [plain % row for row in zip(*[c[done:a] for c in cells])]
+        own = template(
+            [_text(c, a, real_text).replace("%", "%%") if flag else f for c, f, flag in zip(columns, fields, flags)]
+        )
+        varying = [c[a:b] for c, flag in zip(cells, flags) if not flag]
+        rows += [own % values for values in zip(*varying)] if varying else [own % ()] * (b - a)
+        done = b
+    if done < len(records):
+        rows += [plain % row for row in zip(*[c[done:] for c in cells])]
+    return rows
+
+
+def _long_runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """First and past-last record of each run of at least :data:`RUN_MIN` equal keys."""
+    edges = key[1:] != key[:-1]
+    if len(key) - np.count_nonzero(edges) < RUN_MIN:  # fewer repeats than one long run has
+        return np.zeros(0, np.intp), np.zeros(0, np.intp)
+    bounds = np.concatenate(([0], np.flatnonzero(edges) + 1, [len(key)]))
+    long = np.flatnonzero(np.diff(bounds) >= RUN_MIN)
+    return bounds[long], bounds[long + 1]
+
+
+def _key(column: np.ndarray) -> np.ndarray:
+    """What a column is compared by: a real's bits, so ``0.0`` and ``-0.0`` differ."""
+    return column.view(np.int64) if _is_real(column) else column
+
+
+def _constant(key: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """Whether ``key`` holds one value on each run ``starts[r]`` .. ``stops[r] - 1``."""
+    changes = np.concatenate(([0], np.cumsum(key[1:] != key[:-1])))  # changes up to each record
+    return changes[stops - 1] == changes[starts]
+
+
+def _text(column: np.ndarray, i: int, real_text: Callable) -> str:
+    """The text of record ``i`` of a column."""
+    value = column[i : i + 1]
+    return real_text(value.item()) if _is_real(column) else str(_cells(value)[0])

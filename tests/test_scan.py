@@ -211,6 +211,37 @@ def test_table_columns_share_one_length():
     for columns in ({}, {"N": np.arange(2), "F": np.zeros(3)}):
         with pytest.raises(ValueError, match="all of one length"):
             Table(columns)
+    # Only 1-D float64, bool, int64 and object arrays are columns the emitters can write.
+    for bad in (
+        [1.0, 2.0],
+        np.array(1.0),
+        np.zeros((2, 2)),
+        np.array(["a", "b"]),
+        np.zeros(2, dtype=np.float32),
+        np.zeros(2, dtype=np.int32),
+        np.zeros(2, dtype=">f8"),
+    ):
+        with pytest.raises(ValueError, match="column 'x' is not a 1-D array"):
+            Table({"N": np.arange(2), "x": bad})
+    for cells in (["a", 2], [0.5, -0.0], [True, 1]):
+        with pytest.raises(ValueError, match="object column 'x' holds something other than Python integers"):
+            Table({"N": np.arange(2), "x": np.array(cells, dtype=object)})
+    with pytest.raises(ValueError, match="column name 1 is not a string"):
+        Table({1: np.arange(2)})
+    for good in (np.zeros(2), np.array([True, False]), np.arange(2), np.array([2**64, 3], dtype=object)):
+        assert len(Table({"x": good})) == 2
+
+
+@pytest.mark.parametrize("name", ["p%", "5%s", 'say "hi"', "a\\b", "é", "%%"])
+def test_json_keys_are_what_json_dumps_writes(name):
+    """Every column name is a key as json.dumps writes it, in plain rows and in run templates alike."""
+    for size in (1, scan.RUN_MIN + 1):
+        table = Table({"N": np.full(size, 3), name: np.linspace(0.0, 1.0, size), "z": np.full(size, 0.5)})
+        objects = [{"N": 3, name: x, "z": 0.5} for x in table[name].tolist()]
+        assert records_to_json(table) == json.dumps(objects, indent=2) + "\n"
+        rows = Table({name: np.full(size, 0.25)})  # every column written into the run template
+        assert records_to_json(rows) == json.dumps([{name: 0.25}] * size, indent=2) + "\n"
+        assert records_to_csv(rows) == name + "\n" + "0.25\n" * size
 
 
 def test_empty_scan_grid_emits_header_and_empty_list():
@@ -345,6 +376,98 @@ def test_blocks_join_into_the_whole_grid(dims, bounds, f_step, cuts):
     assert csv == records_to_csv(whole)
     text = "".join(records_to_json(block, first=i == 0, last=i == last) for i, block in enumerate(blocks))
     assert text == records_to_json(whole)
+
+
+# Reals "%.12g" does not print as json does, or that a run template must not
+# mistake for each other: signed zeros, NaN, infinities, subnormals, reals
+# from 1e12 up, and reals that "%.12g" prints as an integer.
+_ODD_REALS = [
+    0.0,
+    -0.0,
+    math.nan,
+    math.inf,
+    -math.inf,
+    5e-324,
+    -2.5e-320,
+    2.2250738585072014e-308,
+    999999999999.5,
+    1e12,
+    -3e15,
+    1e300,
+    0.9999999999996,
+    1.0000000000004,
+    1.0,
+    -2.0,
+]
+_RUN_LENGTHS = [1, 2, scan.RUN_MIN - 1, scan.RUN_MIN, scan.RUN_MIN + 1, 2 * scan.RUN_MIN + 3]
+_NAMES = ["N", "F", "p%", "5%s", 'say "hi"', "é"]
+_CELLS = {
+    "int64": st.integers(-3, 3),
+    "object": st.sampled_from([2**63, 2**64 + 1, -(10**20), 7]),  # N past int64 stays exact
+    "float64": st.sampled_from(_ODD_REALS) | st.floats(),
+    "bool": st.booleans(),
+}
+
+
+@st.composite
+def _adversarial_tables(draw):
+    """Tables whose first column comes in runs shorter than, equal to and longer than RUN_MIN.
+
+    Each other column takes one or two values on each run, so it may be
+    constant on a run, or mix ``0.0`` with ``-0.0`` or ``1.0`` with ``1.5``;
+    a real's second value is often the first one negated.
+    """
+    runs = draw(st.lists(st.sampled_from(_RUN_LENGTHS), max_size=5))
+    width = draw(st.integers(1, 4))
+    names = draw(st.lists(st.sampled_from(_NAMES), min_size=width, max_size=width, unique=True))
+    kinds = [draw(st.sampled_from(list(_CELLS)))]
+    kinds += [draw(st.sampled_from(["int64", "float64", "bool"])) for _ in names[1:]]
+    columns = {names[0]: [value for run in runs for value in [draw(_CELLS[kinds[0]])] * run]}
+    for name, kind in zip(names[1:], kinds[1:]):
+        cells = []
+        for run in runs:
+            pool = [draw(_CELLS[kind])]
+            twins = st.just(-pool[0]) if kind == "float64" else st.nothing()
+            pool += draw(st.lists(twins | _CELLS[kind], max_size=1))
+            pattern = draw(st.integers(0, 2**run - 1))  # which of the pool each record takes
+            cells += [pool[(pattern >> i) % len(pool)] for i in range(run)]
+        columns[name] = cells
+    return Table({name: np.array(cells, dtype=kind) for (name, cells), kind in zip(columns.items(), kinds)})
+
+
+_R = scan.RUN_MIN
+
+
+@settings(max_examples=150, deadline=None)
+@given(table=_adversarial_tables(), cuts=st.lists(st.integers(min_value=0, max_value=10**4), max_size=4))
+# 0.0 and -0.0 on one run: constancy and the json memo must tell them apart.
+@example(table=Table({"N": np.full(_R + 1, 5), "x": np.array([0.0] * _R + [-0.0])}), cuts=[])
+@example(table=Table({"N": np.full(_R + 1, 5), "x": np.array([-0.0, 0.0] + [0.5] * (_R - 1))}), cuts=[])
+# Reals "%.12g" prints as integers, where json writes a ".0".
+@example(table=Table({"N": np.arange(4), "x": np.array([0.5, 1.0, 0.9999999999996, 3.0])}), cuts=[])
+# N past int64 in runs longer than RUN_MIN, cut inside a run.
+@example(
+    table=Table(
+        {
+            "N": np.array([2**64] * (_R + 2) + [10**20] * 3, dtype=object),
+            "F": np.linspace(0.0, 1.0, _R + 5),
+            "t": np.full(_R + 5, 1e-310),
+        }
+    ),
+    cuts=[_R // 2, _R + 3],
+)
+def test_emitters_match_the_oracle_on_adversarial_tables(table, cuts):
+    """Any table, cut into blocks anywhere, writes what the per-record oracle writes."""
+    names = list(table.columns)
+    records = list(zip(*(column.tolist() for column in table.columns.values())))
+    edges = sorted({0, len(table), *(cut % (len(table) + 1) for cut in cuts)})
+    blocks = [Table({name: column[a:b] for name, column in table.columns.items()}) for a, b in zip(edges, edges[1:])]
+    blocks = blocks or [table]
+    last = len(blocks) - 1
+    csv = "".join(records_to_csv(block, header=i == 0) for i, block in enumerate(blocks))
+    assert csv == _oracle_csv(records, names)
+    text = "".join(records_to_json(block, first=i == 0, last=i == last) for i, block in enumerate(blocks))
+    assert text == _oracle_json(records, names)
 
 
 @settings(max_examples=1000, deadline=None)
