@@ -22,17 +22,10 @@ from .polytope import (
     chsh_facets,
     is_local_facets,
     is_local_lp,
-    local_vertices,
 )
 from .sampling import ExperimentSample, sample_experiment
 from .scan import Table, bisect_threshold, gap_rows, scan_grid, threshold_rows
-from .sequential import (
-    SequentialJointDistribution,
-    ZeroProbabilityBranch,
-    condition_on_first,
-    sequential_joint_distribution,
-    success_probability,
-)
+from .sequential import sequential_joint_distribution, success_probability
 from .states import is_separable_family, noisy_state
 
 __version__ = "0.1.0"
@@ -44,22 +37,18 @@ __all__ = [
     "ExperimentSample",
     "FACET_LABELS",
     "LocalityVerdict",
-    "SequentialJointDistribution",
     "SignalingTable",
     "TSIRELSON_BOUND",
     "Table",
     "TableFormatError",
-    "ZeroProbabilityBranch",
     "bisect_threshold",
     "chsh_closed_form",
     "chsh_facets",
-    "condition_on_first",
     "gap_rows",
     "is_local_facets",
     "is_local_lp",
     "is_separable_family",
     "load_table",
-    "local_vertices",
     "noisy_state",
     "retained_fraction",
     "sample_experiment",

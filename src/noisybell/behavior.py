@@ -65,10 +65,6 @@ class BehaviorTable:
         object.__setattr__(self, "probs", _freeze(probs))
 
     @classmethod
-    def uniform(cls) -> "BehaviorTable":
-        return cls(np.full((2, 2, 2, 2), 0.25))
-
-    @classmethod
     def from_flat(cls, values: object) -> "BehaviorTable":
         flat = np.array(values, dtype=float).reshape(-1)
         if flat.size != FLAT_LENGTH:
@@ -83,10 +79,6 @@ class BehaviorTable:
         """All E(x, y) = P(++) - P(+-) - P(-+) + P(--) as a read-only 2x2 array [x][y]."""
         p = self.probs
         return _freeze(p[:, :, 0, 0] - p[:, :, 0, 1] - p[:, :, 1, 0] + p[:, :, 1, 1])
-
-    def correlator(self, x: int, y: int) -> float:
-        """E(x, y) for one setting pair."""
-        return float(self.correlators()[x, y])
 
     @_once
     def normalization_defect(self) -> float:

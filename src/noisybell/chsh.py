@@ -26,7 +26,8 @@ class ChshSettings:
     """Second-stage measurement angles (Alice, Alice', Bob, Bob').
 
     Angle theta selects the +-1-valued qubit observable
-    cos(theta) * sigma_z + sin(theta) * sigma_x; every angle must be finite.
+    cos(theta) * sigma_z + sin(theta) * sigma_x.  Every angle must be finite,
+    and so must every difference theta_x - theta_y the correlators read.
     """
 
     theta_a: float
@@ -38,6 +39,9 @@ class ChshSettings:
         for name, theta in vars(self).items():
             if not math.isfinite(theta):
                 raise ValueError(f"{name} must be finite, got {theta}")
+        alice, bob = (self.theta_a, self.theta_a_prime), (self.theta_b, self.theta_b_prime)
+        if not all(math.isfinite(a - b) for a in alice for b in bob):
+            raise ValueError(f"angle differences overflow: Alice {alice}, Bob {bob}")
 
 
 def tsirelson_settings() -> ChshSettings:

@@ -92,8 +92,8 @@ def _parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="noisybell", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--out", type=Path, default=None, help="write output to this path instead of stdout")
+    def add_common(p: argparse.ArgumentParser, out_help: str = "write output to this path instead of stdout") -> None:
+        p.add_argument("--out", type=Path, default=None, help=out_help)
         p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
 
     p_scan = sub.add_parser("scan", help="classify an (N, F) grid")
@@ -104,15 +104,14 @@ def _parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--f-step", type=float, default=0.1)
     p_scan.set_defaults(func=cmd_scan)
 
-    p_threshold = sub.add_parser("threshold", help="violation threshold per dimension")
-    add_common(p_threshold)
-    p_threshold.add_argument("--dims", type=_parse_dims, default="2,3,4,8,16,100")
-    p_threshold.set_defaults(func=cmd_threshold)
-
-    p_gap = sub.add_parser("gap", help="entangled-but-not-violating noise interval per dimension")
-    add_common(p_gap)
-    p_gap.add_argument("--dims", type=_parse_dims, default="2,3,4,8,16,100")
-    p_gap.set_defaults(func=cmd_gap)
+    for name, help_text in (
+        ("threshold", "violation threshold per dimension"),
+        ("gap", "entangled-but-not-violating noise interval per dimension"),
+    ):
+        p_rows = sub.add_parser(name, help=help_text)
+        add_common(p_rows)
+        p_rows.add_argument("--dims", type=_parse_dims, default="2,3,4,8,16,100")
+        p_rows.set_defaults(func=cmd_rows)
 
     p_check = sub.add_parser("lhv-check", help="decide whether a table file admits an LHV model")
     add_common(p_check)
@@ -127,7 +126,9 @@ def _parser() -> argparse.ArgumentParser:
     p_check.set_defaults(func=cmd_lhv_check)
 
     p_sample = sub.add_parser("sample", help="Monte Carlo runs of the two-stage experiment")
-    add_common(p_sample)
+    add_common(
+        p_sample, "write the empirical (in, in) behavior table to this JSON file; the report still goes to stdout"
+    )
     p_sample.add_argument("--dim", type=int, default=2, help="local dimension N")
     p_sample.add_argument("--noise", type=float, default=0.0, help="noise fraction F")
     p_sample.add_argument("--count", type=int, default=10000, help="number of runs")
@@ -166,16 +167,10 @@ def cmd_scan(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_threshold(args: argparse.Namespace) -> int:
-    rows = threshold_rows(args.dims)
-    text = rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows)
-    with _sink(args.out) as write:
-        write(text)
-    return EXIT_OK
-
-
-def cmd_gap(args: argparse.Namespace) -> int:
-    rows = gap_rows(args.dims)
+def cmd_rows(args: argparse.Namespace) -> int:
+    """``threshold`` and ``gap``: one record per dimension, written whole."""
+    # The functions are looked up here, on every call, so rebinding them in this module takes effect.
+    rows = (threshold_rows if args.command == "threshold" else gap_rows)(args.dims)
     text = rows_to_csv(rows) if args.format == "csv" else rows_to_json(rows)
     with _sink(args.out) as write:
         write(text)

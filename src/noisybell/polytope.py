@@ -25,7 +25,7 @@ LOCALITY_TOL = 1e-9  # default LP residual and facet margin of a local verdict
 # b0, b1) running through product(range(2), repeat=4): Alice-major, (+1, +1)
 # first on each side.  LP weight certificates are reported in this order.
 _ANSWERS = np.eye(2)[list(product(range(2), repeat=4))]  # [vertex][a0 a1 b0 b1][outcome]
-_VERTICES = _freeze(np.einsum("kxa,kyb->kxyab", _ANSWERS[:, :2], _ANSWERS[:, 2:]))
+_VERTICES = np.einsum("kxa,kyb->kxyab", _ANSWERS[:, :2], _ANSWERS[:, 2:])
 # LP rows: the 16 table entries as vertex mixtures, then the weights' sum.
 _LP_SYSTEM = _freeze(np.vstack([_VERTICES.reshape(16, 16).T, np.ones(16)]))
 
@@ -54,11 +54,6 @@ class LocalityVerdict:
     is_local: bool
     weights: np.ndarray | None
     lp_residual: float
-
-
-def local_vertices() -> tuple[BehaviorTable, ...]:
-    """The 16 extremal behavior tables, Alice-major, (+1, +1) first on each side."""
-    return tuple(BehaviorTable(v) for v in _VERTICES)
 
 
 def chsh_facets(table: BehaviorTable) -> np.ndarray:

@@ -65,8 +65,7 @@ def sample_experiment(dim: int, noise: float, count: int, seed: int) -> Experime
 
     joint = sequential_joint_distribution(dim, noise, tsirelson_settings())
     # Per setting pair: CDF over the 16 outcome tuples (a1, b1, a2, b2).
-    flat = joint.probs.reshape(2, 2, 16)
-    cdf = np.cumsum(flat, axis=2)
+    cdf = np.cumsum(joint.reshape(2, 2, 16), axis=2)
     cdf[:, :, -1] = 1.0
 
     counts = _outcome_counts(cdf, _draws(count, seed))

@@ -231,12 +231,22 @@ def gap_rows(dims: list[int]) -> Table:
 def records_to_csv(records: Table, header: bool = True) -> str:
     """One line per record, after the header line unless ``header`` is false.
 
-    Reals are written with 12 significant digits.  The texts of consecutive
-    blocks, only the first with its header, join into the text of the whole
-    grid.
+    Reals are written with 12 significant digits.  The header quotes the
+    column names as ``csv.writer`` does.  The texts of consecutive blocks,
+    only the first with its header, join into the text of the whole grid.
     """
     body = "".join(_rows(records, _csv_reals, format_real, _csv_template))
-    return ",".join(records.columns) + "\n" + body if header else body
+    return _csv_header(records.columns) + body if header else body
+
+
+def _csv_header(names) -> str:
+    """The header line as csv.writer writes it, but ended by "\n".
+
+    A name with a comma, quote, CR or LF is quoted, its quotes doubled, and a
+    lone empty name is written as "", which csv.reader reads back as one field.
+    """
+    quoted = ['"' + name.replace('"', '""') + '"' if set(name) & set(',"\r\n') else name for name in names]
+    return (",".join(quoted) or '""') + "\n"
 
 
 def records_to_json(records: Table, first: bool = True, last: bool = True) -> str:

@@ -1,8 +1,6 @@
 import numpy as np
 import pytest
 
-from noisybell import SequentialJointDistribution
-
 
 @pytest.fixture
 def lhv_world_factory():
@@ -10,11 +8,12 @@ def lhv_world_factory():
 
     Draws a random mixture of deterministic two-stage strategies: each
     strategy fixes the first-stage branch on both sides and a +-1 answer per
-    second-stage setting.  Any behavior obtained by conditioning such a
+    second-stage setting.  The law is indexed [x][y][a1][b1][a2][b2], as
+    ``sequential_joint_distribution`` returns it.  Any behavior obtained by conditioning such a
     mixture on a positive-probability branch must lie in the local polytope.
     """
 
-    def make(rng: np.random.Generator, n_strategies: int = 12) -> SequentialJointDistribution:
+    def make(rng: np.random.Generator, n_strategies: int = 12) -> np.ndarray:
         weights = rng.exponential(size=n_strategies)
         weights /= weights.sum()
         probs = np.zeros((2, 2, 2, 2, 2, 2))
@@ -26,6 +25,6 @@ def lhv_world_factory():
             for x in range(2):
                 for y in range(2):
                     probs[x, y, a1, b1, a2[x], b2[y]] += weight
-        return SequentialJointDistribution(probs)
+        return probs
 
     return make

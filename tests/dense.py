@@ -1,9 +1,11 @@
-"""Dense Kronecker-product oracles for the package's closed forms.
+"""Dense Kronecker-product oracles for the package's closed forms, and small test tables.
 
 The package computes every quantity in closed form.  These references build
 the measurement operators as dense matrices, form A x B with plain np.kron
 and take traces, so they share no code path with the closed forms they
-check.  The joint law costs O(N^6): small N only.
+check.  The joint law costs O(N^6): small N only.  The tables at the end
+(the uniform table, the 16 deterministic vertices, a branch of a joint law)
+are built entry by entry, apart from the package's own constructions.
 """
 
 import itertools
@@ -106,3 +108,27 @@ def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     mat = g @ g.conj().T
     return mat / np.trace(mat).real
+
+
+UNIFORM = BehaviorTable(np.full((2, 2, 2, 2), 0.25))
+
+
+def local_vertices() -> tuple[BehaviorTable, ...]:
+    """The 16 deterministic tables in LP weight order: Alice-major, (+1, +1) first on each side.
+
+    Vertex k answers outcome index a_x to setting x and b_y to setting y,
+    with k running through (a0, a1, b0, b1) in binary, a0 the high bit.
+    """
+    vertices = []
+    for a0, a1, b0, b1 in itertools.product(range(2), repeat=4):
+        probs = np.zeros((2, 2, 2, 2))
+        for x, y in itertools.product(range(2), repeat=2):
+            probs[x, y, (a0, a1)[x], (b0, b1)[y]] = 1.0
+        vertices.append(BehaviorTable(probs))
+    return tuple(vertices)
+
+
+def condition(joint: np.ndarray, a1: int = 0, b1: int = 0) -> BehaviorTable:
+    """P(a2, b2 | x, y) within the first-stage branch (a1, b1) of a [x][y][a1][b1][a2][b2] law; 0 = in."""
+    branch = joint[:, :, a1, b1]
+    return BehaviorTable(branch / branch.sum(axis=(2, 3), keepdims=True))

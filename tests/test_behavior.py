@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from noisybell import BehaviorTable, TableFormatError, chsh_facets, load_table, save_table
 from noisybell.behavior import table_from_json, table_to_json
 
+from dense import UNIFORM
+
 
 def test_flat_order_is_xyab_lexicographic():
     flat = list(range(16))
@@ -24,10 +26,10 @@ def test_flat_order_is_xyab_lexicographic():
 
 
 def test_uniform_table_properties():
-    table = BehaviorTable.uniform()
+    table = UNIFORM
     assert table.normalization_defect() < 1e-15
     assert table.signaling_defect() < 1e-15
-    assert all(abs(table.correlator(x, y)) < 1e-15 for x in range(2) for y in range(2))
+    assert np.all(np.abs(table.correlators()) < 1e-15)
 
 
 def test_correlator_signs():
@@ -35,7 +37,7 @@ def test_correlator_signs():
     probs[:, :, 0, 0] = 0.5
     probs[:, :, 1, 1] = 0.5
     table = BehaviorTable(probs)
-    assert all(abs(table.correlator(x, y) - 1.0) < 1e-15 for x in range(2) for y in range(2))
+    assert np.all(np.abs(table.correlators() - 1.0) < 1e-15)
 
 
 def test_round_trip_is_exact(tmp_path):
@@ -50,7 +52,7 @@ def test_round_trip_is_exact(tmp_path):
 
 
 def test_json_format_fields():
-    payload = json.loads(table_to_json(BehaviorTable.uniform()))
+    payload = json.loads(table_to_json(UNIFORM))
     assert payload["settings"] == [2, 2]
     assert payload["outcomes"] == [2, 2]
     assert payload["px"] == [0.25] * 16

@@ -143,7 +143,7 @@ def test_behavior_table_from_state():
     for x in range(2):
         for y in range(2):
             sign = -1.0 if (x, y) == (1, 1) else 1.0
-            assert abs(table.correlator(x, y) - sign / math.sqrt(2.0)) < 1e-12
+            assert abs(table.correlators()[x, y] - sign / math.sqrt(2.0)) < 1e-12
 
 
 @pytest.mark.parametrize("position,bad", [(0, math.nan), (2, math.inf), (3, -math.inf)])
@@ -152,4 +152,11 @@ def test_settings_reject_non_finite_angles(position, bad):
     angles[position] = bad
     name = ("theta_a", "theta_a_prime", "theta_b", "theta_b_prime")[position]
     with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad}$"):
+        ChshSettings(*angles)
+
+
+@pytest.mark.parametrize("angles", [(1.7e308, 0.0, -1.7e308, 0.0), (0.0, -1e308, 0.0, 1e308)])
+def test_settings_reject_angle_differences_past_the_float_range(angles):
+    """cos(theta_x - theta_y) of an overflowing difference is NaN, so the joint law would be too."""
+    with pytest.raises(ValueError, match="^angle differences overflow"):
         ChshSettings(*angles)

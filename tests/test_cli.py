@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from noisybell import (
     BehaviorTable,
     load_table,
-    local_vertices,
     noisy_state,
     save_table,
     tsirelson_settings,
@@ -26,7 +25,7 @@ from noisybell import behavior, cli, polytope, sampling, simplex
 from noisybell.cli import main
 from noisybell.sampling import MAX_SAMPLE_COUNT
 
-from dense import behavior_table
+from dense import UNIFORM, behavior_table, local_vertices
 
 QUANTUM_TABLE = behavior_table(noisy_state(2, 0.0), tsirelson_settings())
 _SIGNALING = np.full((2, 2, 2, 2), 0.25)  # Bob's marginal moves with Alice's setting
@@ -178,7 +177,7 @@ def test_gap_report(capsys):
 
 def test_lhv_check_uniform_table_is_local(tmp_path, capsys):
     path = tmp_path / "uniform.json"
-    save_table(BehaviorTable.uniform(), path)
+    save_table(UNIFORM, path)
     code, stdout, _ = run(["lhv-check", str(path)], capsys)
     assert code == 0
     assert "verdict: local" in stdout
@@ -198,7 +197,7 @@ def test_lhv_check_quantum_table_is_nonlocal(tmp_path, capsys):
 def test_lhv_check_rejects_bad_tolerance(tol, tmp_path, capsys):
     """A NaN or negative tolerance used to turn the uniform table nonlocal."""
     path = tmp_path / "uniform.json"
-    save_table(BehaviorTable.uniform(), path)
+    save_table(UNIFORM, path)
     code, stdout, stderr = run(["lhv-check", str(path), "--tol", tol], capsys)
     assert code == 1
     assert stdout == ""
@@ -207,7 +206,7 @@ def test_lhv_check_rejects_bad_tolerance(tol, tmp_path, capsys):
 
 def test_lhv_check_accepts_zero_tolerance(tmp_path, capsys):
     path = tmp_path / "uniform.json"
-    save_table(BehaviorTable.uniform(), path)
+    save_table(UNIFORM, path)
     code, stdout, _ = run(["lhv-check", str(path), "--tol", "0", "--method", "facets"], capsys)
     assert code == 0
     assert "verdict: local" in stdout

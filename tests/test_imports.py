@@ -6,11 +6,13 @@ marked ``# noqa: F401`` binds its name on purpose and is skipped.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "noisybell"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "noisybell"
 
 
 def exported(tree: ast.Module) -> list[str]:
@@ -76,3 +78,19 @@ def test_every_private_name_is_used():
     used = set().union(*(references(tree) for tree in trees.values()))
     unused = {name: sorted(module_private_names(tree) - used) for name, tree in trees.items()}
     assert {name: names for name, names in unused.items() if names} == {}
+
+
+def library_table_names() -> set[str]:
+    """The leading identifier of every backticked span in the rows of README's library table."""
+    rows = re.search(r"\n## Library layout\n\n((?:\|.*\n)+)", (ROOT / "README.md").read_text()).group(1)
+    return set(re.findall(r"`([A-Za-z_]\w*)", rows))
+
+
+def test_every_export_is_used_or_documented():
+    """An exported name another package module reads, or README's library table names; anything else is dead API."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    init = trees.pop("__init__.py")
+    imports = [node for node in init.body if isinstance(node, ast.ImportFrom)]
+    home = {alias.name: f"{node.module}.py" for node in imports for alias in node.names}
+    used = {name for name, module in home.items() if any(name in references(trees[m]) for m in trees if m != module)}
+    assert sorted(set(exported(init)) - used - library_table_names()) == []

@@ -26,7 +26,7 @@ chsh_settings = st.builds(ChshSettings, angles, angles, angles, angles)
 @given(n=st.integers(2, 8), noise=st.floats(0.0, 1.0), chsh=chsh_settings)
 def test_closed_form_joint_distribution_matches_dense(n, noise, chsh):
     dense = dense_joint(noisy_state(n, noise), n, chsh)
-    assert np.max(np.abs(sequential_joint_distribution(n, noise, chsh).probs - dense)) < TOL
+    assert np.max(np.abs(sequential_joint_distribution(n, noise, chsh) - dense)) < TOL
 
 
 @settings(max_examples=30, deadline=None)
@@ -34,4 +34,4 @@ def test_closed_form_joint_distribution_matches_dense(n, noise, chsh):
 def test_joint_distribution_matches_dense_on_family(n, noise, chsh):
     """The whole six-index table, at the dimensions the old dense route was checked at."""
     joint = sequential_joint_distribution(n, noise, chsh)
-    assert np.max(np.abs(joint.probs - dense_joint(noisy_state(n, noise), n, chsh))) < TOL
+    assert np.max(np.abs(joint - dense_joint(noisy_state(n, noise), n, chsh))) < TOL

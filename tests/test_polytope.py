@@ -8,24 +8,24 @@ from noisybell import (
     TableFormatError,
     SignalingTable,
     chsh_facets,
-    condition_on_first,
     is_local_facets,
     is_local_lp,
-    local_vertices,
     noisy_state,
     sequential_joint_distribution,
     tsirelson_settings,
     violation_threshold,
 )
 
-from dense import behavior_table
+from noisybell.polytope import _LP_SYSTEM
+
+from dense import UNIFORM, behavior_table, condition, local_vertices
 
 QUANTUM_TABLE = behavior_table(noisy_state(2, 0.0), tsirelson_settings())
 
 
 def post_selected_table(n, noise):
     """Behavior of the (in, in) branch at the Tsirelson settings, from the closed-form joint law."""
-    return condition_on_first(sequential_joint_distribution(n, noise, tsirelson_settings()))
+    return condition(sequential_joint_distribution(n, noise, tsirelson_settings()))
 
 
 def mix(tables, weights):
@@ -54,7 +54,7 @@ def test_uniform_mixture_of_vertices_is_uniform():
 
 
 def test_facets_of_uniform_table_vanish():
-    assert np.allclose(chsh_facets(BehaviorTable.uniform()), 0.0, atol=1e-15)
+    assert np.allclose(chsh_facets(UNIFORM), 0.0, atol=1e-15)
 
 
 def test_facets_of_quantum_table_peak_at_tsirelson():
@@ -85,9 +85,9 @@ def test_vertex_is_local_with_unit_weight():
 
 
 def test_uniform_table_is_local():
-    verdict = is_local_lp(BehaviorTable.uniform())
+    verdict = is_local_lp(UNIFORM)
     assert verdict.is_local
-    assert chsh_facets(BehaviorTable.uniform()).max() <= 2.0
+    assert chsh_facets(UNIFORM).max() <= 2.0
 
 
 @pytest.mark.parametrize("decide", [is_local_lp, is_local_facets], ids=["lp", "facets"])
@@ -95,12 +95,12 @@ def test_uniform_table_is_local():
 def test_verdicts_refuse_nan_negative_and_infinite_tolerances(decide, tol):
     """A NaN or negative tolerance used to call the uniform table nonlocal."""
     with pytest.raises(ValueError, match="tolerance must be finite and non-negative"):
-        decide(BehaviorTable.uniform(), tol=tol)
+        decide(UNIFORM, tol=tol)
 
 
 @pytest.mark.parametrize("decide", [is_local_lp, is_local_facets], ids=["lp", "facets"])
 def test_zero_tolerance_is_a_valid_tolerance(decide):
-    verdict = decide(BehaviorTable.uniform(), tol=0.0)
+    verdict = decide(UNIFORM, tol=0.0)
     assert verdict if isinstance(verdict, bool) else verdict.is_local
 
 
@@ -183,14 +183,9 @@ def test_high_noise_large_dimension_stays_nonlocal():
 
 def test_strategy_enumeration_order():
     """Alice-major, (+1, +1) first on each side; LP weights follow this order."""
-    vertices = local_vertices()
-    expected = {0: (0, 0, 0, 0), 1: (0, 0, 0, 1), 15: (1, 1, 1, 1)}  # outcome index of a0 a1 b0 b1
-    for k, (a0, a1, b0, b1) in expected.items():
-        probs = np.zeros((2, 2, 2, 2))
-        for x in range(2):
-            for y in range(2):
-                probs[x, y, (a0, a1)[x], (b0, b1)[y]] = 1.0
-        assert np.array_equal(vertices[k].probs, probs)
+    for k, vertex in enumerate(local_vertices()):
+        assert np.array_equal(_LP_SYSTEM[:16, k], vertex.probs.reshape(-1))
+        assert is_local_lp(vertex).weights.argmax() == k
 
 
 def test_conditioned_lhv_worlds_stay_local(lhv_world_factory):
@@ -198,9 +193,5 @@ def test_conditioned_lhv_worlds_stay_local(lhv_world_factory):
     rng = np.random.default_rng(987654321)
     for _ in range(20):
         joint = lhv_world_factory(rng)
-        for first_a in ("in", "out"):
-            for first_b in ("in", "out"):
-                if joint.first_stage_marginal(first_a, first_b) <= 1e-12:
-                    continue
-                table = condition_on_first(joint, first_a, first_b)
-                assert is_local_lp(table).is_local
+        for a1, b1 in np.argwhere(joint[0, 0].sum(axis=(2, 3)) > 1e-12):  # the branches with positive probability
+            assert is_local_lp(condition(joint, a1, b1)).is_local

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 import sys
@@ -241,7 +243,18 @@ def test_json_keys_are_what_json_dumps_writes(name):
         assert records_to_json(table) == json.dumps(objects, indent=2) + "\n"
         rows = Table({name: np.full(size, 0.25)})  # every column written into the run template
         assert records_to_json(rows) == json.dumps([{name: 0.25}] * size, indent=2) + "\n"
-        assert records_to_csv(rows) == name + "\n" + "0.25\n" * size
+        assert records_to_csv(rows) == _oracle_csv([(0.25,)] * size, [name])
+
+
+@settings(max_examples=300, deadline=None)
+@given(names=st.lists(st.text(), min_size=1, max_size=4, unique=True))
+@example(names=["a,b"])  # once written raw: two header fields over one value
+@example(names=[""])
+def test_csv_header_reads_back_as_the_column_names(names):
+    """csv.reader parses the header back to the columns, whatever characters the names hold."""
+    text = records_to_csv(Table({name: np.full(2, 0.25) for name in names}))
+    assert list(csv.reader(io.StringIO(text))) == [names] + [["0.25"] * len(names)] * 2
+    assert text.startswith(_writer_header(names))
 
 
 def test_empty_scan_grid_emits_header_and_empty_list():
@@ -260,11 +273,26 @@ def test_scan_call_sites_the_benchmark_traces():
     traced |= {"threshold_rows", "gap_rows"}
     for name in traced:
         assert getattr(cli, name) is getattr(scan, name)
-    called = set(cli.cmd_scan.__code__.co_names) | set(cli.cmd_threshold.__code__.co_names)
-    called |= set(cli.cmd_gap.__code__.co_names)
+    called = set(cli.cmd_scan.__code__.co_names) | set(cli.cmd_rows.__code__.co_names)
     assert traced <= called
     dims = [2, 16, 1024]
     assert len(scan_grid(dims, 0.0, 1.0, 0.01)) == len(dims) * len(noise_grid(0.0, 1.0, 0.01)) == 3 * 101
+
+
+def test_threshold_and_gap_look_their_functions_up_when_they_run(monkeypatch, capsys):
+    """The parser is built once per process; names rebound in noisybell.cli after that are still the ones called."""
+    cli.build_parser()
+    calls = []
+    for name in ("threshold_rows", "gap_rows", "rows_to_csv", "rows_to_json"):
+        original = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
+    for command in ("threshold", "gap"):
+        for fmt in ("csv", "json"):
+            assert cli.main([command, "--dims", "4", "--format", fmt]) == 0
+    assert calls == ["threshold_rows", "rows_to_csv", "threshold_rows", "rows_to_json"] + [
+        "gap_rows", "rows_to_csv", "gap_rows", "rows_to_json"
+    ]
+    assert capsys.readouterr().err == ""
 
 
 # --- per-point oracle -------------------------------------------------------
@@ -306,7 +334,14 @@ def _oracle_csv(records, keys):
             return "true" if value else "false"
         return format_real(value) if isinstance(value, float) else str(value)
 
-    return "\n".join([",".join(keys)] + [",".join(cell(v) for v in record) for record in records]) + "\n"
+    return _writer_header(keys) + "".join(",".join(cell(v) for v in record) + "\n" for record in records)
+
+
+def _writer_header(names):
+    """The header line csv.writer writes with its default dialect, ended by "\n" instead of "\r\n"."""
+    line = io.StringIO()
+    csv.writer(line).writerow(names)
+    return line.getvalue()[:-2] + "\n"
 
 
 def _oracle_json(records, keys):
@@ -400,7 +435,7 @@ _ODD_REALS = [
     -2.0,
 ]
 _RUN_LENGTHS = [1, 2, scan.RUN_MIN - 1, scan.RUN_MIN, scan.RUN_MIN + 1, 2 * scan.RUN_MIN + 3]
-_NAMES = ["N", "F", "p%", "5%s", 'say "hi"', "é"]
+_NAMES = ["N", "F", "p%", "5%s", 'say "hi"', "é", "a,b", "", "x\r\ny"]
 _CELLS = {
     "int64": st.integers(-3, 3),
     "object": st.sampled_from([2**63, 2**64 + 1, -(10**20), 7]),  # N past int64 stays exact

@@ -2,19 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from noisybell import (
-    ZeroProbabilityBranch,
+    ChshSettings,
     chsh_closed_form,
-    condition_on_first,
     noisy_state,
     retained_fraction,
     success_probability,
     tsirelson_settings,
 )
-from noisybell.sequential import SequentialJointDistribution, sequential_joint_distribution
+from noisybell.sequential import sequential_joint_distribution
 
-from dense import behavior_table, dense_joint, post_select, projector
+from dense import behavior_table, condition, dense_joint, post_select, projector
 
 PSI2_MATRIX = noisy_state(2, 0.0)
 
@@ -25,7 +26,12 @@ def post_selected_closed_form(n, noise):
 
 
 def kron_joint(n, noise, settings):
-    return SequentialJointDistribution(dense_joint(noisy_state(n, noise), n, settings))
+    return dense_joint(noisy_state(n, noise), n, settings)
+
+
+def first_stage(joint):
+    """P(a1, b1) per setting pair, [x][y][a1][b1]."""
+    return joint.sum(axis=(4, 5))
 
 
 def test_projector_matrix_is_idempotent_diagonal():
@@ -84,69 +90,48 @@ def test_success_probability_values():
 
 def test_joint_distribution_qubit_case_all_in():
     joint = kron_joint(2, 0.0, tsirelson_settings())
-    assert abs(joint.first_stage_marginal("in", "in") - 1.0) < 1e-12
-    for x in range(2):
-        for y in range(2):
-            assert abs(joint.setting_total(x, y) - 1.0) < 1e-12
+    assert abs(first_stage(joint)[0, 0, 0, 0] - 1.0) < 1e-12
+    assert np.all(np.abs(joint.sum(axis=(2, 3, 4, 5)) - 1.0) < 1e-12)
 
 
 @pytest.mark.parametrize("n,noise", [(2, 0.0), (4, 0.0), (4, 0.5), (3, 0.8), (5, 1.0)])
 def test_joint_distribution_invariants(n, noise):
     joint = kron_joint(n, noise, tsirelson_settings())
-    for x in range(2):
-        for y in range(2):
-            assert abs(joint.setting_total(x, y) - 1.0) < 1e-12
-    assert joint.marginal_spread() < 1e-12
-    assert joint.probs.min() >= 0.0
+    assert np.all(np.abs(joint.sum(axis=(2, 3, 4, 5)) - 1.0) < 1e-12)
+    assert np.ptp(first_stage(joint), axis=(0, 1)).max() < 1e-12
+    assert joint.min() >= 0.0
 
 
 def test_conditional_correlators_match_post_selected_state():
     """Within the (in, in) branch the correlators are those of the projected state."""
     joint = sequential_joint_distribution(4, 0.0, tsirelson_settings())
-    table = condition_on_first(joint, "in", "in")
+    corr = condition(joint).correlators()
     for (x, y), diff in [((0, 0), 0.0 - math.pi / 4), ((1, 0), math.pi / 4), ((1, 1), 3 * math.pi / 4)]:
-        assert abs(table.correlator(x, y) - math.cos(diff)) < 1e-10
+        assert abs(corr[x, y] - math.cos(diff)) < 1e-10
 
 
 def test_conditioned_table_reaches_tsirelson():
     joint = sequential_joint_distribution(4, 0.0, tsirelson_settings())
-    table = condition_on_first(joint)
-    s_value = table.correlator(0, 0) + table.correlator(0, 1) + table.correlator(1, 0) - table.correlator(1, 1)
+    corr = condition(joint).correlators()
+    s_value = corr[0, 0] + corr[0, 1] + corr[1, 0] - corr[1, 1]
     assert abs(s_value - 2.0 * math.sqrt(2.0)) < 1e-10
 
 
 def test_conditioning_on_certain_branch_is_identity():
     """When the branch has probability 1 conditioning changes nothing."""
     joint = sequential_joint_distribution(2, 0.25, tsirelson_settings())
-    table = condition_on_first(joint, "in", "in")
-    assert np.max(np.abs(table.probs - joint.probs[:, :, 0, 0, :, :])) < 1e-12
+    assert np.max(np.abs(condition(joint).probs - joint[:, :, 0, 0, :, :])) < 1e-12
 
 
 def test_conditioned_white_noise_is_uniform():
     joint = sequential_joint_distribution(4, 1.0, tsirelson_settings())
-    table = condition_on_first(joint, "in", "in")
-    assert np.allclose(table.probs, 0.25, atol=1e-12)
-
-
-def test_conditioning_on_zero_branch_raises():
-    joint = sequential_joint_distribution(4, 0.0, tsirelson_settings())
-    # at zero noise the mixed branches (in, out) / (out, in) are empty
-    with pytest.raises(ZeroProbabilityBranch):
-        condition_on_first(joint, "in", "out")
-
-
-def test_post_select_zero_branch_raises():
-    joint = sequential_joint_distribution(2, 0.0, tsirelson_settings())
-    # a qubit pair has no rejected levels, so the (out, out) branch is empty
-    with pytest.raises(ZeroProbabilityBranch):
-        condition_on_first(joint, "out", "out")
+    assert np.allclose(condition(joint).probs, 0.25, atol=1e-12)
 
 
 def test_out_branch_is_deterministic_plus_one():
     """The rejected subspace carries the constant +1 extension of the observables."""
     joint = sequential_joint_distribution(4, 0.0, tsirelson_settings())
-    table = condition_on_first(joint, "out", "out")
-    assert np.allclose(table.probs[:, :, 0, 0], 1.0, atol=1e-12)
+    assert np.allclose(condition(joint, 1, 1).probs[:, :, 0, 0], 1.0, atol=1e-12)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
@@ -155,15 +140,9 @@ def test_pipeline_equivalence(n, noise):
     """Conditioning the closed-form joint law equals the behavior of the dense post-selected state."""
     settings = tsirelson_settings()
     joint = sequential_joint_distribution(n, noise, settings)
-    via_joint = condition_on_first(joint, "in", "in")
+    via_joint = condition(joint)
     via_state = behavior_table(post_select(noisy_state(n, noise), n)[0], settings)
     assert np.max(np.abs(via_joint.probs - via_state.probs)) < 1e-10
-
-
-def test_condition_rejects_unknown_branch():
-    joint = sequential_joint_distribution(2, 0.5, tsirelson_settings())
-    with pytest.raises(ValueError):
-        condition_on_first(joint, "inside", "in")
 
 
 # --- closed-form joint law ----------------------------------------------------
@@ -173,28 +152,26 @@ def test_condition_rejects_unknown_branch():
 @pytest.mark.parametrize("noise", [0.0, 0.3, 1.0])
 def test_closed_form_joint_invariants(n, noise):
     joint = sequential_joint_distribution(n, noise, tsirelson_settings())
-    for x in range(2):
-        for y in range(2):
-            assert abs(joint.setting_total(x, y) - 1.0) < 1e-12
-    assert joint.marginal_spread() < 1e-15
-    assert abs(joint.first_stage_marginal("in", "in") - success_probability(n, noise)) < 1e-15
+    assert np.all(np.abs(joint.sum(axis=(2, 3, 4, 5)) - 1.0) < 1e-12)
+    assert np.ptp(first_stage(joint), axis=(0, 1)).max() < 1e-15
+    assert abs(first_stage(joint)[0, 0, 0, 0] - success_probability(n, noise)) < 1e-15
     # The rejected side always reads +1.
-    assert not joint.probs[:, :, 0, 1, :, 1].any() and not joint.probs[:, :, 1, 0, 1, :].any()
-    assert not joint.probs[:, :, 1, 1].reshape(2, 2, 4)[:, :, 1:].any()
+    assert not joint[:, :, 0, 1, :, 1].any() and not joint[:, :, 1, 0, 1, :].any()
+    assert not joint[:, :, 1, 1].reshape(2, 2, 4)[:, :, 1:].any()
 
 
 @pytest.mark.parametrize("n,noise", [(2, 0.3), (5, 0.0), (5, 0.4), (65, 0.9)])
 def test_closed_form_mixed_branches_are_white_noise(n, noise):
     joint = sequential_joint_distribution(n, noise, tsirelson_settings())
-    assert abs(joint.first_stage_marginal("in", "out") - 2.0 * noise * (n - 2) / n**2) < 1e-15
-    assert abs(joint.first_stage_marginal("out", "in") - 2.0 * noise * (n - 2) / n**2) < 1e-15
+    assert abs(first_stage(joint)[0, 0, 0, 1] - 2.0 * noise * (n - 2) / n**2) < 1e-15
+    assert abs(first_stage(joint)[0, 0, 1, 0] - 2.0 * noise * (n - 2) / n**2) < 1e-15
     if noise * (n - 2) > 0:
-        assert np.allclose(condition_on_first(joint, "in", "out").probs[:, :, :, 0], 0.5, atol=1e-15)
+        assert np.allclose(condition(joint, 0, 1).probs[:, :, :, 0], 0.5, atol=1e-15)
 
 
 @pytest.mark.parametrize("n", [3, 24, 10**6, 10**12])
 def test_closed_form_conditioned_chsh_is_the_closed_form(n):
-    table = condition_on_first(sequential_joint_distribution(n, 0.3, tsirelson_settings()))
+    table = condition(sequential_joint_distribution(n, 0.3, tsirelson_settings()))
     corr = table.correlators()
     assert abs(corr[0, 0] + corr[0, 1] + corr[1, 0] - corr[1, 1] - chsh_closed_form(n, 0.3)) < 1e-12
 
@@ -206,3 +183,29 @@ def test_closed_form_conditioned_chsh_is_the_closed_form(n):
 def test_closed_form_joint_rejects_bad_parameters(n, noise, error):
     with pytest.raises(error):
         sequential_joint_distribution(n, noise, tsirelson_settings())
+
+
+_angle = st.floats(allow_nan=False, allow_infinity=False)
+# Any four finite angles ChshSettings takes: the differences theta_x - theta_y must be finite too.
+_settings = st.tuples(_angle, _angle, _angle, _angle).filter(
+    lambda t: all(math.isfinite(a - b) for a in t[:2] for b in t[2:])
+).map(lambda t: ChshSettings(*t))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    # N log-uniform over 2 .. 10**150: a digit count, then an integer with that many digits.
+    n=st.integers(1, 151).flatmap(lambda d: st.integers(max(2, 10 ** (d - 1)), min(10**d - 1, 10**150))),
+    noise=st.floats(0.0, 1.0) | st.sampled_from([-0.0, 5e-324, 1.0 - 2.0**-53]),
+    chsh=_settings,
+)
+def test_joint_law_is_a_read_only_distribution(n, noise, chsh):
+    """Every valid input gives a finite, non-negative, normalized, read-only law with setting-free first stage."""
+    joint = sequential_joint_distribution(n, noise, chsh)
+    assert joint.shape == (2,) * 6 and joint.dtype == np.float64 and not joint.flags.writeable
+    assert np.all(np.isfinite(joint)) and np.all(joint >= 0.0)
+    assert np.all(np.abs(joint.sum(axis=(2, 3, 4, 5)) - 1.0) <= 1e-12)
+    marginals = first_stage(joint)  # [x][y][a1][b1]
+    assert np.all(np.abs(marginals - marginals[0, 0]) <= 1e-15)
+    p_in = success_probability(n, noise)
+    assert np.all(np.abs(marginals[:, :, 0, 0] - p_in) <= 1e-15 * p_in)

@@ -7,15 +7,14 @@ from hypothesis import strategies as st
 
 import simplex_oracle
 from noisybell import (
-    BehaviorTable,
-    condition_on_first,
-    local_vertices,
     sample_experiment,
     sequential_joint_distribution,
     tsirelson_settings,
 )
 from noisybell.polytope import _LP_SYSTEM
 from noisybell.simplex import l1_feasibility
+
+from dense import UNIFORM, condition, local_vertices
 
 
 def test_feasible_system_has_zero_residual():
@@ -107,14 +106,14 @@ def _assert_matches_oracle(probs):
 def _oracle_cases():
     vertices = [vertex.probs for vertex in local_vertices()]
     yield from vertices
-    yield BehaviorTable.uniform().probs
+    yield UNIFORM.probs
     yield from ((vertices[i] + vertices[j]) / 2.0 for i, j in combinations(range(16), 2))  # many ties
     rng = np.random.default_rng(23)
     for alpha in (0.2, 1.0):
         yield from np.einsum("tk,kxyab->txyab", rng.dirichlet(np.full(16, alpha), size=30), np.array(vertices))
     for n in (2, 3, 8):
         for noise in (0.0, 0.3, 0.6, 0.9):
-            yield condition_on_first(sequential_joint_distribution(n, noise, tsirelson_settings())).probs
+            yield condition(sequential_joint_distribution(n, noise, tsirelson_settings())).probs
     for seed in range(20):
         yield sample_experiment(2 + seed % 3, 0.1 * (seed % 10), 500, seed).empirical_table.probs  # signaling
 
