@@ -249,36 +249,16 @@ def cmd_sample(args: argparse.Namespace) -> int:
             meta={"generator": GENERATOR_NAME, "seed": args.seed, "count": args.count},
         )
 
-    in_in = int(sample.branch_counts[0, 0])
+    fields = {"generator": GENERATOR_NAME, "seed": args.seed, "dim": args.dim, "noise": args.noise, "count": args.count}
+    fields["in_in_count"] = int(sample.branch_counts[0, 0])
+    estimates = {"s_empirical": sample.s_empirical, "s_stderr": sample.s_stderr, "s_analytic": sample.s_analytic}
     if args.format == "json":
-        payload = {
-            "generator": GENERATOR_NAME,
-            "seed": args.seed,
-            "dim": args.dim,
-            "noise": args.noise,
-            "count": args.count,
-            "in_in_count": in_in,
-            "s_empirical": _maybe_rounded(sample.s_empirical),
-            "s_stderr": _maybe_rounded(sample.s_stderr),
-            "s_analytic": _maybe_rounded(sample.s_analytic),
-        }
+        payload = fields | {key: _maybe_rounded(value) for key, value in estimates.items()}
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
-        header = "generator,seed,dim,noise,count,in_in_count,s_empirical,s_stderr,s_analytic"
-        row = ",".join(
-            [
-                GENERATOR_NAME,
-                str(args.seed),
-                str(args.dim),
-                format_real(args.noise),
-                str(args.count),
-                str(in_in),
-                _maybe_real(sample.s_empirical),
-                _maybe_real(sample.s_stderr),
-                format_real(sample.s_analytic),
-            ]
-        )
-        sys.stdout.write(header + "\n" + row + "\n")
+        fields["noise"] = format_real(args.noise)
+        cells = [str(value) for value in fields.values()] + [_maybe_real(value) for value in estimates.values()]
+        sys.stdout.write(",".join(fields | estimates) + "\n" + ",".join(cells) + "\n")
     return EXIT_OK
 
 

@@ -21,7 +21,7 @@ def success_probability(n: int, noise: float) -> float:
     Closed form (1 - F) * 2/N + F * 4/N**2: the entangled component keeps 2
     of its N equal-weight terms, white noise keeps 4 of N**2 basis states.
     """
-    check_family(n, noise)
+    n = check_family(n, noise)
     return (1.0 - noise) * 2.0 / n + noise * 4.0 / (n * n)
 
 
@@ -40,6 +40,7 @@ def sequential_joint_distribution(n: int, noise: float, settings: ChshSettings) 
     outcome of the kept side, with the rejected side at +1.  (out, out) takes
     the rest, all at +1.
     """
+    n = check_family(n, noise)
     alice = np.array([settings.theta_a, settings.theta_a_prime])
     bob = np.array([settings.theta_b, settings.theta_b_prime])
     correlators = retained_fraction(n, noise) * np.cos(alice[:, None] - bob)  # [x][y]

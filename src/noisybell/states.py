@@ -14,11 +14,13 @@ import numpy as np
 from .behavior import _freeze
 
 
-def check_family(n: int, noise: float | np.ndarray) -> None:
+def check_family(n: int, noise: float | np.ndarray) -> int:
     """Reject parameters outside the family: an integer n >= 2 levels, noise in [0, 1].
 
     ``noise`` may be a scalar or an array; every entry must lie in [0, 1]
     (NaN does not), and the message names the first one that does not.
+    Returns n as a Python int, so that n * n cannot wrap around for numpy
+    integer n.
     """
     if not isinstance(n, numbers.Integral):
         raise ValueError(f"local dimension must be an integer, got {n!r}")
@@ -28,6 +30,7 @@ def check_family(n: int, noise: float | np.ndarray) -> None:
     bad = ~((values >= 0.0) & (values <= 1.0))
     if bad.any():
         raise ValueError(f"noise fraction must lie in [0, 1], got {values[bad][0].item()}")
+    return int(n)
 
 
 def noisy_state(n: int, noise: float) -> np.ndarray:
@@ -38,7 +41,7 @@ def noisy_state(n: int, noise: float) -> np.ndarray:
     1/sqrt(n) at every doubled basis index m*n + m (0-based, first factor
     major) and noise in [0, 1] is the weight of the maximally mixed component.
     """
-    check_family(n, noise)
+    n = check_family(n, noise)
     dim = n * n
     doubled = np.arange(n) * (n + 1)
     mat = np.zeros((dim, dim), dtype=complex)

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noisybell import (
@@ -192,16 +192,24 @@ _settings = st.tuples(_angle, _angle, _angle, _angle).filter(
 ).map(lambda t: ChshSettings(*t))
 
 
+def _dims(top):
+    """Integers log-uniform over 2 .. top: a digit count, then an integer with that many digits."""
+    return st.integers(1, len(str(top))).flatmap(lambda d: st.integers(max(2, 10 ** (d - 1)), min(10**d - 1, top)))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
-    # N log-uniform over 2 .. 10**150: a digit count, then an integer with that many digits.
-    n=st.integers(1, 151).flatmap(lambda d: st.integers(max(2, 10 ** (d - 1)), min(10**d - 1, 10**150))),
+    # Python ints up to 10**150, and numpy ints over their whole range, where n * n wraps around.
+    n=_dims(10**150) | _dims(2**63 - 1).map(np.int64) | _dims(2**31 - 1).map(np.int32),
     noise=st.floats(0.0, 1.0) | st.sampled_from([-0.0, 5e-324, 1.0 - 2.0**-53]),
     chsh=_settings,
 )
+@example(n=np.int32(50000), noise=1.0, chsh=tsirelson_settings())  # int32 n * n is negative
+@example(n=np.int64(2**32), noise=1.0, chsh=tsirelson_settings())  # int64 n * n is 0
 def test_joint_law_is_a_read_only_distribution(n, noise, chsh):
     """Every valid input gives a finite, non-negative, normalized, read-only law with setting-free first stage."""
     joint = sequential_joint_distribution(n, noise, chsh)
+    assert np.array_equal(joint, sequential_joint_distribution(int(n), noise, chsh))
     assert joint.shape == (2,) * 6 and joint.dtype == np.float64 and not joint.flags.writeable
     assert np.all(np.isfinite(joint)) and np.all(joint >= 0.0)
     assert np.all(np.abs(joint.sum(axis=(2, 3, 4, 5)) - 1.0) <= 1e-12)

@@ -72,6 +72,12 @@ def test_family_takes_numpy_integer_dimensions():
     assert scan_grid([np.int64(3), 2], 0.0, 0.0, 1.0)["N"].tolist() == [2, 3]
     assert threshold_rows([np.int32(3)])["threshold_closed_form"][0] == pytest.approx(violation_threshold(3))
     assert sample_experiment(np.int64(2), 0.1, 100, seed=0).dim == 2
+    # int32 50000**2 wraps to a negative number and int64 (2**32)**2 to 0: the law had negative or inf entries.
+    for n in (np.int32(50000), np.int64(2**32)):
+        assert type(check_family(n, 0.5)) is int
+        sample, expected = (sample_experiment(m, 1.0, 100, seed=0) for m in (n, int(n)))
+        assert np.array_equal(sample.conditioned_counts, expected.conditioned_counts)
+        assert np.array_equal(sample.branch_counts, expected.branch_counts)
 
 
 def test_noisy_state_zero_noise_is_pure():
