@@ -153,17 +153,19 @@ def _sink(out: Path | None) -> Iterator[Callable[[str], object]]:
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
-    request = (args.dims, args.f_min, args.f_max, args.f_step)
-    total = scan_size(*request)
+    grid = (args.f_min, args.f_max, args.f_step)
+    points = scan_size(args.dims, *grid) // len(args.dims)
     with _sink(args.out) as write:
-        # One block at a time, so memory stays flat in the size of the grid.
-        for start in range(0, total, BLOCK):
-            stop = min(start + BLOCK, total)
-            records = scan_grid(*request, start, stop)
-            if args.format == "csv":
-                write(records_to_csv(records, header=start == 0))
-            else:
-                write(records_to_json(records, first=start == 0, last=stop == total))
+        # One dimension and block at a time, so memory stays flat in the size of the grid.
+        for n in args.dims:
+            for start in range(0, points, BLOCK):
+                stop = min(start + BLOCK, points)
+                records = scan_grid([n], *grid, start, stop)
+                first, last = n == args.dims[0] and start == 0, n == args.dims[-1] and stop == points
+                if args.format == "csv":
+                    write(records_to_csv(records, header=first))
+                else:
+                    write(records_to_json(records, first=first, last=last))
     return EXIT_OK
 
 

@@ -29,13 +29,9 @@ BISECT_TOL = 1e-12  # bisect_threshold stops once its bracket is this narrow
 # indices live in; grids are sized against it before anything is allocated.
 MAX_SCAN_RECORDS = 2**63 - 1
 
-# Records per block when a scan is written out block by block, so the memory
-# a scan takes does not grow with its grid.
+# Grid points per block when a scan is written out one dimension and block
+# at a time, so the memory a scan takes does not grow with its grid.
 BLOCK = 2**14
-
-# Shortest run of equal first-column values that gets a row template of its
-# own, with the columns constant on the run formatted once.
-RUN_MIN = 32
 
 # The column types a Table takes: reals, flags, and integers in and past int64.
 _COLUMN_TYPES = tuple(map(np.dtype, (np.float64, bool, np.int64, object)))
@@ -124,8 +120,7 @@ def _closed_forms(n: int, grid: np.ndarray) -> tuple:
 def _dim_type(ordered: list[int]) -> type:
     """Column type of a table's dimensions, from all of them in ascending order.
 
-    Dimensions past int64 are valid; an object column keeps them exact.  Every
-    block of one scan takes the type of the whole scan.
+    Dimensions past int64 are valid; an object column keeps them exact.
     """
     return object if ordered and ordered[-1] > np.iinfo(np.int64).max else np.int64
 
@@ -148,34 +143,30 @@ def scan_grid(
 ) -> Table:
     """Records of every (N, F) pair, N ascending, F along :func:`noise_grid`.
 
-    ``start`` and ``stop`` select records start .. stop - 1 of that order, so
-    a caller can take a grid in blocks of bounded size; each block equals the
-    same slice of the whole grid.
+    ``start`` and ``stop`` select the grid points start .. stop - 1 of every
+    dimension, so a caller can take a grid one dimension and one block of
+    bounded size at a time; the blocks of each dimension in turn join into
+    the whole grid.
     """
     points = _grid_points(f_min, f_max, f_step)
-    records = _record_count(dims, points)
-    stop = records if stop is None else stop
-    if not 0 <= start <= stop <= records:
-        raise ValueError(f"record range [{start}, {stop}) is not inside the {records} records of the scan")
+    _record_count(dims, points)
+    stop = points if stop is None else stop
+    if not 0 <= start <= stop <= points:
+        raise ValueError(f"point range [{start}, {stop}) is not inside the {points} points of the grid")
     ordered = sorted(dims)
-    size = stop - start
-    noise = np.empty(size)
+    grid = noise_grid(f_min, f_max, f_step, start, stop)
+    size = len(ordered) * len(grid)
     s_value = np.empty(size)
     threshold = np.empty(size)
     separable = np.empty(size, dtype=bool)
     success_prob = np.empty(size)
-    first, counts = start // points, []
-    for i in range(first, -(-stop // points)):  # the dimensions this range touches
-        lo, hi = max(start, i * points), min(stop, (i + 1) * points)
-        grid = noise_grid(f_min, f_max, f_step, lo - i * points, hi - i * points)
-        rows = slice(lo - start, hi - start)
-        noise[rows] = grid
-        s_value[rows], threshold[rows], separable[rows], success_prob[rows] = _closed_forms(ordered[i], grid)
-        counts.append(hi - lo)
-    dim = np.array(ordered[first : first + len(counts)], dtype=_dim_type(ordered))
+    for i, n in enumerate(ordered):
+        rows = slice(i * len(grid), (i + 1) * len(grid))
+        s_value[rows], threshold[rows], separable[rows], success_prob[rows] = _closed_forms(n, grid)
+    noise = np.tile(grid, len(ordered))
     return Table(
         {
-            "N": np.repeat(dim, counts),
+            "N": np.repeat(np.array(ordered, dtype=_dim_type(ordered)), len(grid)),
             "F": noise,
             "S": s_value,
             "violates": s_value > 2.0 + VIOLATION_MARGIN,
@@ -274,30 +265,13 @@ rows_to_csv = records_to_csv
 rows_to_json = records_to_json
 
 
-# "%.12g" already reads like repr of the float it rounds to on normal floats
-# below 999999999999.5: repr also gives the shortest text that reads back as
-# that float, and switches to exponent form only from 1e16, where "%.12g"
-# does from a rounded 1e12.  Below the smallest normal float, fewer digits
-# can read back as the same float.
-_MIN_NORMAL = 2.2250738585072014e-308
-_ROUNDS_TO_1E12 = 999999999999.5
-
-
-def _json_real(value: float) -> str:
-    """A real rounded to 12 significant digits, as json writes that float."""
-    if _MIN_NORMAL <= abs(value) < _ROUNDS_TO_1E12:
-        text = "%.12g" % value
-        return text if "." in text or "e" in text else text + ".0"
-    return repr(float(format_real(value)))
-
-
 # json.dumps writes the floats whose repr is on the left as on the right.
 _JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 
 def _json_text(value: float) -> str:
     """json's text of a real rounded to 12 significant digits, NaN and infinities too."""
-    text = _json_real(value)
+    text = repr(float(format_real(value)))
     return _JSON_NON_FINITE.get(text, text)
 
 
@@ -307,6 +281,15 @@ def _is_real(column: np.ndarray) -> bool:
 
 def _csv_reals(column: np.ndarray) -> tuple[list, str]:
     return column.tolist(), "%.12g"
+
+
+# "%.12g" already reads like repr of the float it rounds to on normal floats
+# below 999999999999.5: repr also gives the shortest text that reads back as
+# that float, and switches to exponent form only from 1e16, where "%.12g"
+# does from a rounded 1e12.  Below the smallest normal float, fewer digits
+# can read back as the same float.
+_MIN_NORMAL = 2.2250738585072014e-308
+_ROUNDS_TO_1E12 = 999999999999.5
 
 
 def _json_reals(column: np.ndarray) -> tuple[list, str]:
@@ -349,69 +332,33 @@ def _cells(column: np.ndarray) -> list:
 
 
 def _rows(records: Table, reals: Callable, real_text: Callable, template: Callable) -> list[str]:
-    """The text of each record, from row templates of ``template(fields)``.
+    """The text of each record, from one row template of ``template(fields)``.
 
     ``reals(column)`` gives a real column's cells and its field, and
-    ``real_text(x)`` the text of one real.  A run of at least
-    :data:`RUN_MIN` equal values of the first column gets a template of its
-    own, with each column that is constant on the run written in; the other
-    records share the block's plain template.  A column written into every
-    run's template is never converted.
+    ``real_text(x)`` the text of one real.  In a table of more than one
+    record, a column whose values are bit-identical on every record, so
+    ``0.0`` and ``-0.0`` differ, is written into the template once and never
+    converted.
     """
-    columns = list(records.columns.values())
-
-    def convert(column: np.ndarray) -> tuple[list, str]:
-        return reals(column) if _is_real(column) else (_cells(column), "%s")
-
-    starts, stops = _long_runs(_key(columns[0]))
-    if not starts.size:
-        cells, fields = zip(*map(convert, columns))
-        plain = template(fields)
-        return [plain % row for row in zip(*cells)]
-    # constant[k, r]: column k holds one value all along long run r
-    constant = np.array([_constant(_key(c), starts, stops) for c in columns])
-    covered = int((stops - starts).sum()) == len(records)
-    everywhere = (covered & constant.all(axis=1)).tolist()
-    cells, fields = zip(*((None, None) if skip else convert(c) for c, skip in zip(columns, everywhere)))
-    plain = None if covered else template(fields)
-    rows: list[str] = []
-    done = 0
-    for a, b, flags in zip(starts.tolist(), stops.tolist(), constant.T.tolist()):
-        if done < a:
-            rows += [plain % row for row in zip(*[c[done:a] for c in cells])]
-        own = template(
-            [_text(c, a, real_text).replace("%", "%%") if flag else f for c, f, flag in zip(columns, fields, flags)]
-        )
-        varying = [c[a:b] for c, flag in zip(cells, flags) if not flag]
-        rows += [own % values for values in zip(*varying)] if varying else [own % ()] * (b - a)
-        done = b
-    if done < len(records):
-        rows += [plain % row for row in zip(*[c[done:] for c in cells])]
-    return rows
+    cells, fields = [], []
+    for column in records.columns.values():
+        if len(records) > 1 and _is_fixed(column):
+            fields.append(_text(column, real_text).replace("%", "%%"))
+        else:
+            values, field = reals(column) if _is_real(column) else (_cells(column), "%s")
+            cells.append(values)
+            fields.append(field)
+    row = template(fields)
+    return [row % values for values in zip(*cells)] if cells else [row % ()] * len(records)
 
 
-def _long_runs(key: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """First and past-last record of each run of at least :data:`RUN_MIN` equal keys."""
-    edges = key[1:] != key[:-1]
-    if len(key) - np.count_nonzero(edges) < RUN_MIN:  # fewer repeats than one long run has
-        return np.zeros(0, np.intp), np.zeros(0, np.intp)
-    bounds = np.concatenate(([0], np.flatnonzero(edges) + 1, [len(key)]))
-    long = np.flatnonzero(np.diff(bounds) >= RUN_MIN)
-    return bounds[long], bounds[long + 1]
+def _is_fixed(column: np.ndarray) -> bool:
+    """Whether every record holds the first one's value, a real's by its bits."""
+    key = column.view(np.int64) if _is_real(column) else column
+    return bool((key == key[0]).all())
 
 
-def _key(column: np.ndarray) -> np.ndarray:
-    """What a column is compared by: a real's bits, so ``0.0`` and ``-0.0`` differ."""
-    return column.view(np.int64) if _is_real(column) else column
-
-
-def _constant(key: np.ndarray, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """Whether ``key`` holds one value on each run ``starts[r]`` .. ``stops[r] - 1``."""
-    changes = np.concatenate(([0], np.cumsum(key[1:] != key[:-1])))  # changes up to each record
-    return changes[stops - 1] == changes[starts]
-
-
-def _text(column: np.ndarray, i: int, real_text: Callable) -> str:
-    """The text of record ``i`` of a column."""
-    value = column[i : i + 1]
+def _text(column: np.ndarray, real_text: Callable) -> str:
+    """The text of a column's first record."""
+    value = column[:1]
     return real_text(value.item()) if _is_real(column) else str(_cells(value)[0])

@@ -24,6 +24,7 @@ from noisybell import (
 from noisybell import behavior, cli, polytope, sampling, simplex
 from noisybell.cli import main
 from noisybell.sampling import MAX_SAMPLE_COUNT
+from noisybell.scan import BLOCK, records_to_csv, records_to_json, scan_grid
 
 from dense import UNIFORM, behavior_table, local_vertices
 
@@ -65,6 +66,26 @@ def test_scan_json_format(capsys):
     payload = json.loads(stdout)
     assert len(payload) == 3
     assert payload[0]["N"] == 2
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_scan_streams_one_dimension_and_block_at_a_time(fmt, monkeypatch, capsys):
+    """Each block cmd_scan asks for holds one dimension and at most BLOCK points; together they write the whole grid."""
+    calls = []
+
+    def recorded(dims, *grid):
+        block = scan_grid(dims, *grid)
+        calls.append((dims, len(block)))
+        return block
+
+    monkeypatch.setattr(cli, "scan_grid", recorded)
+    code, stdout, err = run(["scan", "--dims", "2,5,16", "--f-step", "5e-5", "--format", fmt], capsys)
+    assert (code, err) == (0, "")
+    whole = scan_grid([2, 5, 16], 0.0, 1.0, 5e-5)
+    assert (len(whole) // 3) % BLOCK != 0  # 20,001 points per dimension: each ends in a short block
+    assert all(len(dims) == 1 and size <= BLOCK for dims, size in calls)
+    assert sum(size for _, size in calls) == len(whole)
+    assert stdout == (records_to_csv(whole) if fmt == "csv" else records_to_json(whole))
 
 
 def test_scan_rejects_bad_step(capsys):

@@ -187,9 +187,9 @@ def test_scan_size_checks_the_whole_request_without_allocating(monkeypatch):
         scan_size([2, 3], 0.0, 1.0, 2e-19)
 
 
-def test_scan_grid_rejects_record_ranges_outside_the_grid():
-    for start, stop in ((-1, 2), (2, 1), (0, 7)):
-        with pytest.raises(ValueError, match="record range"):
+def test_scan_grid_rejects_point_ranges_outside_the_grid():
+    for start, stop in ((-1, 2), (2, 1), (0, 4), (0, 7)):
+        with pytest.raises(ValueError, match="point range"):
             scan_grid([2, 5], 0.0, 1.0, 0.5, start, stop)
 
 
@@ -236,12 +236,12 @@ def test_table_columns_share_one_length():
 
 @pytest.mark.parametrize("name", ["p%", "5%s", 'say "hi"', "a\\b", "é", "%%"])
 def test_json_keys_are_what_json_dumps_writes(name):
-    """Every column name is a key as json.dumps writes it, in plain rows and in run templates alike."""
-    for size in (1, scan.RUN_MIN + 1):
+    """Every column name is a key as json.dumps writes it, with its column written into the template or not."""
+    for size in (1, 33):
         table = Table({"N": np.full(size, 3), name: np.linspace(0.0, 1.0, size), "z": np.full(size, 0.5)})
         objects = [{"N": 3, name: x, "z": 0.5} for x in table[name].tolist()]
         assert records_to_json(table) == json.dumps(objects, indent=2) + "\n"
-        rows = Table({name: np.full(size, 0.25)})  # every column written into the run template
+        rows = Table({name: np.full(size, 0.25)})  # past one record, written into the template
         assert records_to_json(rows) == json.dumps([{name: 0.25}] * size, indent=2) + "\n"
         assert records_to_csv(rows) == _oracle_csv([(0.25,)] * size, [name])
 
@@ -398,14 +398,20 @@ def test_threshold_and_gap_rows_match_per_dimension_oracle(dims):
     cuts=st.lists(st.integers(min_value=0, max_value=5000), max_size=6),
 )
 def test_blocks_join_into_the_whole_grid(dims, bounds, f_step, cuts):
-    """Any cut of the record range into blocks gives the whole grid's records and bytes."""
+    """Any cut of the grid points into blocks, one dimension at a time, gives the whole grid's records and bytes."""
     f_min, f_max = bounds
     whole = scan_grid(dims, f_min, f_max, f_step)
-    edges = sorted({0, len(whole), *(cut % (len(whole) + 1) for cut in cuts)})
-    blocks = [scan_grid(dims, f_min, f_max, f_step, a, b) for a, b in zip(edges, edges[1:])]
+    points = len(noise_grid(f_min, f_max, f_step))
+    edges = sorted({0, points, *(cut % (points + 1) for cut in cuts)})
+    ranges = list(zip(edges, edges[1:]))
+    blocks = [scan_grid([n], f_min, f_max, f_step, a, b) for n in sorted(dims) for a, b in ranges]
+    # A point range of every dimension at once holds those points of each, in the whole grid's column types.
+    parts = [scan_grid(dims, f_min, f_max, f_step, a, b) for a, b in ranges]
     for name, column in whole.columns.items():
         assert [x for block in blocks for x in block[name].tolist()] == column.tolist()
-        assert all(block[name].dtype == column.dtype for block in blocks)
+        for (a, b), part in zip(ranges, parts):
+            assert part[name].dtype == column.dtype
+            assert part[name].tolist() == [x for i in range(len(dims)) for x in column[i * points :][a:b].tolist()]
     last = len(blocks) - 1
     csv = "".join(records_to_csv(block, header=i == 0) for i, block in enumerate(blocks))
     assert csv == records_to_csv(whole)
@@ -413,7 +419,7 @@ def test_blocks_join_into_the_whole_grid(dims, bounds, f_step, cuts):
     assert text == records_to_json(whole)
 
 
-# Reals "%.12g" does not print as json does, or that a run template must not
+# Reals "%.12g" does not print as json does, or that a row template must not
 # mistake for each other: signed zeros, NaN, infinities, subnormals, reals
 # from 1e12 up, and reals that "%.12g" prints as an integer.
 _ODD_REALS = [
@@ -434,7 +440,7 @@ _ODD_REALS = [
     1.0,
     -2.0,
 ]
-_RUN_LENGTHS = [1, 2, scan.RUN_MIN - 1, scan.RUN_MIN, scan.RUN_MIN + 1, 2 * scan.RUN_MIN + 3]
+_RUN_LENGTHS = [1, 2, 31, 32, 33, 67]
 _NAMES = ["N", "F", "p%", "5%s", 'say "hi"', "é", "a,b", "", "x\r\ny"]
 _CELLS = {
     "int64": st.integers(-3, 3),
@@ -446,7 +452,7 @@ _CELLS = {
 
 @st.composite
 def _adversarial_tables(draw):
-    """Tables whose first column comes in runs shorter than, equal to and longer than RUN_MIN.
+    """Tables whose first column comes in runs of 1, 2, 31, 32, 33 and 67 equal values.
 
     Each other column takes one or two values on each run, so it may be
     constant on a run, or mix ``0.0`` with ``-0.0`` or ``1.0`` with ``1.5``;
@@ -470,7 +476,7 @@ def _adversarial_tables(draw):
     return Table({name: np.array(cells, dtype=kind) for (name, cells), kind in zip(columns.items(), kinds)})
 
 
-_R = scan.RUN_MIN
+_R = 32
 
 
 @settings(max_examples=150, deadline=None)
@@ -480,7 +486,7 @@ _R = scan.RUN_MIN
 @example(table=Table({"N": np.full(_R + 1, 5), "x": np.array([-0.0, 0.0] + [0.5] * (_R - 1))}), cuts=[])
 # Reals "%.12g" prints as integers, where json writes a ".0".
 @example(table=Table({"N": np.arange(4), "x": np.array([0.5, 1.0, 0.9999999999996, 3.0])}), cuts=[])
-# N past int64 in runs longer than RUN_MIN, cut inside a run.
+# N past int64 in runs longer than 32, cut inside a run.
 @example(
     table=Table(
         {
@@ -529,7 +535,9 @@ def test_emitters_match_the_oracle_on_adversarial_tables(table, cuts):
 @example(9.99999999999999e-05)
 @example(sys.float_info.max)
 def test_json_real_matches_repr_of_the_rounded_float(value):
-    assert scan._json_real(value) == repr(float(format_real(value)))
+    """A real beside another value, so the column is not folded, is what json.dumps writes of it rounded."""
+    objects = [{"x": float(format_real(value))}, {"x": 0.5}]
+    assert records_to_json(Table({"x": np.array([value, 0.5])})) == json.dumps(objects, indent=2) + "\n"
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
