@@ -155,13 +155,16 @@ def _sink(out: Path | None) -> Iterator[Callable[[str], object]]:
 def cmd_scan(args: argparse.Namespace) -> int:
     grid = (args.f_min, args.f_max, args.f_step)
     points = scan_size(args.dims, *grid) // len(args.dims)
+    # Blocks of at most BLOCK records, so memory stays flat in the size of the grid:
+    # whole dimensions while they fit in one, else one dimension at a time.
+    per_block = max(1, BLOCK // points)
     with _sink(args.out) as write:
-        # One dimension and block at a time, so memory stays flat in the size of the grid.
-        for n in args.dims:
+        for i in range(0, len(args.dims), per_block):
             for start in range(0, points, BLOCK):
                 stop = min(start + BLOCK, points)
-                records = scan_grid([n], *grid, start, stop)
-                first, last = n == args.dims[0] and start == 0, n == args.dims[-1] and stop == points
+                records = scan_grid(args.dims[i : i + per_block], *grid, start, stop)
+                first = i == 0 and start == 0
+                last = i + per_block >= len(args.dims) and stop == points
                 if args.format == "csv":
                     write(records_to_csv(records, header=first))
                 else:

@@ -29,8 +29,8 @@ BISECT_TOL = 1e-12  # bisect_threshold stops once its bracket is this narrow
 # indices live in; grids are sized against it before anything is allocated.
 MAX_SCAN_RECORDS = 2**63 - 1
 
-# Grid points per block when a scan is written out one dimension and block
-# at a time, so the memory a scan takes does not grow with its grid.
+# Most records per block when a scan is written out a block at a time, so
+# the memory a scan takes does not grow with its grid.
 BLOCK = 2**14
 
 # The column types a Table takes: reals, flags, and integers in and past int64.
@@ -144,9 +144,8 @@ def scan_grid(
     """Records of every (N, F) pair, N ascending, F along :func:`noise_grid`.
 
     ``start`` and ``stop`` select the grid points start .. stop - 1 of every
-    dimension, so a caller can take a grid one dimension and one block of
-    bounded size at a time; the blocks of each dimension in turn join into
-    the whole grid.
+    dimension, so a caller can take a grid in blocks of bounded size: whole
+    dimensions, or one dimension a range of points at a time.
     """
     points = _grid_points(f_min, f_max, f_step)
     _record_count(dims, points)

@@ -69,8 +69,18 @@ def test_scan_json_format(capsys):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_scan_streams_one_dimension_and_block_at_a_time(fmt, monkeypatch, capsys):
-    """Each block cmd_scan asks for holds one dimension and at most BLOCK points; together they write the whole grid."""
+@pytest.mark.parametrize(
+    "dims, step",
+    [
+        ([2, 5, 16], 5e-5),  # 20,001 points per dimension: one dimension per block, each ending short
+        (list(range(2, 402)), 0.01),  # 101 points per dimension: 162 whole dimensions per block, the last short
+    ],
+)
+def test_scan_streams_in_blocks_of_whole_dimensions_or_part_of_one(dims, step, fmt, monkeypatch, capsys):
+    """cmd_scan asks for blocks of at most BLOCK records, of whole dimensions or part of one, as few as fit.
+
+    Together they write the whole grid.
+    """
     calls = []
 
     def recorded(dims, *grid):
@@ -79,11 +89,14 @@ def test_scan_streams_one_dimension_and_block_at_a_time(fmt, monkeypatch, capsys
         return block
 
     monkeypatch.setattr(cli, "scan_grid", recorded)
-    code, stdout, err = run(["scan", "--dims", "2,5,16", "--f-step", "5e-5", "--format", fmt], capsys)
+    argv = ["scan", "--dims", ",".join(map(str, dims)), "--f-step", str(step), "--format", fmt]
+    code, stdout, err = run(argv, capsys)
     assert (code, err) == (0, "")
-    whole = scan_grid([2, 5, 16], 0.0, 1.0, 5e-5)
-    assert (len(whole) // 3) % BLOCK != 0  # 20,001 points per dimension: each ends in a short block
-    assert all(len(dims) == 1 and size <= BLOCK for dims, size in calls)
+    whole = scan_grid(dims, 0.0, 1.0, step)
+    points = len(whole) // len(dims)
+    assert len(calls) > 1 and len(calls[-1][0]) * points % BLOCK != 0
+    assert all(size <= BLOCK and (len(block) == 1 or size == len(block) * points) for block, size in calls)
+    assert all(a + b > BLOCK for (_, a), (_, b) in zip(calls, calls[1:]))  # no two neighbours fit in one block
     assert sum(size for _, size in calls) == len(whole)
     assert stdout == (records_to_csv(whole) if fmt == "csv" else records_to_json(whole))
 
