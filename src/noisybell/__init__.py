@@ -9,10 +9,8 @@ from .behavior import BehaviorTable, TableFormatError, load_table, save_table
 from .chsh import (
     C_THRESHOLD,
     TSIRELSON_BOUND,
-    ChshSettings,
     chsh_closed_form,
     retained_fraction,
-    tsirelson_settings,
     violation_threshold,
 )
 from .polytope import (
@@ -33,7 +31,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BehaviorTable",
     "C_THRESHOLD",
-    "ChshSettings",
     "ExperimentSample",
     "FACET_LABELS",
     "LocalityVerdict",
@@ -57,6 +54,5 @@ __all__ = [
     "sequential_joint_distribution",
     "success_probability",
     "threshold_rows",
-    "tsirelson_settings",
     "violation_threshold",
 ]

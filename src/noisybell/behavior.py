@@ -57,6 +57,8 @@ class BehaviorTable:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
+        if np.iscomplexobj(self.probs):  # the float cast would drop imaginary parts with only a warning
+            raise TableFormatError("behavior table entries must be real, got complex values")
         probs = np.array(self.probs, dtype=float)
         if probs.shape != (2, 2, 2, 2):
             raise TableFormatError(f"behavior table must have shape (2,2,2,2), got {probs.shape}")
@@ -66,7 +68,7 @@ class BehaviorTable:
 
     @classmethod
     def from_flat(cls, values: object) -> "BehaviorTable":
-        flat = np.array(values, dtype=float).reshape(-1)
+        flat = np.asarray(values).reshape(-1)
         if flat.size != FLAT_LENGTH:
             raise TableFormatError(f"flat behavior table must have 16 entries, got {flat.size}")
         return cls(flat.reshape(2, 2, 2, 2))

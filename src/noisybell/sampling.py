@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .behavior import BehaviorTable
-from .chsh import chsh_closed_form, tsirelson_settings
+from .chsh import chsh_closed_form
 from .sequential import sequential_joint_distribution
 from .states import noisy_state  # noqa: F401  not called; bound because perfbench/tracing.py TARGETS names it
 
@@ -63,7 +63,7 @@ def sample_experiment(dim: int, noise: float, count: int, seed: int) -> Experime
         # numpy's own message ("expected non-negative integer") names no argument.
         raise ValueError(f"sample seed must be non-negative, got {seed}")
 
-    joint = sequential_joint_distribution(dim, noise, tsirelson_settings())
+    joint = sequential_joint_distribution(dim, noise)
     # Per setting pair: CDF over the 16 outcome tuples (a1, b1, a2, b2).
     cdf = np.cumsum(joint.reshape(2, 2, 16), axis=2)
     cdf[:, :, -1] = 1.0

@@ -19,7 +19,7 @@ import numpy as np
 from .behavior import _freeze
 from .chsh import chsh_closed_form, violation_threshold
 from .sequential import success_probability
-from .states import is_separable_family
+from .states import check_family, is_separable_family
 
 # Strict-violation margin: S must clear 2 by more than accumulated round-off.
 VIOLATION_MARGIN = 1e-12
@@ -212,7 +212,7 @@ def threshold_rows(dims: list[int]) -> Table:
 
 def gap_rows(dims: list[int]) -> Table:
     """Noise intervals where the state is entangled but does not violate CHSH, N ascending."""
-    ordered = sorted(dims)
+    ordered = [check_family(n, 0.0) for n in sorted(dims)]  # Python ints: n + 1 cannot wrap around
     lo = np.array([violation_threshold(n) for n in ordered], dtype=float)
     hi = np.array([n / (n + 1) for n in ordered], dtype=float)
     return Table({"N": np.array(ordered, dtype=_dim_type(ordered)), "gap_lo": lo, "gap_hi": hi, "width": hi - lo})

@@ -11,8 +11,12 @@ from __future__ import annotations
 import numpy as np
 
 from .behavior import _freeze
-from .chsh import ChshSettings, retained_fraction
+from .chsh import retained_fraction
 from .states import check_family
+
+# Second-stage angles, Alice's [x] and Bob's [y]; theta measures cos(theta) sigma_z + sin(theta) sigma_x.
+_ALICE = np.array([0.0, np.pi / 2.0])
+_BOB = np.array([np.pi / 4.0, -np.pi / 4.0])
 
 
 def success_probability(n: int, noise: float) -> float:
@@ -25,12 +29,14 @@ def success_probability(n: int, noise: float) -> float:
     return (1.0 - noise) * 2.0 / n + noise * 4.0 / (n * n)
 
 
-def sequential_joint_distribution(n: int, noise: float, settings: ChshSettings) -> np.ndarray:
+def sequential_joint_distribution(n: int, noise: float) -> np.ndarray:
     """Joint outcome law of the two-stage experiment on the noisy family, in closed form.
 
     Returns P(a1, b1, a2, b2) per setting pair as a read-only float64 array
     indexed [x][y][a1][b1][a2][b2], first-stage index 0 = "in" (projection
-    succeeded) and second-stage index 0 = outcome +1.
+    succeeded) and second-stage index 0 = outcome +1.  The second stage
+    measures at the maximal-violation angles theta_A in {0, pi/2} and
+    theta_B in {pi/4, -pi/4}.
 
     Both sides keep their first two levels.  The post-selected state is
     v |psi_2><psi_2| + (1 - v) I/4 with v = :func:`retained_fraction`, so
@@ -41,9 +47,7 @@ def sequential_joint_distribution(n: int, noise: float, settings: ChshSettings) 
     the rest, all at +1.
     """
     n = check_family(n, noise)
-    alice = np.array([settings.theta_a, settings.theta_a_prime])
-    bob = np.array([settings.theta_b, settings.theta_b_prime])
-    correlators = retained_fraction(n, noise) * np.cos(alice[:, None] - bob)  # [x][y]
+    correlators = retained_fraction(n, noise) * np.cos(_ALICE[:, None] - _BOB)  # [x][y]
     signs = np.array([[1.0, -1.0], [-1.0, 1.0]])  # a * b, [a2][b2]
     in_in = (1.0 + correlators[:, :, None, None] * signs) / 4.0
     mixed = noise * (n - 2) / (n * n)

@@ -57,5 +57,5 @@ def is_separable_family(n: int, noise: float) -> bool:
     for states produced by :func:`noisy_state`; it is not a general
     separability test.
     """
-    check_family(n, noise)
+    n = check_family(n, noise)
     return noise >= n / (n + 1)

@@ -13,7 +13,11 @@ import math
 
 import numpy as np
 
-from noisybell import BehaviorTable, ChshSettings
+from noisybell import BehaviorTable
+
+# (Alice's, Bob's) second-stage angles at which CHSH reaches 2*sqrt(2), written out
+# here rather than read from the package, so the oracle stays independent of it.
+TSIRELSON = ((0.0, math.pi / 2), (math.pi / 4, -math.pi / 4))
 
 
 def projector(n: int) -> np.ndarray:
@@ -32,11 +36,6 @@ def observable_projectors(theta: float) -> tuple[np.ndarray, np.ndarray]:
     return (np.eye(2) + observable(theta)) / 2.0, (np.eye(2) - observable(theta)) / 2.0
 
 
-def sides(chsh: ChshSettings) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Alice's and Bob's angles, indexed by setting."""
-    return (chsh.theta_a, chsh.theta_a_prime), (chsh.theta_b, chsh.theta_b_prime)
-
-
 def post_select(rho: np.ndarray, n: int) -> tuple[np.ndarray, float]:
     """Keep levels 0 and 1 on both sides: the renormalized 4x4 block and its probability."""
     keep = [a * n + b for a in (0, 1) for b in (0, 1)]
@@ -53,9 +52,9 @@ def correlator(rho4: np.ndarray, theta_a: float, theta_b: float) -> float:
     return kron_expectation(rho4, observable(theta_a), observable(theta_b))
 
 
-def chsh_value(rho4: np.ndarray, chsh: ChshSettings) -> float:
-    """E(A,B) + E(A,B') + E(A',B) - E(A',B') on a two-qubit state."""
-    (a, a_prime), (b, b_prime) = sides(chsh)
+def chsh_value(rho4: np.ndarray, angles) -> float:
+    """E(A,B) + E(A,B') + E(A',B) - E(A',B') on a two-qubit state, at (Alice's, Bob's) angles."""
+    (a, a_prime), (b, b_prime) = angles
     return (
         correlator(rho4, a, b)
         + correlator(rho4, a, b_prime)
@@ -64,9 +63,9 @@ def chsh_value(rho4: np.ndarray, chsh: ChshSettings) -> float:
     )
 
 
-def behavior_table(rho4: np.ndarray, chsh: ChshSettings) -> BehaviorTable:
-    """P(a, b | x, y) of a two-qubit state; outcome index 0 is +1."""
-    alice, bob = sides(chsh)
+def behavior_table(rho4: np.ndarray, angles) -> BehaviorTable:
+    """P(a, b | x, y) of a two-qubit state at (Alice's, Bob's) angles; outcome index 0 is +1."""
+    alice, bob = angles
     probs = np.zeros((2, 2, 2, 2))
     for x, y, a, b in itertools.product(range(2), repeat=4):
         probs[x, y, a, b] = kron_expectation(
@@ -75,7 +74,7 @@ def behavior_table(rho4: np.ndarray, chsh: ChshSettings) -> BehaviorTable:
     return BehaviorTable(probs)
 
 
-def dense_joint(rho: np.ndarray, n: int, chsh: ChshSettings) -> np.ndarray:
+def dense_joint(rho: np.ndarray, n: int, angles) -> np.ndarray:
     """P[x][y][a1][b1][a2][b2] of the two-stage experiment by Lueders update and full-space effects."""
     kept = projector(n)
     first = (kept, np.eye(n) - kept)
@@ -88,7 +87,7 @@ def dense_joint(rho: np.ndarray, n: int, chsh: ChshSettings) -> np.ndarray:
         minus[:2, :2] += minus2
         return plus, minus
 
-    alice, bob = sides(chsh)
+    alice, bob = angles
     second_a, second_b = [second(t) for t in alice], [second(t) for t in bob]
     probs = np.zeros((2,) * 6)
     for a1, b1, x, y, a2, b2 in itertools.product(range(2), repeat=6):

@@ -24,12 +24,11 @@ from noisybell import (
     sample_experiment,
     scan_grid,
     success_probability,
-    tsirelson_settings,
     violation_threshold,
 )
 from noisybell.cli import main
 
-from dense import behavior_table, chsh_value, condition, local_vertices, post_select
+from dense import TSIRELSON, behavior_table, chsh_value, condition, local_vertices, post_select
 
 
 @contextmanager
@@ -69,7 +68,7 @@ def test_criterion_2_closed_form_conditioned_state():
 
 def test_criterion_3_maximal_violation():
     with criterion(3, "CHSH value of the entangled two-qubit state is 2*sqrt(2) to 1e-12"):
-        value = chsh_value(noisy_state(2, 0.0), tsirelson_settings())
+        value = chsh_value(noisy_state(2, 0.0), TSIRELSON)
         assert abs(value - TSIRELSON_BOUND) < 1e-12
 
 
@@ -88,7 +87,7 @@ def test_criterion_5_lhv_oracle_agreement():
     with criterion(5, f"LP and 8-facet verdicts agree on 1000 random no-signaling tables (seed {seed})", budget=30.0):
         rng = np.random.default_rng(seed)
         vertices = local_vertices()
-        quantum = behavior_table(noisy_state(2, 0.0), tsirelson_settings())
+        quantum = behavior_table(noisy_state(2, 0.0), TSIRELSON)
         checked_local = 0
         checked_nonlocal = 0
         for trial in range(1000):

@@ -122,6 +122,15 @@ def test_load_rejects_negative_entries():
         table_from_json(json.dumps({"px": flat}))
 
 
+@pytest.mark.parametrize(
+    "make", [BehaviorTable, lambda probs: BehaviorTable.from_flat(probs.reshape(-1))], ids=["init", "from_flat"]
+)
+def test_complex_tables_are_rejected(make):
+    """The float cast used to drop imaginary parts with only a warning, so is_local_lp called this table local."""
+    with pytest.raises(TableFormatError, match="^behavior table entries must be real, got complex values$"):
+        make(np.full((2, 2, 2, 2), 0.25 + 1j))
+
+
 def test_signaling_defect_detects_marginal_shift():
     probs = np.full((2, 2, 2, 2), 0.25)
     # Alice's marginal depends on Bob's setting y when x = 0

@@ -6,15 +6,22 @@ import pytest
 from noisybell import (
     C_THRESHOLD,
     TSIRELSON_BOUND,
-    ChshSettings,
     chsh_closed_form,
     noisy_state,
     retained_fraction,
-    tsirelson_settings,
     violation_threshold,
 )
 
-from dense import behavior_table, chsh_value, correlator, observable, observable_projectors, post_select, random_state
+from dense import (
+    TSIRELSON,
+    behavior_table,
+    chsh_value,
+    correlator,
+    observable,
+    observable_projectors,
+    post_select,
+    random_state,
+)
 
 PSI2 = noisy_state(2, 0.0)
 UNIFORM4 = noisy_state(2, 1.0)
@@ -39,7 +46,7 @@ def test_observable_projectors(theta):
 
 
 def test_tsirelson_point():
-    assert abs(chsh_value(PSI2, tsirelson_settings()) - TSIRELSON_BOUND) < 1e-12
+    assert abs(chsh_value(PSI2, TSIRELSON) - TSIRELSON_BOUND) < 1e-12
 
 
 def test_perfect_correlation_at_equal_angles():
@@ -47,8 +54,7 @@ def test_perfect_correlation_at_equal_angles():
 
 
 def test_white_noise_has_no_correlations():
-    settings = tsirelson_settings()
-    assert abs(chsh_value(UNIFORM4, settings)) < 1e-12
+    assert abs(chsh_value(UNIFORM4, TSIRELSON)) < 1e-12
     assert abs(correlator(UNIFORM4, 0.4, -0.9)) < 1e-12
 
 
@@ -82,7 +88,7 @@ def test_closed_form_large_dimension_violates_at_high_noise():
 
 def test_post_selected_midpoint_does_not_violate():
     # v = 2/3 at (N=4, F=0.5): S = (2/3) * 2*sqrt(2) < 2
-    value = chsh_value(post_select(noisy_state(4, 0.5), 4)[0], tsirelson_settings())
+    value = chsh_value(post_select(noisy_state(4, 0.5), 4)[0], TSIRELSON)
     assert abs(value - 1.8856180831641267) < 1e-12
     assert value < 2.0
 
@@ -120,24 +126,22 @@ def test_closed_form_decreasing_in_noise():
 @pytest.mark.parametrize("n", range(2, 9))
 def test_dense_pipeline_matches_closed_form(n):
     """Project, renormalize, take four correlators; compare to the closed form."""
-    settings = tsirelson_settings()
     for k in range(11):
         noise = k / 10.0
         post, _ = post_select(noisy_state(n, noise), n)
-        assert abs(chsh_value(post, settings) - chsh_closed_form(n, noise)) < 1e-10
+        assert abs(chsh_value(post, TSIRELSON) - chsh_closed_form(n, noise)) < 1e-10
 
 
 def test_tsirelson_bound_on_random_states():
     """No valid two-qubit state exceeds 2*sqrt(2) at the fixed settings."""
     rng = np.random.default_rng(20250817)
-    settings = tsirelson_settings()
     for _ in range(200):
-        value = chsh_value(random_state(rng, 4), settings)
+        value = chsh_value(random_state(rng, 4), TSIRELSON)
         assert abs(value) <= TSIRELSON_BOUND + 1e-9
 
 
 def test_behavior_table_from_state():
-    table = behavior_table(PSI2, tsirelson_settings())
+    table = behavior_table(PSI2, TSIRELSON)
     assert table.normalization_defect() < 1e-12
     assert table.signaling_defect() < 1e-10
     for x in range(2):
@@ -145,18 +149,3 @@ def test_behavior_table_from_state():
             sign = -1.0 if (x, y) == (1, 1) else 1.0
             assert abs(table.correlators()[x, y] - sign / math.sqrt(2.0)) < 1e-12
 
-
-@pytest.mark.parametrize("position,bad", [(0, math.nan), (2, math.inf), (3, -math.inf)])
-def test_settings_reject_non_finite_angles(position, bad):
-    angles = [0.0] * 4
-    angles[position] = bad
-    name = ("theta_a", "theta_a_prime", "theta_b", "theta_b_prime")[position]
-    with pytest.raises(ValueError, match=f"^{name} must be finite, got {bad}$"):
-        ChshSettings(*angles)
-
-
-@pytest.mark.parametrize("angles", [(1.7e308, 0.0, -1.7e308, 0.0), (0.0, -1e308, 0.0, 1e308)])
-def test_settings_reject_angle_differences_past_the_float_range(angles):
-    """cos(theta_x - theta_y) of an overflowing difference is NaN, so the joint law would be too."""
-    with pytest.raises(ValueError, match="^angle differences overflow"):
-        ChshSettings(*angles)

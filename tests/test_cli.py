@@ -19,16 +19,15 @@ from noisybell import (
     load_table,
     noisy_state,
     save_table,
-    tsirelson_settings,
 )
 from noisybell import behavior, cli, polytope, sampling, simplex
 from noisybell.cli import main
 from noisybell.sampling import MAX_SAMPLE_COUNT
 from noisybell.scan import BLOCK, records_to_csv, records_to_json, scan_grid
 
-from dense import UNIFORM, behavior_table, local_vertices
+from dense import TSIRELSON, UNIFORM, behavior_table, local_vertices
 
-QUANTUM_TABLE = behavior_table(noisy_state(2, 0.0), tsirelson_settings())
+QUANTUM_TABLE = behavior_table(noisy_state(2, 0.0), TSIRELSON)
 _SIGNALING = np.full((2, 2, 2, 2), 0.25)  # Bob's marginal moves with Alice's setting
 _SIGNALING[0, 1] = [[0.55, 0.05], [0.05, 0.35]]
 

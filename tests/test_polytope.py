@@ -12,20 +12,19 @@ from noisybell import (
     is_local_lp,
     noisy_state,
     sequential_joint_distribution,
-    tsirelson_settings,
     violation_threshold,
 )
 
 from noisybell.polytope import _LP_SYSTEM
 
-from dense import UNIFORM, behavior_table, condition, local_vertices
+from dense import TSIRELSON, UNIFORM, behavior_table, condition, local_vertices
 
-QUANTUM_TABLE = behavior_table(noisy_state(2, 0.0), tsirelson_settings())
+QUANTUM_TABLE = behavior_table(noisy_state(2, 0.0), TSIRELSON)
 
 
 def post_selected_table(n, noise):
     """Behavior of the (in, in) branch at the Tsirelson settings, from the closed-form joint law."""
-    return condition(sequential_joint_distribution(n, noise, tsirelson_settings()))
+    return condition(sequential_joint_distribution(n, noise))
 
 
 def mix(tables, weights):

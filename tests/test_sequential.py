@@ -5,17 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from noisybell import (
-    ChshSettings,
-    chsh_closed_form,
-    noisy_state,
-    retained_fraction,
-    success_probability,
-    tsirelson_settings,
-)
+from noisybell import chsh_closed_form, noisy_state, retained_fraction, success_probability
 from noisybell.sequential import sequential_joint_distribution
 
-from dense import behavior_table, condition, dense_joint, post_select, projector
+from dense import TSIRELSON, behavior_table, condition, dense_joint, post_select, projector
 
 PSI2_MATRIX = noisy_state(2, 0.0)
 
@@ -25,8 +18,8 @@ def post_selected_closed_form(n, noise):
     return noisy_state(2, 1.0 - retained_fraction(n, noise))
 
 
-def kron_joint(n, noise, settings):
-    return dense_joint(noisy_state(n, noise), n, settings)
+def kron_joint(n, noise):
+    return dense_joint(noisy_state(n, noise), n, TSIRELSON)
 
 
 def first_stage(joint):
@@ -89,14 +82,14 @@ def test_success_probability_values():
 
 
 def test_joint_distribution_qubit_case_all_in():
-    joint = kron_joint(2, 0.0, tsirelson_settings())
+    joint = kron_joint(2, 0.0)
     assert abs(first_stage(joint)[0, 0, 0, 0] - 1.0) < 1e-12
     assert np.all(np.abs(joint.sum(axis=(2, 3, 4, 5)) - 1.0) < 1e-12)
 
 
 @pytest.mark.parametrize("n,noise", [(2, 0.0), (4, 0.0), (4, 0.5), (3, 0.8), (5, 1.0)])
 def test_joint_distribution_invariants(n, noise):
-    joint = kron_joint(n, noise, tsirelson_settings())
+    joint = kron_joint(n, noise)
     assert np.all(np.abs(joint.sum(axis=(2, 3, 4, 5)) - 1.0) < 1e-12)
     assert np.ptp(first_stage(joint), axis=(0, 1)).max() < 1e-12
     assert joint.min() >= 0.0
@@ -104,14 +97,14 @@ def test_joint_distribution_invariants(n, noise):
 
 def test_conditional_correlators_match_post_selected_state():
     """Within the (in, in) branch the correlators are those of the projected state."""
-    joint = sequential_joint_distribution(4, 0.0, tsirelson_settings())
+    joint = sequential_joint_distribution(4, 0.0)
     corr = condition(joint).correlators()
     for (x, y), diff in [((0, 0), 0.0 - math.pi / 4), ((1, 0), math.pi / 4), ((1, 1), 3 * math.pi / 4)]:
         assert abs(corr[x, y] - math.cos(diff)) < 1e-10
 
 
 def test_conditioned_table_reaches_tsirelson():
-    joint = sequential_joint_distribution(4, 0.0, tsirelson_settings())
+    joint = sequential_joint_distribution(4, 0.0)
     corr = condition(joint).correlators()
     s_value = corr[0, 0] + corr[0, 1] + corr[1, 0] - corr[1, 1]
     assert abs(s_value - 2.0 * math.sqrt(2.0)) < 1e-10
@@ -119,18 +112,18 @@ def test_conditioned_table_reaches_tsirelson():
 
 def test_conditioning_on_certain_branch_is_identity():
     """When the branch has probability 1 conditioning changes nothing."""
-    joint = sequential_joint_distribution(2, 0.25, tsirelson_settings())
+    joint = sequential_joint_distribution(2, 0.25)
     assert np.max(np.abs(condition(joint).probs - joint[:, :, 0, 0, :, :])) < 1e-12
 
 
 def test_conditioned_white_noise_is_uniform():
-    joint = sequential_joint_distribution(4, 1.0, tsirelson_settings())
+    joint = sequential_joint_distribution(4, 1.0)
     assert np.allclose(condition(joint).probs, 0.25, atol=1e-12)
 
 
 def test_out_branch_is_deterministic_plus_one():
     """The rejected subspace carries the constant +1 extension of the observables."""
-    joint = sequential_joint_distribution(4, 0.0, tsirelson_settings())
+    joint = sequential_joint_distribution(4, 0.0)
     assert np.allclose(condition(joint, 1, 1).probs[:, :, 0, 0], 1.0, atol=1e-12)
 
 
@@ -138,10 +131,9 @@ def test_out_branch_is_deterministic_plus_one():
 @pytest.mark.parametrize("noise", [0.0, 0.2, 0.5, 0.9, 1.0])
 def test_pipeline_equivalence(n, noise):
     """Conditioning the closed-form joint law equals the behavior of the dense post-selected state."""
-    settings = tsirelson_settings()
-    joint = sequential_joint_distribution(n, noise, settings)
+    joint = sequential_joint_distribution(n, noise)
     via_joint = condition(joint)
-    via_state = behavior_table(post_select(noisy_state(n, noise), n)[0], settings)
+    via_state = behavior_table(post_select(noisy_state(n, noise), n)[0], TSIRELSON)
     assert np.max(np.abs(via_joint.probs - via_state.probs)) < 1e-10
 
 
@@ -151,7 +143,7 @@ def test_pipeline_equivalence(n, noise):
 @pytest.mark.parametrize("n", [2, 3, 8, 65, 10**6, 10**150])
 @pytest.mark.parametrize("noise", [0.0, 0.3, 1.0])
 def test_closed_form_joint_invariants(n, noise):
-    joint = sequential_joint_distribution(n, noise, tsirelson_settings())
+    joint = sequential_joint_distribution(n, noise)
     assert np.all(np.abs(joint.sum(axis=(2, 3, 4, 5)) - 1.0) < 1e-12)
     assert np.ptp(first_stage(joint), axis=(0, 1)).max() < 1e-15
     assert abs(first_stage(joint)[0, 0, 0, 0] - success_probability(n, noise)) < 1e-15
@@ -162,7 +154,7 @@ def test_closed_form_joint_invariants(n, noise):
 
 @pytest.mark.parametrize("n,noise", [(2, 0.3), (5, 0.0), (5, 0.4), (65, 0.9)])
 def test_closed_form_mixed_branches_are_white_noise(n, noise):
-    joint = sequential_joint_distribution(n, noise, tsirelson_settings())
+    joint = sequential_joint_distribution(n, noise)
     assert abs(first_stage(joint)[0, 0, 0, 1] - 2.0 * noise * (n - 2) / n**2) < 1e-15
     assert abs(first_stage(joint)[0, 0, 1, 0] - 2.0 * noise * (n - 2) / n**2) < 1e-15
     if noise * (n - 2) > 0:
@@ -171,7 +163,7 @@ def test_closed_form_mixed_branches_are_white_noise(n, noise):
 
 @pytest.mark.parametrize("n", [3, 24, 10**6, 10**12])
 def test_closed_form_conditioned_chsh_is_the_closed_form(n):
-    table = condition(sequential_joint_distribution(n, 0.3, tsirelson_settings()))
+    table = condition(sequential_joint_distribution(n, 0.3))
     corr = table.correlators()
     assert abs(corr[0, 0] + corr[0, 1] + corr[1, 0] - corr[1, 1] - chsh_closed_form(n, 0.3)) < 1e-12
 
@@ -182,14 +174,7 @@ def test_closed_form_conditioned_chsh_is_the_closed_form(n):
 )
 def test_closed_form_joint_rejects_bad_parameters(n, noise, error):
     with pytest.raises(error):
-        sequential_joint_distribution(n, noise, tsirelson_settings())
-
-
-_angle = st.floats(allow_nan=False, allow_infinity=False)
-# Any four finite angles ChshSettings takes: the differences theta_x - theta_y must be finite too.
-_settings = st.tuples(_angle, _angle, _angle, _angle).filter(
-    lambda t: all(math.isfinite(a - b) for a in t[:2] for b in t[2:])
-).map(lambda t: ChshSettings(*t))
+        sequential_joint_distribution(n, noise)
 
 
 def _dims(top):
@@ -202,14 +187,13 @@ def _dims(top):
     # Python ints up to 10**150, and numpy ints over their whole range, where n * n wraps around.
     n=_dims(10**150) | _dims(2**63 - 1).map(np.int64) | _dims(2**31 - 1).map(np.int32),
     noise=st.floats(0.0, 1.0) | st.sampled_from([-0.0, 5e-324, 1.0 - 2.0**-53]),
-    chsh=_settings,
 )
-@example(n=np.int32(50000), noise=1.0, chsh=tsirelson_settings())  # int32 n * n is negative
-@example(n=np.int64(2**32), noise=1.0, chsh=tsirelson_settings())  # int64 n * n is 0
-def test_joint_law_is_a_read_only_distribution(n, noise, chsh):
+@example(n=np.int32(50000), noise=1.0)  # int32 n * n is negative
+@example(n=np.int64(2**32), noise=1.0)  # int64 n * n is 0
+def test_joint_law_is_a_read_only_distribution(n, noise):
     """Every valid input gives a finite, non-negative, normalized, read-only law with setting-free first stage."""
-    joint = sequential_joint_distribution(n, noise, chsh)
-    assert np.array_equal(joint, sequential_joint_distribution(int(n), noise, chsh))
+    joint = sequential_joint_distribution(n, noise)
+    assert np.array_equal(joint, sequential_joint_distribution(int(n), noise))
     assert joint.shape == (2,) * 6 and joint.dtype == np.float64 and not joint.flags.writeable
     assert np.all(np.isfinite(joint)) and np.all(joint >= 0.0)
     assert np.all(np.abs(joint.sum(axis=(2, 3, 4, 5)) - 1.0) <= 1e-12)

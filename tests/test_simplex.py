@@ -9,7 +9,6 @@ import simplex_oracle
 from noisybell import (
     sample_experiment,
     sequential_joint_distribution,
-    tsirelson_settings,
 )
 from noisybell.polytope import _LP_SYSTEM
 from noisybell.simplex import l1_feasibility
@@ -113,7 +112,7 @@ def _oracle_cases():
         yield from np.einsum("tk,kxyab->txyab", rng.dirichlet(np.full(16, alpha), size=30), np.array(vertices))
     for n in (2, 3, 8):
         for noise in (0.0, 0.3, 0.6, 0.9):
-            yield condition(sequential_joint_distribution(n, noise, tsirelson_settings())).probs
+            yield condition(sequential_joint_distribution(n, noise)).probs
     for seed in range(20):
         yield sample_experiment(2 + seed % 3, 0.1 * (seed % 10), 500, seed).empirical_table.probs  # signaling
 

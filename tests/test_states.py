@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from noisybell import (
     chsh_closed_form,
+    gap_rows,
     is_separable_family,
     noisy_state,
     sample_experiment,
@@ -78,6 +79,15 @@ def test_family_takes_numpy_integer_dimensions():
         sample, expected = (sample_experiment(m, 1.0, 100, seed=0) for m in (n, int(n)))
         assert np.array_equal(sample.conditioned_counts, expected.conditioned_counts)
         assert np.array_equal(sample.branch_counts, expected.branch_counts)
+    # int32 and int64 at their maxima wrap in n + 1: the separability boundary n / (n + 1) came out negative.
+    for n in (np.int32(2**31 - 1), np.int64(2**63 - 1)):
+        assert is_separable_family(n, 0.5) is is_separable_family(int(n), 0.5) is False
+        for table, expected in [
+            (scan_grid([n], 0.0, 1.0, 0.25), scan_grid([int(n)], 0.0, 1.0, 0.25)),
+            (gap_rows([n]), gap_rows([int(n)])),
+        ]:
+            for name in table.columns:
+                assert np.array_equal(table[name], expected[name]), name
 
 
 def test_noisy_state_zero_noise_is_pure():
