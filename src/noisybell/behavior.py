@@ -13,9 +13,9 @@ and must equal [2, 2].  Unknown keys (e.g. ``meta``) are ignored on load.
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -35,24 +35,15 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
-def _once(method):
-    """Compute a table quantity on first use and keep it: tables are immutable."""
-    key = f"_{method.__name__}"
-
-    @functools.wraps(method)
-    def memoised(self):
-        try:
-            return self.__dict__[key]
-        except KeyError:
-            value = self.__dict__[key] = method(self)  # not setattr: the dataclass is frozen
-            return value
-
-    return memoised
-
-
 @dataclass(frozen=True)
 class BehaviorTable:
-    """Probabilities indexed [x][y][a][b] with outcome index 0 = +1."""
+    """Probabilities indexed [x][y][a][b] with outcome index 0 = +1.
+
+    Every table is a probability table: construction raises
+    :class:`TableFormatError` unless the entries are real, finite, at least
+    -NEGATIVITY_TOL and sum to 1 within NORMALIZATION_TOL per setting pair.
+    The derived quantities are computed on first use and kept.
+    """
 
     probs: np.ndarray
 
@@ -64,7 +55,11 @@ class BehaviorTable:
             raise TableFormatError(f"behavior table must have shape (2,2,2,2), got {probs.shape}")
         if not np.all(np.isfinite(probs)):
             raise TableFormatError("behavior table contains non-finite entries")
+        if probs.min() < -NEGATIVITY_TOL:
+            raise TableFormatError(f"behavior table has negative entry {float(probs.min())}")
         object.__setattr__(self, "probs", _freeze(probs))
+        if self.normalization_defect > NORMALIZATION_TOL:
+            raise TableFormatError(f"per-setting totals deviate from 1 by {self.normalization_defect}")
 
     @classmethod
     def from_flat(cls, values: object) -> "BehaviorTable":
@@ -76,21 +71,18 @@ class BehaviorTable:
     def to_flat(self) -> list[float]:
         return [float(v) for v in self.probs.reshape(-1)]
 
-    @_once
+    @cached_property
     def correlators(self) -> np.ndarray:
         """All E(x, y) = P(++) - P(+-) - P(-+) + P(--) as a read-only 2x2 array [x][y]."""
         p = self.probs
         return _freeze(p[:, :, 0, 0] - p[:, :, 0, 1] - p[:, :, 1, 0] + p[:, :, 1, 1])
 
-    @_once
+    @cached_property
     def normalization_defect(self) -> float:
         """Largest deviation of a per-setting total from 1."""
         return float(np.max(np.abs(self.probs.sum(axis=(2, 3)) - 1.0)))
 
-    def min_entry(self) -> float:
-        return float(self.probs.min())
-
-    @_once
+    @cached_property
     def signaling_defect(self) -> float:
         """How much one side's marginals depend on the other side's setting."""
         marg_a = self.probs.sum(axis=3)  # [x][y][a]
@@ -100,19 +92,7 @@ class BehaviorTable:
         return float(max(defect_a, defect_b))
 
     def is_no_signaling(self) -> bool:
-        return self.signaling_defect() <= SIGNALING_TOL
-
-    def check_normalized(self) -> None:
-        """Raise :class:`TableFormatError` unless every per-setting total is 1."""
-        defect = self.normalization_defect()
-        if defect > NORMALIZATION_TOL:
-            raise TableFormatError(f"per-setting totals deviate from 1 by {defect}")
-
-    def validate(self) -> None:
-        """Raise :class:`TableFormatError` unless entries and totals are sound."""
-        if self.min_entry() < -NEGATIVITY_TOL:
-            raise TableFormatError(f"behavior table has negative entry {self.min_entry()}")
-        self.check_normalized()
+        return self.signaling_defect <= SIGNALING_TOL
 
 
 def table_to_json(table: BehaviorTable, meta: dict | None = None) -> str:
@@ -146,7 +126,6 @@ def table_from_json(text: str) -> BehaviorTable:
         table = BehaviorTable.from_flat([float(v) for v in px])
     except OverflowError as exc:  # an integer entry past the float range
         raise TableFormatError(f"'px' entry out of floating-point range: {exc}") from exc
-    table.validate()
     return table
 
 

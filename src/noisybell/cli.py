@@ -206,7 +206,7 @@ def cmd_lhv_check(args: argparse.Namespace) -> int:
         "method": method,
         "max_facet": max_facet,
         "violated_facet": None if local or max_facet <= 2.0 + args.tol else FACET_LABELS[max_idx],
-        "signaling_defect": table.signaling_defect(),
+        "signaling_defect": table.signaling_defect,
         "weights": weights,
     }
     text = _format_verdict(report, args.format)

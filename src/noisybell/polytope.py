@@ -15,7 +15,7 @@ from itertools import product
 
 import numpy as np
 
-from .behavior import SIGNALING_TOL, BehaviorTable, _freeze, _once
+from .behavior import SIGNALING_TOL, BehaviorTable, _freeze
 from .simplex import l1_feasibility
 
 LOCALITY_TOL = 1e-9  # default LP residual and facet margin of a local verdict
@@ -57,20 +57,13 @@ class LocalityVerdict:
 
 
 def chsh_facets(table: BehaviorTable) -> np.ndarray:
-    """The 8 CHSH expressions (setting/sign relabelings), in FACET_LABELS order.
+    """The 8 CHSH expressions (setting/sign relabelings), in FACET_LABELS order, read-only.
 
-    Read-only, and computed once per table: the facet test and the
-    ``lhv-check`` report share one evaluation.
-
-    These are plain linear functionals of the table; using them as a locality
-    criterion is only sound for no-signaling tables (see is_local_facets).
+    These are plain linear functionals of the table, which is normalized by
+    construction; using them as a locality criterion is only sound for
+    no-signaling tables (see is_local_facets).
     """
-    return _facets(table)
-
-
-@_once
-def _facets(table: BehaviorTable) -> np.ndarray:
-    corr = table.correlators()
+    corr = table.correlators
     base = corr.sum() - 2.0 * corr.reshape(-1)  # the minus sign on E00, E01, E10, E11 in turn
     return _freeze(np.stack([base, -base], axis=1).reshape(-1))
 
@@ -90,7 +83,6 @@ def is_local_lp(table: BehaviorTable, tol: float = LOCALITY_TOL) -> LocalityVerd
     signaling tables too (they are simply never members).
     """
     check_tolerance(tol)
-    table.check_normalized()
     target = np.concatenate([table.probs.reshape(-1), [1.0]])
     weights, residual = l1_feasibility(_LP_SYSTEM, target)
     local = residual <= tol
@@ -100,14 +92,14 @@ def is_local_lp(table: BehaviorTable, tol: float = LOCALITY_TOL) -> LocalityVerd
 def is_local_facets(table: BehaviorTable, tol: float = LOCALITY_TOL) -> bool:
     """Facet-based locality criterion: every CHSH expression at most 2.
 
-    Complete for normalized no-signaling tables; raises
+    Every table is non-negative and normalized by construction, so the test
+    is complete for no-signaling tables (Fine's theorem); raises
     :class:`SignalingTable` otherwise because the criterion is not a valid
     locality test when marginals depend on the remote setting.
     """
     check_tolerance(tol)
-    table.check_normalized()
     if not table.is_no_signaling():
         raise SignalingTable(
-            f"signaling defect {table.signaling_defect()} exceeds {SIGNALING_TOL}; facet criterion not applicable"
+            f"signaling defect {table.signaling_defect} exceeds {SIGNALING_TOL}; facet criterion not applicable"
         )
     return bool(np.max(chsh_facets(table)) <= 2.0 + tol)

@@ -77,7 +77,7 @@ def sample_experiment(dim: int, noise: float, count: int, seed: int) -> Experime
     table = s_empirical = s_stderr = None  # S is undefined when a setting pair saw no (in, in) run
     if per_setting.min() > 0:
         table = BehaviorTable(conditioned / per_setting[:, :, None, None])
-        correlators = table.correlators()
+        correlators = table.correlators
         s_empirical = float(correlators[0, 0] + correlators[0, 1] + correlators[1, 0] - correlators[1, 1])
         s_stderr = math.sqrt(float(np.sum((1.0 - correlators**2) / per_setting)))
     return ExperimentSample(

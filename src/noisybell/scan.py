@@ -75,7 +75,7 @@ def format_real(value: float) -> str:
 
 
 def _grid_points(f_min: float, f_max: float, f_step: float) -> int:
-    """Point count of :func:`noise_grid`, checked before anything is allocated."""
+    """Point count of the noise grid of :func:`scan_grid`, checked before anything is allocated."""
     if not (math.isfinite(f_min) and math.isfinite(f_max) and math.isfinite(f_step)):
         raise ValueError(f"grid bounds and step must be finite, got [{f_min}, {f_max}] step {f_step}")
     if f_step <= 0.0:
@@ -95,18 +95,6 @@ def _record_count(dims: list[int], points: int) -> int:
     return records
 
 
-def noise_grid(f_min: float, f_max: float, f_step: float, start: int = 0, stop: int | None = None) -> np.ndarray:
-    """Inclusive grid f_min, f_min + step, ... clamped into [f_min, f_max].
-
-    ``start`` and ``stop`` select the points k = start .. stop - 1 of that
-    grid, each still f_min + k * step.
-    """
-    points = _grid_points(f_min, f_max, f_step)
-    grid = f_min + np.arange(start, points if stop is None else stop) * f_step
-    # min(f, f_max), which keeps f on a tie: np.minimum would turn 0.0 into -0.0.
-    return np.where(f_max < grid, f_max, grid)
-
-
 def _closed_forms(n: int, grid: np.ndarray) -> tuple:
     """S, threshold, separability and success probability of dimension n along grid."""
     return (
@@ -117,12 +105,15 @@ def _closed_forms(n: int, grid: np.ndarray) -> tuple:
     )
 
 
-def _dim_type(ordered: list[int]) -> type:
-    """Column type of a table's dimensions, from all of them in ascending order.
+def _dim_column(ordered: list[int]) -> np.ndarray:
+    """A table's N column from its checked dimensions in ascending order.
 
-    Dimensions past int64 are valid; an object column keeps them exact.
+    Dimensions past int64 are valid; an object column of Python ints keeps
+    them exact, numpy unsigned ones included.
     """
-    return object if ordered and ordered[-1] > np.iinfo(np.int64).max else np.int64
+    if ordered and ordered[-1] > np.iinfo(np.int64).max:
+        return np.array([int(n) for n in ordered], dtype=object)
+    return np.array(ordered, dtype=np.int64)
 
 
 def scan_size(dims: list[int], f_min: float, f_max: float, f_step: float) -> int:
@@ -141,11 +132,13 @@ def scan_size(dims: list[int], f_min: float, f_max: float, f_step: float) -> int
 def scan_grid(
     dims: list[int], f_min: float, f_max: float, f_step: float, start: int = 0, stop: int | None = None
 ) -> Table:
-    """Records of every (N, F) pair, N ascending, F along :func:`noise_grid`.
+    """Records of every (N, F) pair, N ascending, F along the noise grid.
 
-    ``start`` and ``stop`` select the grid points start .. stop - 1 of every
-    dimension, so a caller can take a grid in blocks of bounded size: whole
-    dimensions, or one dimension a range of points at a time.
+    The grid is f_min, f_min + f_step, ... inclusive, clamped into
+    [f_min, f_max].  ``start`` and ``stop`` select its points
+    k = start .. stop - 1, each still f_min + k * f_step, of every dimension,
+    so a caller can take a grid in blocks of bounded size: whole dimensions,
+    or one dimension a range of points at a time.
     """
     points = _grid_points(f_min, f_max, f_step)
     _record_count(dims, points)
@@ -153,7 +146,9 @@ def scan_grid(
     if not 0 <= start <= stop <= points:
         raise ValueError(f"point range [{start}, {stop}) is not inside the {points} points of the grid")
     ordered = sorted(dims)
-    grid = noise_grid(f_min, f_max, f_step, start, stop)
+    grid = f_min + np.arange(start, stop) * f_step
+    # min(f, f_max), which keeps f on a tie: np.minimum would turn 0.0 into -0.0.
+    grid = np.where(f_max < grid, f_max, grid)
     size = len(ordered) * len(grid)
     s_value = np.empty(size)
     threshold = np.empty(size)
@@ -165,7 +160,7 @@ def scan_grid(
     noise = np.tile(grid, len(ordered))
     return Table(
         {
-            "N": np.repeat(np.array(ordered, dtype=_dim_type(ordered)), len(grid)),
+            "N": np.repeat(_dim_column(ordered), len(grid)),
             "F": noise,
             "S": s_value,
             "violates": s_value > 2.0 + VIOLATION_MARGIN,
@@ -202,7 +197,7 @@ def threshold_rows(dims: list[int]) -> Table:
     root = np.array([bisect_threshold(n) for n in ordered], dtype=float)
     return Table(
         {
-            "N": np.array(ordered, dtype=_dim_type(ordered)),
+            "N": _dim_column(ordered),
             "threshold_closed_form": closed,
             "bisection_root": root,
             "abs_diff": np.abs(closed - root),
@@ -215,7 +210,7 @@ def gap_rows(dims: list[int]) -> Table:
     ordered = [check_family(n, 0.0) for n in sorted(dims)]  # Python ints: n + 1 cannot wrap around
     lo = np.array([violation_threshold(n) for n in ordered], dtype=float)
     hi = np.array([n / (n + 1) for n in ordered], dtype=float)
-    return Table({"N": np.array(ordered, dtype=_dim_type(ordered)), "gap_lo": lo, "gap_hi": hi, "width": hi - lo})
+    return Table({"N": _dim_column(ordered), "gap_lo": lo, "gap_hi": hi, "width": hi - lo})
 
 
 def records_to_csv(records: Table, header: bool = True) -> str:

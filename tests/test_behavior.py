@@ -14,22 +14,24 @@ from dense import UNIFORM
 
 
 def test_flat_order_is_xyab_lexicographic():
-    flat = list(range(16))
+    # 0..15 normalized per setting pair: entry k is k / (sum of its group of four), all distinct.
+    flat = [k / sum(range(k - k % 4, k - k % 4 + 4)) for k in range(16)]
     table = BehaviorTable.from_flat(flat)
     # b varies fastest, then a, then y, then x
-    assert table.probs[0, 0, 0, 0] == 0
-    assert table.probs[0, 0, 0, 1] == 1
-    assert table.probs[0, 0, 1, 0] == 2
-    assert table.probs[0, 1, 0, 0] == 4
-    assert table.probs[1, 0, 0, 0] == 8
-    assert table.to_flat() == [float(v) for v in flat]
+    assert table.probs[0, 0, 0, 0] == flat[0]
+    assert table.probs[0, 0, 0, 1] == flat[1]
+    assert table.probs[0, 0, 1, 0] == flat[2]
+    assert table.probs[0, 1, 0, 0] == flat[4]
+    assert table.probs[1, 0, 0, 0] == flat[8]
+    assert len(set(flat)) == 16
+    assert table.to_flat() == flat
 
 
 def test_uniform_table_properties():
     table = UNIFORM
-    assert table.normalization_defect() < 1e-15
-    assert table.signaling_defect() < 1e-15
-    assert np.all(np.abs(table.correlators()) < 1e-15)
+    assert table.normalization_defect < 1e-15
+    assert table.signaling_defect < 1e-15
+    assert np.all(np.abs(table.correlators) < 1e-15)
 
 
 def test_correlator_signs():
@@ -37,7 +39,7 @@ def test_correlator_signs():
     probs[:, :, 0, 0] = 0.5
     probs[:, :, 1, 1] = 0.5
     table = BehaviorTable(probs)
-    assert np.all(np.abs(table.correlators() - 1.0) < 1e-15)
+    assert np.all(np.abs(table.correlators - 1.0) < 1e-15)
 
 
 def test_round_trip_is_exact(tmp_path):
@@ -136,22 +138,54 @@ def test_signaling_defect_detects_marginal_shift():
     # Alice's marginal depends on Bob's setting y when x = 0
     probs[0, 1] = np.array([[0.5, 0.1], [0.1, 0.3]])
     table = BehaviorTable(probs)
-    assert table.signaling_defect() > 0.09
+    assert table.signaling_defect > 0.09
     assert not table.is_no_signaling()
 
 
 def test_table_quantities_are_computed_once_and_read_only():
-    """Loading, the facet test and the lhv-check report share one evaluation per table."""
+    """Construction, the facet test and the lhv-check report share one evaluation per table."""
     probs = np.full((2, 2, 2, 2), 0.25)
     probs[0, 1] = np.array([[0.5, 0.1], [0.1, 0.3]])
     table = BehaviorTable(probs)
-    for quantity in (table.correlators, table.signaling_defect, table.normalization_defect, lambda: chsh_facets(table)):
-        assert quantity() is quantity()
-    assert chsh_facets(table=table) is chsh_facets(table)  # the public signature is unchanged
-    for array in (table.correlators(), chsh_facets(table)):
+    for name in ("correlators", "signaling_defect", "normalization_defect"):
+        assert getattr(table, name) is getattr(table, name)
+    assert chsh_facets(table=table).tobytes() == chsh_facets(table).tobytes()  # the public signature is unchanged
+    for array in (table.correlators, chsh_facets(table)):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
-    assert BehaviorTable(probs).correlators() is not table.correlators()
+    assert BehaviorTable(probs).correlators is not table.correlators
+
+
+def _correlated(e00: float) -> np.ndarray:
+    """The no-signaling table (1 + ab E_xy) / 4 with E00 = e00 and the other correlators 0."""
+    probs = np.full((2, 2, 2, 2), 0.25)
+    probs[0, 0] = np.array([[1.0 + e00, 1.0 - e00], [1.0 - e00, 1.0 + e00]]) / 4.0
+    return probs
+
+
+@pytest.mark.parametrize(
+    "make", [BehaviorTable, lambda probs: BehaviorTable.from_flat(probs.reshape(-1))], ids=["init", "from_flat"]
+)
+@pytest.mark.parametrize(
+    "probs,match",
+    [
+        # Past E00 = 1 an entry is -0.05; the facet test used to call this table local.
+        (_correlated(1.2), r"^behavior table has negative entry -0\.0499999"),
+        (np.full((2, 2, 2, 2), 0.2), r"^per-setting totals deviate from 1 by 0\.19999"),
+    ],
+    ids=["negative", "unnormalized"],
+)
+def test_construction_rejects_non_probability_tables(make, probs, match):
+    """Every BehaviorTable is a probability table, not only one loaded from a file."""
+    with pytest.raises(TableFormatError, match=match):
+        make(probs)
+
+
+def test_construction_keeps_round_off_negatives_and_totals():
+    probs = _correlated(1.0)
+    probs[0, 0, 0, 1] = -1e-13
+    probs[0, 0, 0, 0] += 1e-13 + 1e-7
+    assert BehaviorTable(probs).normalization_defect == pytest.approx(1e-7)
 
 
 # Per setting pair, four weights with a positive sum; subnormals and exact zeros included.

@@ -142,10 +142,10 @@ def test_tsirelson_bound_on_random_states():
 
 def test_behavior_table_from_state():
     table = behavior_table(PSI2, TSIRELSON)
-    assert table.normalization_defect() < 1e-12
-    assert table.signaling_defect() < 1e-10
+    assert table.normalization_defect < 1e-12
+    assert table.signaling_defect < 1e-10
     for x in range(2):
         for y in range(2):
             sign = -1.0 if (x, y) == (1, 1) else 1.0
-            assert abs(table.correlators()[x, y] - sign / math.sqrt(2.0)) < 1e-12
+            assert abs(table.correlators[x, y] - sign / math.sqrt(2.0)) < 1e-12
 

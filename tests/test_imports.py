@@ -1,4 +1,5 @@
-"""Every name a package module imports is used, and the package exports exactly what it imports.
+"""Every name a package module imports is used, the package exports exactly what it imports,
+and README's library table names only what its modules have.
 
 A stdlib ``ast`` scan stands in for a linter: it catches the stale imports
 and exports that deleting a function leaves behind.  An import on a line
@@ -6,6 +7,9 @@ marked ``# noqa: F401`` binds its name on purpose and is skipped.
 """
 
 import ast
+import builtins
+import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -80,10 +84,18 @@ def test_every_private_name_is_used():
     assert {name: names for name, names in unused.items() if names} == {}
 
 
+def library_table_rows() -> list[str]:
+    return re.search(r"\n## Library layout\n\n((?:\|.*\n)+)", (ROOT / "README.md").read_text()).group(1).splitlines()
+
+
+def leading_names(text: str) -> set[str]:
+    """The leading identifier of every backticked span in ``text``."""
+    return set(re.findall(r"`([A-Za-z_]\w*)", text))
+
+
 def library_table_names() -> set[str]:
     """The leading identifier of every backticked span in the rows of README's library table."""
-    rows = re.search(r"\n## Library layout\n\n((?:\|.*\n)+)", (ROOT / "README.md").read_text()).group(1)
-    return set(re.findall(r"`([A-Za-z_]\w*)", rows))
+    return leading_names("\n".join(library_table_rows()))
 
 
 def test_every_export_is_used_or_documented():
@@ -94,3 +106,30 @@ def test_every_export_is_used_or_documented():
     home = {alias.name: f"{node.module}.py" for node in imports for alias in node.names}
     used = {name for name, module in home.items() if any(name in references(trees[m]) for m in trees if m != module)}
     assert sorted(set(exported(init)) - used - library_table_names()) == []
+
+
+def resolves(module, name: str) -> bool:
+    """A module attribute, a member of a class the module defines, a parameter of one of its functions, or a builtin."""
+    if hasattr(module, name) or hasattr(builtins, name):
+        return True
+    for value in vars(module).values():
+        if getattr(value, "__module__", None) != module.__name__:
+            continue
+        if isinstance(value, type) and name in dir(value):
+            return True
+        if inspect.isfunction(value) and name in inspect.signature(value).parameters:
+            return True
+    return False
+
+
+def test_every_documented_name_exists():
+    """Each name README's library table gives a module is there, so a deletion cannot leave the table stale."""
+    unresolved = {}
+    for row in library_table_rows():
+        _, module_cell, contents = row.split("|", 2)
+        match = re.fullmatch(r"`(noisybell\.\w+)`", module_cell.strip())
+        if match:
+            module = importlib.import_module(match.group(1))
+            unresolved[module.__name__] = sorted(name for name in leading_names(contents) if not resolves(module, name))
+    assert sorted(unresolved) == sorted(f"noisybell.{path.stem}" for path in PACKAGE.glob("*.py") if path.stem != "__init__")
+    assert {module: names for module, names in unresolved.items() if names} == {}

@@ -38,7 +38,7 @@ def test_sixteen_deterministic_vertices():
     assert len(set(tuple(v.to_flat()) for v in vertices)) == 16
     for vertex in vertices:
         assert set(vertex.to_flat()) <= {0.0, 1.0}
-        assert vertex.normalization_defect() < 1e-15
+        assert vertex.normalization_defect < 1e-15
 
 
 def test_vertices_hit_facet_values_plus_minus_two():
@@ -66,7 +66,7 @@ def test_facets_match_the_per_setting_loop():
     rng = np.random.default_rng(8)
     for _ in range(50):
         table = BehaviorTable(rng.dirichlet(np.ones(4), size=(2, 2)).reshape(2, 2, 2, 2))
-        corr = table.correlators()
+        corr = table.correlators
         expected = []
         for minus in ((0, 0), (0, 1), (1, 0), (1, 1)):
             base = corr.sum() - 2.0 * corr[minus]

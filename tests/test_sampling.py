@@ -63,8 +63,8 @@ def test_single_run_is_insufficient():
 def test_empirical_table_is_normalized():
     sample = sample_experiment(2, 0.2, 20_000, seed=11)
     table = sample.empirical_table
-    assert table.normalization_defect() < 1e-12
-    assert table.min_entry() >= 0.0
+    assert table.normalization_defect < 1e-12
+    assert table.probs.min() >= 0.0
 
 
 def test_rejects_non_positive_count():

@@ -27,7 +27,6 @@ from noisybell.scan import (
     MAX_SCAN_RECORDS,
     VIOLATION_MARGIN,
     format_real,
-    noise_grid,
     records_to_csv,
     records_to_json,
     rows_to_csv,
@@ -78,7 +77,7 @@ def test_record_flags_are_mutually_consistent():
 
 
 def test_noise_grid_inclusive_and_clamped():
-    grid = noise_grid(0.0, 1.0, 0.1)
+    grid = scan_grid([2], 0.0, 1.0, 0.1)["F"]
     assert len(grid) == 11
     assert grid[0] == 0.0
     assert grid[-1] == 1.0
@@ -86,12 +85,12 @@ def test_noise_grid_inclusive_and_clamped():
 
 
 def test_noise_grid_rejects_bad_config():
-    with pytest.raises(ValueError):
-        noise_grid(0.0, 1.0, 0.0)
-    with pytest.raises(ValueError):
-        noise_grid(-0.2, 0.5, 0.1)
-    with pytest.raises(ValueError):
-        noise_grid(0.8, 0.2, 0.1)
+    with pytest.raises(ValueError, match="step must be positive"):
+        scan_grid([2], 0.0, 1.0, 0.0)
+    with pytest.raises(ValueError, match="must lie inside"):
+        scan_grid([2], -0.2, 0.5, 0.1)
+    with pytest.raises(ValueError, match="must lie inside"):
+        scan_grid([2], 0.8, 0.2, 0.1)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 8, 16, 100])
@@ -152,33 +151,26 @@ def test_json_records_parse_back():
 def test_noise_grid_rejects_non_finite_config():
     for bounds in ((0.0, 1.0, math.inf), (0.0, 1.0, math.nan), (math.nan, 1.0, 0.1), (0.0, math.inf, 0.1)):
         with pytest.raises(ValueError, match="must be finite"):
-            noise_grid(*bounds)
+            scan_grid([2], *bounds)
 
 
 def test_noise_grid_caps_point_count_before_allocating():
     # 1 / 1e-19 is 1e19 steps, just past the cap of 2**63 - 1; 1e-300 would be 1e300.
     for f_max, f_step in ((1.0, 1e-19), (1.0, 1e-300), (1.0, 5e-324)):
         with pytest.raises(ValueError, match=f"more than {MAX_SCAN_RECORDS} noise points"):
-            noise_grid(0.0, f_max, f_step)
+            scan_grid([2], 0.0, f_max, f_step)
 
 
-def test_scan_grid_caps_record_count_before_allocating(monkeypatch):
-    def allocate(*args):
-        raise AssertionError("the grid was built before the size check")
-
-    monkeypatch.setattr(scan, "noise_grid", allocate)
-    # Two dimensions times 5e18 + 1 points is past the cap of 2**63 - 1.
+def test_scan_grid_caps_record_count_before_allocating():
+    # Two dimensions times 5e18 + 1 points is past the cap of 2**63 - 1.  A grid
+    # that size cannot be allocated, so only a check ahead of it raises this error.
     with pytest.raises(ValueError, match=f"exceeds the limit of {MAX_SCAN_RECORDS}"):
         scan_grid([2, 3], 0.0, 1.0, 2e-19)
 
 
-def test_scan_size_checks_the_whole_request_without_allocating(monkeypatch):
-    def allocate(*args):
-        raise AssertionError("scan_size built a grid")
-
-    monkeypatch.setattr(scan, "noise_grid", allocate)
+def test_scan_size_checks_the_whole_request_without_allocating():
     assert scan_size([2, 16, 1024], 0.0, 1.0, 0.01) == 3 * 101
-    assert scan_size([2, 3], 0.0, 1.0, 2.0**-60) == 2 * (2**60 + 1)  # valid, and never built here
+    assert scan_size([2, 3], 0.0, 1.0, 2.0**-60) == 2 * (2**60 + 1)  # valid, and too large to build
     with pytest.raises(OverflowError):  # N^2 in success_prob, whichever dimension it is
         scan_size([2, 10**160], 0.0, 1.0, 0.5)
     with pytest.raises(ValueError, match="at least 2"):
@@ -276,7 +268,7 @@ def test_scan_call_sites_the_benchmark_traces():
     called = set(cli.cmd_scan.__code__.co_names) | set(cli.cmd_rows.__code__.co_names)
     assert traced <= called
     dims = [2, 16, 1024]
-    assert len(scan_grid(dims, 0.0, 1.0, 0.01)) == len(dims) * len(noise_grid(0.0, 1.0, 0.01)) == 3 * 101
+    assert len(scan_grid(dims, 0.0, 1.0, 0.01)) == len(dims) * len(scan_grid([2], 0.0, 1.0, 0.01)) == 3 * 101
 
 
 def test_threshold_and_gap_look_their_functions_up_when_they_run(monkeypatch, capsys):
@@ -401,7 +393,7 @@ def test_blocks_join_into_the_whole_grid(dims, bounds, f_step, cuts):
     """Any cut of the grid points into blocks, one dimension at a time, gives the whole grid's records and bytes."""
     f_min, f_max = bounds
     whole = scan_grid(dims, f_min, f_max, f_step)
-    points = len(noise_grid(f_min, f_max, f_step))
+    points = scan_size([2], f_min, f_max, f_step)
     edges = sorted({0, points, *(cut % (points + 1) for cut in cuts)})
     ranges = list(zip(edges, edges[1:]))
     blocks = [scan_grid([n], f_min, f_max, f_step, a, b) for n in sorted(dims) for a, b in ranges]

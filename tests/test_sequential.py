@@ -98,14 +98,14 @@ def test_joint_distribution_invariants(n, noise):
 def test_conditional_correlators_match_post_selected_state():
     """Within the (in, in) branch the correlators are those of the projected state."""
     joint = sequential_joint_distribution(4, 0.0)
-    corr = condition(joint).correlators()
+    corr = condition(joint).correlators
     for (x, y), diff in [((0, 0), 0.0 - math.pi / 4), ((1, 0), math.pi / 4), ((1, 1), 3 * math.pi / 4)]:
         assert abs(corr[x, y] - math.cos(diff)) < 1e-10
 
 
 def test_conditioned_table_reaches_tsirelson():
     joint = sequential_joint_distribution(4, 0.0)
-    corr = condition(joint).correlators()
+    corr = condition(joint).correlators
     s_value = corr[0, 0] + corr[0, 1] + corr[1, 0] - corr[1, 1]
     assert abs(s_value - 2.0 * math.sqrt(2.0)) < 1e-10
 
@@ -164,7 +164,7 @@ def test_closed_form_mixed_branches_are_white_noise(n, noise):
 @pytest.mark.parametrize("n", [3, 24, 10**6, 10**12])
 def test_closed_form_conditioned_chsh_is_the_closed_form(n):
     table = condition(sequential_joint_distribution(n, 0.3))
-    corr = table.correlators()
+    corr = table.correlators
     assert abs(corr[0, 0] + corr[0, 1] + corr[1, 0] - corr[1, 1] - chsh_closed_form(n, 0.3)) < 1e-12
 
 

@@ -80,12 +80,15 @@ def test_family_takes_numpy_integer_dimensions():
         assert np.array_equal(sample.conditioned_counts, expected.conditioned_counts)
         assert np.array_equal(sample.branch_counts, expected.branch_counts)
     # int32 and int64 at their maxima wrap in n + 1: the separability boundary n / (n + 1) came out negative.
-    for n in (np.int32(2**31 - 1), np.int64(2**63 - 1)):
+    # uint64 past int64 used to be stored as np.uint64 in the object N column, which Table rejects.
+    for n in (np.int32(2**31 - 1), np.int64(2**63 - 1), np.uint64(2**64 - 1)):
         assert is_separable_family(n, 0.5) is is_separable_family(int(n), 0.5) is False
         for table, expected in [
             (scan_grid([n], 0.0, 1.0, 0.25), scan_grid([int(n)], 0.0, 1.0, 0.25)),
+            (threshold_rows([n]), threshold_rows([int(n)])),
             (gap_rows([n]), gap_rows([int(n)])),
         ]:
+            assert [type(x) for x in table["N"].tolist()] == [type(x) for x in expected["N"].tolist()]
             for name in table.columns:
                 assert np.array_equal(table[name], expected[name]), name
 
