@@ -21,8 +21,6 @@ from .chsh import chsh_closed_form, violation_threshold
 from .sequential import success_probability
 from .states import check_family, is_separable_family
 
-# Strict-violation margin: S must clear 2 by more than accumulated round-off.
-VIOLATION_MARGIN = 1e-12
 BISECT_TOL = 1e-12  # bisect_threshold stops once its bracket is this narrow
 
 # Largest number of records one scan may produce, the int64 range its record
@@ -158,12 +156,15 @@ def scan_grid(
         rows = slice(i * len(grid), (i + 1) * len(grid))
         s_value[rows], threshold[rows], separable[rows], success_prob[rows] = _closed_forms(n, grid)
     noise = np.tile(grid, len(ordered))
+    # violates and gap meet at the closed-form threshold, not at S = 2: S can
+    # print as 2 at 12 digits on either side of it.  With separable, exactly
+    # one of the three flags holds at every point.
     return Table(
         {
             "N": np.repeat(_dim_column(ordered), len(grid)),
             "F": noise,
             "S": s_value,
-            "violates": s_value > 2.0 + VIOLATION_MARGIN,
+            "violates": noise < threshold,
             "threshold": threshold,
             "separable": separable,
             "gap": (noise >= threshold) & ~separable,

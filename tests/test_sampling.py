@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noisybell import chsh_closed_form, sample_experiment, sampling, sequential, states
-from noisybell.sampling import CHUNK, _draws, _outcome_counts
+from noisybell.sampling import _BUCKETS, CHUNK, _draws, _fold, _layout, _outcome_counts
 
 
 def test_same_seed_reproduces_every_count():
@@ -106,7 +106,7 @@ def test_sampling_call_sites_the_benchmark_traces(monkeypatch):
 
 
 # --- one-shot oracle ---------------------------------------------------------
-# The route the chunked draws and cell binning replaced: all settings, then all
+# The route the word chunks and bucket binning replaced: all settings, then all
 # uniforms, from one generator; one mask, searchsorted and bincount per pair.
 
 
@@ -127,13 +127,19 @@ def _oracle_counts(cdf, setting_draws, uniform_draws):
     return counts
 
 
+def _uniform(words):
+    """What random() makes of each raw PCG64 output."""
+    return (words >> 11) * 2.0**-53
+
+
 @pytest.mark.parametrize("count", [1, 2, 3, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
 def test_chunked_draws_equal_one_shot_draws(count):
     chunks = list(_draws(count, seed=2024))
-    assert all(0 < setting.size == uniform.size <= CHUNK for setting, uniform in chunks)
+    assert all(0 < settings.size == words.size <= CHUNK for settings, words in chunks)
     expected_settings, expected_uniforms = _oracle_draws(count, seed=2024)
-    assert np.array_equal(np.concatenate([setting for setting, _ in chunks]), expected_settings)
-    assert np.array_equal(np.concatenate([uniform for _, uniform in chunks]), expected_uniforms)
+    assert np.array_equal(np.concatenate([settings for settings, _ in chunks]), expected_settings)
+    uniforms = _uniform(np.concatenate([words for _, words in chunks]))
+    assert np.array_equal(uniforms.view(np.uint64), expected_uniforms.view(np.uint64))
 
 
 # A CDF row holds 15 sorted interior values, then the 1.0 that sample_experiment
@@ -164,11 +170,44 @@ def test_cell_binning_matches_one_shot_oracle(cdf, count, seed):
     rng = np.random.default_rng(seed)
     setting_draws = rng.integers(0, 4, size=count)
     uniform_draws = rng.random(count)
-    # Put some draws exactly on CDF values, bucket edges and their neighbours.
+    # Put some draws exactly on CDF values and bucket edges, or on the random()
+    # lattice k * 2**-53 just below them, and on the lattice neighbours.
     edges = np.concatenate([cdf.ravel(), np.arange(4096) / 4096])
-    ties = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0)])
+    lattice = np.floor(edges * 2.0**53) * 2.0**-53
+    ties = np.concatenate([lattice, lattice - 2.0**-53, lattice + 2.0**-53])
     ties = ties[(ties >= 0.0) & (ties < 1.0)]
     hit = rng.random(count) < 0.25
     uniform_draws[hit] = rng.choice(ties, size=int(hit.sum()))
-    chunks = [(setting_draws[i : i + CHUNK], uniform_draws[i : i + CHUNK]) for i in range(0, count, CHUNK)]
+    # The words random() turns into these uniforms, with random low 11 bits it drops.
+    words = (uniform_draws * 2.0**53).astype(np.uint64) << 11 | rng.integers(0, 2**11, size=count, dtype=np.uint64)
+    assert np.array_equal(_uniform(words), uniform_draws)
+    settings_u8 = setting_draws.astype(np.uint8)
+    chunks = [(settings_u8[i : i + CHUNK], words[i : i + CHUNK]) for i in range(0, count, CHUNK)]
     assert np.array_equal(_outcome_counts(cdf, chunks), _oracle_counts(cdf, setting_draws, uniform_draws))
+
+
+def test_fold_keeps_counts_past_float_precision_exact():
+    """Totals past 2**53, where a float-weighted sum rounds, fold exactly in int64."""
+    joint = sequential.sequential_joint_distribution(3, 0.2)
+    cdf = np.cumsum(joint.reshape(2, 2, 16), axis=2)
+    cdf[:, :, -1] = 1.0
+    breaks, _, split = layout = _layout(cdf)
+    assert split.any()
+    big = 2**60 + 1
+    unsplit = np.flatnonzero(~split)
+    chosen = unsplit[[0, 1, len(unsplit) // 2, -2, -1]]
+    bucket_totals = np.zeros((4, _BUCKETS), dtype=np.int64)
+    bucket_totals[:, chosen] = big
+    bucket_totals[:, split] = big  # split buckets are counted through their cells instead
+    cell_totals = np.zeros((4, breaks.size + 1), dtype=np.int64)
+    cell_totals[:, -1] = big + 2  # the cell above every break, outcome 15
+    counts = _fold(cdf, layout, bucket_totals, cell_totals)
+
+    expected = [[0] * 16 for _ in range(4)]
+    for pair, row in enumerate(cdf.reshape(4, 16)):
+        for bucket in chosen:
+            # Every u of an unsplit bucket has the outcome of its left edge.
+            expected[pair][min(int(np.searchsorted(row, bucket / _BUCKETS, side="right")), 15)] += big
+        expected[pair][15] += big + 2
+    assert counts.reshape(4, 16).tolist() == expected
+    assert max(max(row) for row in expected) > 2**53

@@ -4,6 +4,7 @@ import json
 import math
 import sys
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +26,6 @@ from noisybell import cli, scan
 from noisybell.scan import (
     BLOCK,
     MAX_SCAN_RECORDS,
-    VIOLATION_MARGIN,
     format_real,
     records_to_csv,
     records_to_json,
@@ -71,9 +71,40 @@ def test_record_zero_noise_always_violates():
 
 def test_record_flags_are_mutually_consistent():
     grid = scan_grid([2, 3, 4, 8, 100], 0.0, 1.0, 0.05)
-    assert np.array_equal(grid["violates"], grid["S"] > 2.0 + 1e-12)
+    assert np.array_equal(grid["violates"], grid["F"] < grid["threshold"])
     assert not (grid["gap"] & (grid["violates"] | grid["separable"])).any()
     assert np.array_equal(grid["separable"], grid["F"] >= grid["N"] / (grid["N"] + 1))
+
+
+def _exact_violates(n, noise):
+    """F < N / (N + 2 + 2 sqrt 2) in rationals: N(1 - F) - 2F > 0 and (N(1 - F) - 2F)^2 > 8F^2."""
+    f = Fraction(noise)
+    margin = n * (1 - f) - 2 * f
+    return margin > 0 and margin * margin > 8 * f * f
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.one_of(st.integers(min_value=2, max_value=10**4), st.integers(min_value=2, max_value=2**70)),
+    boundary=st.sampled_from(["threshold", "separable"]),
+    ulps=st.integers(min_value=-(10**4), max_value=10**4),
+)
+@example(n=2, boundary="threshold", ulps=-1000)  # S clears 2 by less than 1e-12 here
+@example(n=10**6, boundary="threshold", ulps=0)  # S exceeds 2 at the float threshold
+@example(n=2**62, boundary="threshold", ulps=-1)
+def test_flags_partition_the_noise_axis(n, boundary, ulps):
+    """Exactly one of violates, gap and separable holds at every F near either boundary.
+
+    violates agrees with the exact rational test except within one ulp of
+    the float threshold, where rounding N / (N + c) may fall either side.
+    """
+    threshold = violation_threshold(n)
+    center = threshold if boundary == "threshold" else n / (n + 1)
+    noise = float(np.clip((np.float64(center).view(np.int64) + ulps).view(np.float64), 0.0, 1.0))
+    point = record(n, noise)
+    assert point["violates"] + point["gap"] + point["separable"] == 1
+    if abs(noise - threshold) > math.ulp(threshold):
+        assert point["violates"] == _exact_violates(n, noise)
 
 
 def test_noise_grid_inclusive_and_clamped():
@@ -302,7 +333,7 @@ def _oracle_records(dims, f_min, f_max, f_step):
             s_value = chsh_closed_form(n, f)
             threshold = violation_threshold(n)
             separable = is_separable_family(n, f)
-            violates = s_value > 2.0 + VIOLATION_MARGIN
+            violates = f < threshold
             gap = f >= threshold and not separable
             records.append((n, f, s_value, violates, threshold, separable, gap, success_probability(n, f)))
     return records
