@@ -2,9 +2,11 @@
 
 A table is LHV-explainable exactly when it is a convex mixture of the 16
 deterministic product strategies (2 outcomes x 2 settings per side).  The
-primary decision is a linear program over the vertex weights; the 8 CHSH
-facet inequalities give an independent second route that is valid for
-no-signaling tables.
+verdict has one definition.  A table whose signaling defect is at most
+SIGNALING_TOL is local when each of the 8 CHSH facets is at most 2 + tol,
+which Fine's theorem makes exact.  Any other table is local when the L1
+residual of a linear program over the 16 vertex weights is at most tol.
+The linear program also gives a local table's weight certificate.
 """
 
 from __future__ import annotations
@@ -49,7 +51,7 @@ class SignalingTable(ValueError):
 
 @dataclass(frozen=True)
 class LocalityVerdict:
-    """LP membership result with its weight certificate."""
+    """Locality verdict, with the LP's weight certificate of a local table."""
 
     is_local: bool
     weights: np.ndarray | None
@@ -76,17 +78,18 @@ def check_tolerance(tol: float) -> float:
 
 
 def is_local_lp(table: BehaviorTable, tol: float = LOCALITY_TOL) -> LocalityVerdict:
-    """Decide polytope membership by LP over the 16 vertex weights.
+    """Decide polytope membership, with weights over the 16 vertices as the certificate.
 
-    Feasible means weights q >= 0 with sum 1 reproduce every table entry
-    within ``tol``; the weights are returned as the certificate.  Works for
-    signaling tables too (they are simply never members).
+    The verdict is the module's one definition: :func:`is_local_facets` for
+    a no-signaling table, else the LP's L1 residual at most ``tol``.  The LP
+    fits the raw table; a local verdict's weights are rescaled to sum to 1.
     """
     check_tolerance(tol)
     target = np.concatenate([table.probs.reshape(-1), [1.0]])
     weights, residual = l1_feasibility(_LP_SYSTEM, target)
-    local = residual <= tol
-    return LocalityVerdict(is_local=local, weights=_freeze(weights) if local else None, lp_residual=residual)
+    local = is_local_facets(table, tol) if table.is_no_signaling() else residual <= tol
+    weights = _freeze(weights / weights.sum()) if local else None
+    return LocalityVerdict(is_local=local, weights=weights, lp_residual=residual)
 
 
 def is_local_facets(table: BehaviorTable, tol: float = LOCALITY_TOL) -> bool:

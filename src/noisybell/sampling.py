@@ -10,8 +10,9 @@ Runs are drawn and binned in chunks of ``CHUNK``, so memory does not grow
 with the run count.  A chunk is raw 64-bit PCG64 outputs, cut from the same
 stream as one-shot ``integers(0, 4, count)`` followed by ``random(count)``,
 so every run keeps its (setting, uniform) pair whatever the chunk size.
-Runs are binned from the bits of those outputs, without building floats
-except for the few runs that need an exact search.
+Runs are binned from the bits of those outputs through one bucket table per
+setting pair, without building floats except for the few runs whose bucket
+holds one of their pair's CDF values.
 """
 
 from __future__ import annotations
@@ -125,38 +126,32 @@ def _draws(count: int, seed: int):
         yield settings[:size], uniform_bits.random_raw(size)
 
 
-def _layout(cdf: np.ndarray) -> tuple:
-    """Cells and buckets of the four CDF rows ``cdf[x, y]``.
-
-    The sorted CDF values (breaks) of all four pairs cut [0, 1) into cells
-    that refine every pair's outcome intervals: cell c holds
-    breaks[c - 1] <= u < breaks[c].  Returns the breaks, the cell each of
-    the ``_BUCKETS`` equal buckets starts in, and which buckets a break
-    splits; an unsplit bucket lies inside one cell.
-    """
-    # Repeated values only leave empty cells.  np.unique would drop them, but
-    # under numpy 2.4 it raised the benchmark's peak RSS by about 5 MB at N = 24.
-    breaks = np.sort(cdf, axis=None)
-    edges = np.arange(_BUCKETS + 1) / _BUCKETS
-    bucket_cell = np.searchsorted(breaks, edges[:-1], side="right")
-    split = np.searchsorted(breaks, edges[1:], side="left") > bucket_cell
-    return breaks, bucket_cell, split
-
-
 def _outcome_counts(cdf: np.ndarray, draws) -> np.ndarray:
     """Outcome counts [x][y][outcome] of the (settings, words) chunks in ``draws``.
 
-    A run with setting pair 2x + y and uniform u has outcome
-    ``min(searchsorted(cdf[x, y], u, side="right"), 15)``.  The bucket
-    ``floor(u * _BUCKETS)`` of u is exactly the top 12 bits ``w >> 52`` of
-    its word, so one bincount per chunk tallies every run by its key
-    ``setting << 12 | w >> 52``.  Only runs in the at most 64 split buckets
-    rebuild u and search the breaks; they are tallied per (setting, cell).
+    A run with setting pair p = 2x + y and uniform u has outcome
+    ``min(#{j : cdf[x, y, j] <= u}, 15)``.  The bucket ``floor(u * _BUCKETS)``
+    of u is exactly the top 12 bits ``w >> 52`` of its word, so one bincount
+    per chunk tallies every run by its key ``p << 12 | w >> 52``.  With
+    ``s = cdf[x, y] * _BUCKETS`` (exact, as ``_BUCKETS`` is a power of two),
+    bucket k starts at outcome ``min(#{j : ceil(s_j) <= k}, 15)``, so each
+    pair's bucket table is 16 runs: outcome o starts at bucket
+    ``ceil(s_(o-1))``, outcome 0 at bucket 0.  A bucket is split when some
+    ``s_j`` lies strictly inside it, at most 15 per pair.  Only runs in a
+    split bucket rebuild u and count their pair's CDF values at or below it.
     """
-    breaks, _, split = layout = _layout(cdf)
-    cells = breaks.size + 1
+    rows = cdf.reshape(4, 16)
+    scaled = rows * _BUCKETS
+    first_keys = _BUCKETS * np.arange(4)[:, None]
+    # The first 15 CDF values never decrease, nor do their ceilings, so runs follow each other in key order.
+    ceilings = np.minimum(np.ceil(scaled[:, :15]), _BUCKETS).astype(np.intp)
+    starts = np.hstack([first_keys, first_keys + ceilings]).ravel()  # first key of each (pair, outcome)
+    floors = np.floor(scaled)
+    inside = (floors < scaled) & (scaled < _BUCKETS)  # s_j lies strictly inside bucket floor(s_j)
+    split = np.zeros(4 * _BUCKETS, dtype=bool)
+    split[(first_keys + floors.astype(np.intp))[inside]] = True
     bucket_totals = np.zeros(4 * _BUCKETS, dtype=np.int64)
-    cell_totals = np.zeros(4 * cells, dtype=np.int64)
+    exact_counts = np.zeros(64, dtype=np.int64)
     # Reused across chunks: fresh arrays of a chunk's size cost page faults.
     bucket_buffer = np.empty(CHUNK, dtype=np.intp)
     key_buffer = np.empty(CHUNK, dtype=np.intp)
@@ -165,29 +160,23 @@ def _outcome_counts(cdf: np.ndarray, draws) -> np.ndarray:
         key = np.left_shift(settings, _BUCKET_BITS, out=key_buffer[: words.size], dtype=np.intp)
         key |= bucket
         bucket_totals += np.bincount(key, minlength=4 * _BUCKETS)
-        runs = np.flatnonzero(split[bucket])
+        runs = np.flatnonzero(split[key])
         if runs.size:
+            pair = settings[runs].astype(np.intp)
             uniform = (words[runs] >> 11) * 2.0**-53
-            cell = np.searchsorted(breaks, uniform, side="right")
-            cell_totals += np.bincount(settings[runs].astype(np.intp) * cells + cell, minlength=4 * cells)
-    return _fold(cdf, layout, bucket_totals.reshape(4, _BUCKETS), cell_totals.reshape(4, cells))
+            outcome = np.minimum(np.count_nonzero(rows[pair] <= uniform[:, None], axis=1), 15)
+            exact_counts += np.bincount(16 * pair + outcome, minlength=64)
+    return _fold(starts, split, bucket_totals, exact_counts).reshape(2, 2, 16)
 
 
-def _fold(cdf: np.ndarray, layout: tuple, bucket_totals: np.ndarray, cell_totals: np.ndarray) -> np.ndarray:
-    """Outcome counts [x][y][outcome] from run totals per (pair, bucket) and per (pair, cell).
+def _fold(starts: np.ndarray, split: np.ndarray, bucket_totals: np.ndarray, exact_counts: np.ndarray) -> np.ndarray:
+    """Counts per (pair, outcome): ``exact_counts`` plus the totals of the unsplit buckets.
 
-    ``bucket_totals`` counts every run, ``cell_totals`` only the runs in
-    split buckets, whose bucket totals are skipped.  Every sum is in int64,
-    so counts stay exact up to 2**63 - 1 runs.
+    The buckets of (pair, outcome) i are the keys from ``starts[i]`` up to
+    the next start, or to the last key.  Every sum is in int64, so counts
+    stay exact up to 2**63 - 1 runs.
     """
-    breaks, bucket_cell, split = layout
-    totals = cell_totals.copy()
-    # bucket_cell never decreases, so the buckets starting in one cell are adjacent.
-    starts = np.flatnonzero(np.diff(bucket_cell, prepend=-1))
-    totals[:, bucket_cell[starts]] += np.add.reduceat(np.where(split, 0, bucket_totals), starts, axis=1)
-    # Every u in a cell has the outcome of the cell's left end.
-    left_ends = np.concatenate(([-np.inf], breaks))
-    counts = np.zeros((4, 16), dtype=np.int64)
-    for pair, (row, pair_totals) in enumerate(zip(cdf.reshape(4, 16), totals)):
-        np.add.at(counts[pair], np.minimum(np.searchsorted(row, left_ends, side="right"), 15), pair_totals)
-    return counts.reshape(2, 2, 16)
+    nonempty = np.diff(starts, append=split.size) > 0  # reduceat would give an empty run its next bucket
+    counts = exact_counts.copy()
+    counts[nonempty] += np.add.reduceat(np.where(split, 0, bucket_totals), starts[nonempty])
+    return counts

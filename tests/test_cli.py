@@ -325,6 +325,36 @@ def test_lhv_check_facets_falls_back_on_signaling_table(tmp_path, capsys):
     assert "signaling_defect: 0.1" in stdout
 
 
+def _one_verdict_tables():
+    """Tables on which the LP and the facets used to give opposite verdicts at the default --tol."""
+    thirds = np.tile([0.3333333, 0.3333333, 0.3333333, 0.0], 4).reshape(2, 2, 2, 2)  # totals 0.9999999
+    shifted = np.full((2, 2, 2, 2), 0.25)
+    shifted[0, 0, 0] += 2.5e-10  # Alice's (0, 0) marginal moves by 5e-10, below SIGNALING_TOL
+    shifted[0, 0, 1] -= 2.5e-10
+    mu = (2.0 + 1.1e-9) / (2.0 * math.sqrt(2.0))  # largest facet 2 + 1.1e-9, just past the tolerance
+    return {
+        "rounded-thirds": (thirds, 0),
+        "uniform-times-1+1e-8": (np.full((2, 2, 2, 2), 0.25 * (1.0 + 1e-8)), 0),
+        "barely-signaling": (shifted, 0),
+        "near-facet": (mu * QUANTUM_TABLE.probs + (1.0 - mu) * UNIFORM.probs, 3),
+    }
+
+
+@pytest.mark.parametrize("method", ["lp", "facets"])
+@pytest.mark.parametrize("name", list(_one_verdict_tables()))
+def test_lhv_check_methods_give_one_verdict(name, method, tmp_path, capsys):
+    """Both methods decide a no-signaling table by its facets; the LP residual only decides signaling tables."""
+    probs, expected = _one_verdict_tables()[name]
+    table = BehaviorTable(probs)
+    assert table.is_no_signaling()
+    path = tmp_path / "table.json"
+    save_table(table, path)
+    code, stdout, stderr = run(["lhv-check", str(path), "--method", method], capsys)
+    assert (code, stderr) == (expected, "")
+    assert f"method: {method}" in stdout
+    assert ("violated_facet" in stdout) == (expected == 3)
+
+
 def test_lhv_check_fallback_then_io_error_is_one_line(tmp_path, capsys):
     path = tmp_path / "signaling.json"
     save_table(BehaviorTable(_SIGNALING), path)

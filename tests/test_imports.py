@@ -1,8 +1,8 @@
-"""Every name a package module imports is used, the package exports exactly what it imports,
-and README's library table names only what its modules have.
+"""Every name a package module imports is used, every private module-level name has a reader,
+the package exports exactly what it imports, and README's library table names only what its modules have.
 
-A stdlib ``ast`` scan stands in for a linter: it catches the stale imports
-and exports that deleting a function leaves behind.  An import on a line
+A stdlib ``ast`` scan stands in for a linter: it catches the stale imports,
+exports and private helpers that deleting a function leaves behind.  An import on a line
 marked ``# noqa: F401`` binds its name on purpose and is skipped.
 """
 
@@ -51,20 +51,19 @@ def test_init_exports_exactly_what_it_imports():
     assert imported(tree, source.splitlines()) == set(exported(tree))
 
 
-def module_private_names(tree: ast.Module) -> set[str]:
-    """Names starting with one underscore that the module's top level defines."""
+def private_names(statement: ast.stmt) -> set[str]:
+    """Names starting with one underscore that a top-level statement defines."""
     names = set()
-    for node in tree.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.add(node.name)
-        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-            names |= {t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)}
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names.add(statement.name)
+    elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+        targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+        names |= {t.id for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)}
     return {name for name in names if name.startswith("_") and not name.startswith("__")}
 
 
-def references(tree: ast.Module) -> set[str]:
-    """Names the module reads, looks up as attributes or imports from another module."""
+def references(tree: ast.AST) -> set[str]:
+    """Names the code reads, looks up as attributes or imports from another module."""
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
@@ -76,12 +75,29 @@ def references(tree: ast.Module) -> set[str]:
     return names
 
 
+def orphaned_private_names(sources: dict[str, str]) -> dict[str, list[str]]:
+    """Per module, in source order, the top-level _names read by no statement but the one defining them."""
+    statements = [(module, node) for module, source in sources.items() for node in ast.parse(source).body]
+    orphans: dict[str, list[str]] = {}
+    for module, statement in statements:
+        for name in sorted(private_names(statement)):
+            if not any(name in references(other) for _, other in statements if other is not statement):
+                orphans.setdefault(module, []).append(name)
+    return orphans
+
+
 def test_every_private_name_is_used():
-    """A module-level _name that nothing in the package reads is dead code left behind by a deletion."""
-    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
-    used = set().union(*(references(tree) for tree in trees.values()))
-    unused = {name: sorted(module_private_names(tree) - used) for name, tree in trees.items()}
-    assert {name: names for name, names in unused.items() if names} == {}
+    """A module-level _name that nothing else in the package reads is dead code left behind by a deletion."""
+    assert orphaned_private_names({path.name: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}) == {}
+
+
+def test_orphan_check_ignores_a_helpers_own_definition():
+    """A helper whose only caller is itself, or a constant read only where it is bound, counts as orphaned."""
+    sources = {
+        "a.py": "def _layout(cdf):\n    return _layout(cdf[1:]) if cdf else ()\n_CELLS = 64\ndef _fold():\n    pass\n",
+        "b.py": "from .a import _fold\n_LIMIT = 2\ndef total():\n    return _fold() + _LIMIT\n",
+    }
+    assert orphaned_private_names(sources) == {"a.py": ["_layout", "_CELLS"]}
 
 
 def library_table_rows() -> list[str]:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from noisybell import (
     BehaviorTable,
@@ -15,7 +17,7 @@ from noisybell import (
     violation_threshold,
 )
 
-from noisybell.polytope import _LP_SYSTEM
+from noisybell.polytope import _LP_SYSTEM, LOCALITY_TOL
 
 from dense import TSIRELSON, UNIFORM, behavior_table, condition, local_vertices
 
@@ -150,6 +152,59 @@ def test_lp_and_facets_agree_on_random_no_signaling_tables():
         mu = rng.random()
         table = BehaviorTable(mu * QUANTUM_TABLE.probs + (1.0 - mu) * local_part.probs)
         assert is_local_lp(table).is_local == is_local_facets(table)
+
+
+@st.composite
+def _near_facet_tables(draw):
+    """A no-signaling table with d-digit entries and facet i near 2 + excess, as (table, i, excess, 10**d).
+
+    A random local mixture is mixed with the PR box of facet i up to facet value
+    2 + excess, then rounded on the no-signaling parametrization in units of
+    10**-d: Alice's and Bob's +1 marginals A[x] and B[y] and P(+1, +1 | x, y) =
+    C[x, y].  Every setting pair then sums to 1 + delta * 10**-d, the same
+    delta for all four, which keeps the table no-signaling.  One C[x, y] is
+    moved by whole units to bring facet i back to the nearest value to 2 + excess.
+    """
+    digits = draw(st.integers(6, 9))
+    unit = 10**digits
+    facet = draw(st.integers(0, 7))
+    excess = draw(st.floats(-10 * LOCALITY_TOL, 10 * LOCALITY_TOL))
+    delta = draw(st.integers(-1, 1)) if digits > 6 else 0  # 10**-6 would sit on NORMALIZATION_TOL
+    weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=16, max_size=16)))
+    local = sum(w * v.probs for w, v in zip(weights / weights.sum(), local_vertices()))
+    (minus_x, minus_y), sign = divmod(facet // 2, 2), 1 - 2 * (facet % 2)  # FACET_LABELS order
+    direction = np.full((2, 2), sign)  # facet i = sum of direction[x, y] * E[x, y]
+    direction[minus_x, minus_y] = -sign
+    box = (1.0 + direction[:, :, None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])) / 4.0
+    local_value = chsh_facets(BehaviorTable(local))[facet]
+    mu = max(0.0, (2.0 + excess - local_value) / (4.0 - local_value))
+    probs = mu * box + (1.0 - mu) * local
+    alice = np.rint(probs[:, 0, 0].sum(axis=1) * unit).astype(np.int64)
+    bob = np.rint(probs[0, :, :, 0].sum(axis=1) * unit).astype(np.int64)
+    joint = np.rint(probs[:, :, 0, 0] * unit).astype(np.int64)
+    # Facet i in units of 10**-d: E[x, y] = 4 C - 2 A[x] - 2 B[y] + unit + delta, with facet sign `direction`.
+    value = int(np.sum(direction * (4 * joint - 2 * alice[:, None] - 2 * bob[None, :] + unit + delta)))
+    joint[minus_x, minus_y] += round(((2.0 + excess) * unit - value) / (4 * direction[minus_x, minus_y]))
+    counts = np.empty((2, 2, 2, 2), dtype=np.int64)
+    counts[:, :, 0, 0] = joint
+    counts[:, :, 0, 1] = alice[:, None] - joint
+    counts[:, :, 1, 0] = bob[None, :] - joint
+    counts[:, :, 1, 1] = unit + delta - alice[:, None] - bob[None, :] + joint
+    assume(counts.min() >= 0)
+    return BehaviorTable(counts / unit), facet, excess, unit
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_near_facet_tables())
+def test_methods_agree_near_a_facet_on_rounded_no_signaling_tables(case):
+    """The LP and the facets give one verdict near a facet, and a local certificate sums to 1."""
+    table, facet, excess, unit = case
+    assert table.is_no_signaling()
+    assert abs(chsh_facets(table)[facet] - 2.0 - excess) <= 2.0 / unit + 1e-12  # half a step of one unit in C
+    verdict = is_local_lp(table)
+    assert verdict.is_local == is_local_facets(table)
+    if verdict.is_local:
+        assert abs(verdict.weights.sum() - 1.0) <= 1e-12
 
 
 def test_lp_rejects_malformed_table():

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noisybell import chsh_closed_form, sample_experiment, sampling, sequential, states
-from noisybell.sampling import _BUCKETS, CHUNK, _draws, _fold, _layout, _outcome_counts
+from noisybell.sampling import _BUCKETS, CHUNK, _draws, _fold, _outcome_counts
 
 
 def test_same_seed_reproduces_every_count():
@@ -191,23 +191,32 @@ def test_fold_keeps_counts_past_float_precision_exact():
     joint = sequential.sequential_joint_distribution(3, 0.2)
     cdf = np.cumsum(joint.reshape(2, 2, 16), axis=2)
     cdf[:, :, -1] = 1.0
-    breaks, _, split = layout = _layout(cdf)
+    # Each (pair, bucket) by one-shot search: the outcome at its left edge, and whether a CDF value lies inside it.
+    edges = np.arange(_BUCKETS + 1) / _BUCKETS
+    left = np.array([np.searchsorted(row, edges[:-1], side="right") for row in cdf.reshape(4, 16)])
+    right = np.array([np.searchsorted(row, edges[1:], side="left") for row in cdf.reshape(4, 16)])
+    outcome = np.minimum(left, 15)
+    split = (right > left).ravel()
+    # The left-edge outcome never decreases, so (pair, o) starts after the pair's buckets with smaller outcomes.
+    starts = np.array([pair * _BUCKETS + np.count_nonzero(outcome[pair] < o) for pair in range(4) for o in range(16)])
     assert split.any()
     big = 2**60 + 1
-    unsplit = np.flatnonzero(~split)
-    chosen = unsplit[[0, 1, len(unsplit) // 2, -2, -1]]
-    bucket_totals = np.zeros((4, _BUCKETS), dtype=np.int64)
-    bucket_totals[:, chosen] = big
-    bucket_totals[:, split] = big  # split buckets are counted through their cells instead
-    cell_totals = np.zeros((4, breaks.size + 1), dtype=np.int64)
-    cell_totals[:, -1] = big + 2  # the cell above every break, outcome 15
-    counts = _fold(cdf, layout, bucket_totals, cell_totals)
+    chosen = []
+    for pair in range(4):
+        unsplit = pair * _BUCKETS + np.flatnonzero(~split[pair * _BUCKETS : (pair + 1) * _BUCKETS])
+        chosen += unsplit[[0, 1, len(unsplit) // 2, -2, -1]].tolist()
+    bucket_totals = np.zeros(4 * _BUCKETS, dtype=np.int64)
+    bucket_totals[chosen] = big
+    bucket_totals[split] = big  # split buckets are counted by the exact path instead
+    exact_counts = np.zeros(64, dtype=np.int64)
+    exact_counts[15::16] = big + 2  # runs above every CDF value, outcome 15
+    counts = _fold(starts, split, bucket_totals, exact_counts)
 
-    expected = [[0] * 16 for _ in range(4)]
-    for pair, row in enumerate(cdf.reshape(4, 16)):
-        for bucket in chosen:
-            # Every u of an unsplit bucket has the outcome of its left edge.
-            expected[pair][min(int(np.searchsorted(row, bucket / _BUCKETS, side="right")), 15)] += big
-        expected[pair][15] += big + 2
-    assert counts.reshape(4, 16).tolist() == expected
-    assert max(max(row) for row in expected) > 2**53
+    expected = [0] * 64
+    for key in chosen:
+        # Every u of an unsplit bucket has the outcome of its left edge.
+        expected[16 * (key // _BUCKETS) + int(outcome.ravel()[key])] += big
+    for pair in range(4):
+        expected[16 * pair + 15] += big + 2
+    assert counts.tolist() == expected
+    assert max(expected) > 2**53
