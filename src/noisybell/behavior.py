@@ -48,9 +48,16 @@ class BehaviorTable:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        if np.iscomplexobj(self.probs):  # the float cast would drop imaginary parts with only a warning
-            raise TableFormatError("behavior table entries must be real, got complex values")
-        probs = np.array(self.probs, dtype=float)
+        raw = np.asarray(self.probs)
+        # The float cast would drop imaginary parts with only a warning, and parse "0.25" and b"0.25".
+        strings = raw.dtype == object and any(isinstance(v, (str, bytes)) for v in raw.flat)
+        if raw.dtype.kind not in "biufO" or strings:
+            got = "complex" if raw.dtype.kind == "c" else "non-numeric"
+            raise TableFormatError(f"behavior table entries must be real, got {got} values")
+        try:
+            probs = raw.astype(float)
+        except (OverflowError, TypeError) as exc:  # an integer past the float range, a complex object
+            raise TableFormatError(f"behavior table entries must be real numbers: {exc}") from exc
         if probs.shape != (2, 2, 2, 2):
             raise TableFormatError(f"behavior table must have shape (2,2,2,2), got {probs.shape}")
         if not np.all(np.isfinite(probs)):

@@ -51,11 +51,10 @@ class SignalingTable(ValueError):
 
 @dataclass(frozen=True)
 class LocalityVerdict:
-    """Locality verdict, with the LP's weight certificate of a local table."""
+    """Locality verdict, with the LP's weight certificate of a local table, rescaled to sum to 1."""
 
     is_local: bool
     weights: np.ndarray | None
-    lp_residual: float
 
 
 def chsh_facets(table: BehaviorTable) -> np.ndarray:
@@ -82,14 +81,15 @@ def is_local_lp(table: BehaviorTable, tol: float = LOCALITY_TOL) -> LocalityVerd
 
     The verdict is the module's one definition: :func:`is_local_facets` for
     a no-signaling table, else the LP's L1 residual at most ``tol``.  The LP
-    fits the raw table; a local verdict's weights are rescaled to sum to 1.
+    runs only for a local verdict's weights or a signaling table's verdict.
     """
     check_tolerance(tol)
-    target = np.concatenate([table.probs.reshape(-1), [1.0]])
-    weights, residual = l1_feasibility(_LP_SYSTEM, target)
-    local = is_local_facets(table, tol) if table.is_no_signaling() else residual <= tol
-    weights = _freeze(weights / weights.sum()) if local else None
-    return LocalityVerdict(is_local=local, weights=weights, lp_residual=residual)
+    no_signaling = table.is_no_signaling()
+    if no_signaling and not is_local_facets(table, tol):
+        return LocalityVerdict(is_local=False, weights=None)
+    weights, residual = l1_feasibility(_LP_SYSTEM, np.append(table.probs, 1.0))  # the 16 entries, then the sum
+    local = no_signaling or residual <= tol
+    return LocalityVerdict(is_local=local, weights=_freeze(weights / weights.sum()) if local else None)
 
 
 def is_local_facets(table: BehaviorTable, tol: float = LOCALITY_TOL) -> bool:

@@ -36,12 +36,8 @@ _BUCKETS = 2**_BUCKET_BITS
 
 @dataclass(frozen=True)
 class ExperimentSample:
-    """Empirical summary of ``count`` runs, conditioned on the (in, in) branch."""
+    """Empirical summary of the runs of :func:`sample_experiment`, conditioned on the (in, in) branch."""
 
-    dim: int
-    noise: float
-    count: int
-    seed: int
     branch_counts: np.ndarray  # [a1][b1] totals over all runs/settings
     conditioned_counts: np.ndarray  # [x][y][a2][b2] within the (in, in) branch
     empirical_table: BehaviorTable | None
@@ -85,10 +81,6 @@ def sample_experiment(dim: int, noise: float, count: int, seed: int) -> Experime
         s_empirical = float(correlators[0, 0] + correlators[0, 1] + correlators[1, 0] - correlators[1, 1])
         s_stderr = math.sqrt(float(np.sum((1.0 - correlators**2) / per_setting)))
     return ExperimentSample(
-        dim=dim,
-        noise=noise,
-        count=count,
-        seed=seed,
         branch_counts=branch_counts,
         conditioned_counts=conditioned,
         empirical_table=table,

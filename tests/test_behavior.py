@@ -163,8 +163,11 @@ def _correlated(e00: float) -> np.ndarray:
     return probs
 
 
+_STRINGS = r"^behavior table entries must be real, got non-numeric values$"
+
+
 @pytest.mark.parametrize(
-    "make", [BehaviorTable, lambda probs: BehaviorTable.from_flat(probs.reshape(-1))], ids=["init", "from_flat"]
+    "make", [BehaviorTable, lambda probs: BehaviorTable.from_flat(np.reshape(probs, -1))], ids=["init", "from_flat"]
 )
 @pytest.mark.parametrize(
     "probs,match",
@@ -172,8 +175,14 @@ def _correlated(e00: float) -> np.ndarray:
         # Past E00 = 1 an entry is -0.05; the facet test used to call this table local.
         (_correlated(1.2), r"^behavior table has negative entry -0\.0499999"),
         (np.full((2, 2, 2, 2), 0.2), r"^per-setting totals deviate from 1 by 0\.19999"),
+        # The float cast used to parse strings and bytes, and to overflow on integers past the float range.
+        (np.full((2, 2, 2, 2), "0.25"), _STRINGS),
+        (np.full((2, 2, 2, 2), b"0.25"), _STRINGS),
+        (np.full((2, 2, 2, 2), "0.25").tolist(), _STRINGS),
+        (np.full((2, 2, 2, 2), "0.25", dtype=object), _STRINGS),
+        (np.full((2, 2, 2, 2), 10**400, dtype=object).tolist(), r"^behavior table entries must be real numbers: int"),
     ],
-    ids=["negative", "unnormalized"],
+    ids=["negative", "unnormalized", "strings", "bytes", "string_lists", "string_objects", "past_float_range"],
 )
 def test_construction_rejects_non_probability_tables(make, probs, match):
     """Every BehaviorTable is a probability table, not only one loaded from a file."""

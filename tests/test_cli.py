@@ -404,16 +404,20 @@ def test_lhv_call_sites_the_benchmark_traces(monkeypatch, tmp_path, capsys):
 
     quantum = tmp_path / "quantum.json"
     save_table(QUANTUM_TABLE, quantum)
+    uniform = tmp_path / "uniform.json"
+    save_table(UNIFORM, uniform)
     signaling = tmp_path / "signaling.json"
     save_table(BehaviorTable(_SIGNALING), signaling)
-    for path, method, expected in (
-        (quantum, "lp", ["load_table", "is_local_lp", "l1_feasibility"]),
-        (quantum, "facets", ["load_table", "is_local_facets"]),
-        (signaling, "facets", ["load_table", "is_local_facets", "is_local_lp", "l1_feasibility"]),
+    # The LP runs only for a local table's certificate or a signaling table's verdict.
+    for path, method, expected_code, expected in (
+        (quantum, "lp", 3, ["load_table", "is_local_lp"]),
+        (uniform, "lp", 0, ["load_table", "is_local_lp", "l1_feasibility"]),
+        (quantum, "facets", 3, ["load_table", "is_local_facets"]),
+        (signaling, "facets", 3, ["load_table", "is_local_facets", "is_local_lp", "l1_feasibility"]),
     ):
         calls.clear()
         code, _, _ = run(["lhv-check", str(path), "--method", method], capsys)
-        assert code == 3
+        assert code == expected_code
         assert calls == expected
 
 

@@ -17,7 +17,8 @@ from noisybell import (
     violation_threshold,
 )
 
-from noisybell.polytope import _LP_SYSTEM, LOCALITY_TOL
+from noisybell import polytope
+from noisybell.polytope import _LP_SYSTEM, LOCALITY_TOL, LocalityVerdict
 
 from dense import TSIRELSON, UNIFORM, behavior_table, condition, local_vertices
 
@@ -203,8 +204,22 @@ def test_methods_agree_near_a_facet_on_rounded_no_signaling_tables(case):
     assert abs(chsh_facets(table)[facet] - 2.0 - excess) <= 2.0 / unit + 1e-12  # half a step of one unit in C
     verdict = is_local_lp(table)
     assert verdict.is_local == is_local_facets(table)
+    assert (verdict.weights is None) == (not verdict.is_local)
     if verdict.is_local:
         assert abs(verdict.weights.sum() - 1.0) <= 1e-12
+
+
+def test_lp_is_not_solved_for_a_no_signaling_table_the_facets_call_nonlocal(monkeypatch):
+    """The LP used to run for every table, only to drop its weights on a nonlocal verdict."""
+
+    def unreachable(*args):
+        raise AssertionError("l1_feasibility called")
+
+    monkeypatch.setattr(polytope, "l1_feasibility", unreachable)
+    mu = (2.0 + 1.1e-9) / (2.0 * math.sqrt(2.0))  # largest facet 2 + 1.1e-9, just past the tolerance
+    for table in (QUANTUM_TABLE, mix([QUANTUM_TABLE, UNIFORM], [mu, 1.0 - mu])):
+        assert table.is_no_signaling()
+        assert is_local_lp(table) == LocalityVerdict(is_local=False, weights=None)
 
 
 def test_lp_rejects_malformed_table():
