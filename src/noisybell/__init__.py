@@ -24,7 +24,7 @@ from .polytope import (
 from .sampling import ExperimentSample, sample_experiment
 from .scan import Table, bisect_threshold, gap_rows, scan_grid, threshold_rows
 from .sequential import sequential_joint_distribution, success_probability
-from .states import is_separable_family, noisy_state
+from .states import is_separable_family, noisy_state, separability_threshold
 
 __version__ = "0.1.0"
 
@@ -51,6 +51,7 @@ __all__ = [
     "sample_experiment",
     "save_table",
     "scan_grid",
+    "separability_threshold",
     "sequential_joint_distribution",
     "success_probability",
     "threshold_rows",

@@ -35,6 +35,14 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _entries(values: object) -> np.ndarray:
+    """``np.asarray(values)``, with ragged nesting raised as a TableFormatError."""
+    try:
+        return np.asarray(values)
+    except ValueError as exc:  # numpy: "... has an inhomogeneous shape ..."
+        raise TableFormatError(f"behavior table must be a regular array: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class BehaviorTable:
     """Probabilities indexed [x][y][a][b] with outcome index 0 = +1.
@@ -48,7 +56,7 @@ class BehaviorTable:
     probs: np.ndarray
 
     def __post_init__(self) -> None:
-        raw = np.asarray(self.probs)
+        raw = _entries(self.probs)
         # The float cast would drop imaginary parts with only a warning, and parse "0.25" and b"0.25".
         strings = raw.dtype == object and any(isinstance(v, (str, bytes)) for v in raw.flat)
         if raw.dtype.kind not in "biufO" or strings:
@@ -70,7 +78,7 @@ class BehaviorTable:
 
     @classmethod
     def from_flat(cls, values: object) -> "BehaviorTable":
-        flat = np.asarray(values).reshape(-1)
+        flat = _entries(values).reshape(-1)
         if flat.size != FLAT_LENGTH:
             raise TableFormatError(f"flat behavior table must have 16 entries, got {flat.size}")
         return cls(flat.reshape(2, 2, 2, 2))

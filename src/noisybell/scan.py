@@ -8,6 +8,8 @@ last-bit float noise of grid generation.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import math
 from collections.abc import Callable, Mapping
@@ -19,7 +21,7 @@ import numpy as np
 from .behavior import _freeze
 from .chsh import chsh_closed_form, violation_threshold
 from .sequential import success_probability
-from .states import check_family, is_separable_family
+from .states import is_separable_family, separability_threshold
 
 BISECT_TOL = 1e-12  # bisect_threshold stops once its bracket is this narrow
 
@@ -86,23 +88,6 @@ def _grid_points(f_min: float, f_max: float, f_step: float) -> int:
     return int(steps) + 1
 
 
-def _record_count(dims: list[int], points: int) -> int:
-    records = len(dims) * points
-    if records > MAX_SCAN_RECORDS:
-        raise ValueError(f"scan of {records} records exceeds the limit of {MAX_SCAN_RECORDS}")
-    return records
-
-
-def _closed_forms(n: int, grid: np.ndarray) -> tuple:
-    """S, threshold, separability and success probability of dimension n along grid."""
-    return (
-        chsh_closed_form(n, grid),
-        violation_threshold(n),
-        is_separable_family(n, grid),
-        success_probability(n, grid),
-    )
-
-
 def _dim_column(ordered: list[int]) -> np.ndarray:
     """A table's N column from its checked dimensions in ascending order.
 
@@ -117,14 +102,13 @@ def _dim_column(ordered: list[int]) -> np.ndarray:
 def scan_size(dims: list[int], f_min: float, f_max: float, f_step: float) -> int:
     """Record count of :func:`scan_grid`, after every check any block of it makes.
 
-    Raises ``ValueError`` for a bad grid or a count past
+    Runs :func:`scan_grid` on the first grid point of every dimension, so it
+    raises what any block would: ``ValueError`` for a bad grid or a count past
     :data:`MAX_SCAN_RECORDS`, and ``OverflowError`` for a dimension past the
     float range, which depends on N alone; nothing grid-sized is allocated.
     """
-    records = _record_count(dims, _grid_points(f_min, f_max, f_step))
-    for n in dims:
-        _closed_forms(n, np.array([f_min]))
-    return records
+    scan_grid(dims, f_min, f_max, f_step, 0, 1)
+    return len(dims) * _grid_points(f_min, f_max, f_step)
 
 
 def scan_grid(
@@ -139,7 +123,8 @@ def scan_grid(
     or one dimension a range of points at a time.
     """
     points = _grid_points(f_min, f_max, f_step)
-    _record_count(dims, points)
+    if len(dims) * points > MAX_SCAN_RECORDS:
+        raise ValueError(f"scan of {len(dims) * points} records exceeds the limit of {MAX_SCAN_RECORDS}")
     stop = points if stop is None else stop
     if not 0 <= start <= stop <= points:
         raise ValueError(f"point range [{start}, {stop}) is not inside the {points} points of the grid")
@@ -154,7 +139,10 @@ def scan_grid(
     success_prob = np.empty(size)
     for i, n in enumerate(ordered):
         rows = slice(i * len(grid), (i + 1) * len(grid))
-        s_value[rows], threshold[rows], separable[rows], success_prob[rows] = _closed_forms(n, grid)
+        s_value[rows] = chsh_closed_form(n, grid)
+        threshold[rows] = violation_threshold(n)
+        separable[rows] = is_separable_family(n, grid)
+        success_prob[rows] = success_probability(n, grid)
     noise = np.tile(grid, len(ordered))
     # violates and gap meet at the closed-form threshold, not at S = 2: S can
     # print as 2 at 12 digits on either side of it.  With separable, exactly
@@ -208,9 +196,9 @@ def threshold_rows(dims: list[int]) -> Table:
 
 def gap_rows(dims: list[int]) -> Table:
     """Noise intervals where the state is entangled but does not violate CHSH, N ascending."""
-    ordered = [check_family(n, 0.0) for n in sorted(dims)]  # Python ints: n + 1 cannot wrap around
+    ordered = sorted(dims)
     lo = np.array([violation_threshold(n) for n in ordered], dtype=float)
-    hi = np.array([n / (n + 1) for n in ordered], dtype=float)
+    hi = np.array([separability_threshold(n) for n in ordered], dtype=float)
     return Table({"N": _dim_column(ordered), "gap_lo": lo, "gap_hi": hi, "width": hi - lo})
 
 
@@ -226,13 +214,10 @@ def records_to_csv(records: Table, header: bool = True) -> str:
 
 
 def _csv_header(names) -> str:
-    """The header line as csv.writer writes it, but ended by "\n".
-
-    A name with a comma, quote, CR or LF is quoted, its quotes doubled, and a
-    lone empty name is written as "", which csv.reader reads back as one field.
-    """
-    quoted = ['"' + name.replace('"', '""') + '"' if set(name) & set(',"\r\n') else name for name in names]
-    return (",".join(quoted) or '""') + "\n"
+    """The header line as csv.writer writes it, but ended by "\n"."""
+    buf = io.StringIO()
+    csv.writer(buf).writerow(names)
+    return buf.getvalue().removesuffix("\r\n") + "\n"
 
 
 def records_to_json(records: Table, first: bool = True, last: bool = True) -> str:
@@ -260,14 +245,9 @@ rows_to_csv = records_to_csv
 rows_to_json = records_to_json
 
 
-# json.dumps writes the floats whose repr is on the left as on the right.
-_JSON_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
 def _json_text(value: float) -> str:
     """json's text of a real rounded to 12 significant digits, NaN and infinities too."""
-    text = repr(float(format_real(value)))
-    return _JSON_NON_FINITE.get(text, text)
+    return json.dumps(float(format_real(value)))
 
 
 def _is_real(column: np.ndarray) -> bool:

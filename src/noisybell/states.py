@@ -50,12 +50,18 @@ def noisy_state(n: int, noise: float) -> np.ndarray:
     return _freeze(mat)
 
 
+def separability_threshold(n: int) -> float:
+    """N / (N + 1), the least noise fraction at which the family is separable."""
+    n = check_family(n, 0.0)  # a Python int: n + 1 cannot wrap around for numpy integer n
+    return n / (n + 1)
+
+
 def is_separable_family(n: int, noise: float) -> bool:
     """Separability decision for the noisy maximally entangled family only.
 
-    True exactly when noise >= n / (n + 1).  This closed-form boundary holds
-    for states produced by :func:`noisy_state`; it is not a general
-    separability test.
+    True exactly when noise >= :func:`separability_threshold` of n.  This
+    closed-form boundary holds for states produced by :func:`noisy_state`; it
+    is not a general separability test.
     """
-    n = check_family(n, noise)
-    return noise >= n / (n + 1)
+    check_family(n, noise)
+    return noise >= separability_threshold(n)

@@ -108,6 +108,11 @@ def test_load_rejects_invalid_json():
         table_from_json("{not json")
 
 
+def test_load_rejects_json_that_is_not_an_object():
+    with pytest.raises(TableFormatError, match="^table file must contain a JSON object$"):
+        table_from_json("[]")
+
+
 def test_load_rejects_deeply_nested_json():
     """The decoder recurses per bracket; 50,000 levels used to escape as RecursionError."""
     depth = 50_000
@@ -166,9 +171,12 @@ def _correlated(e00: float) -> np.ndarray:
 _STRINGS = r"^behavior table entries must be real, got non-numeric values$"
 
 
-@pytest.mark.parametrize(
-    "make", [BehaviorTable, lambda probs: BehaviorTable.from_flat(np.reshape(probs, -1))], ids=["init", "from_flat"]
-)
+def _from_flat(probs) -> BehaviorTable:
+    """from_flat of an array's entries; a list goes as it is, since from_flat flattens it and a ragged one cannot be."""
+    return BehaviorTable.from_flat(np.reshape(probs, -1) if isinstance(probs, np.ndarray) else probs)
+
+
+@pytest.mark.parametrize("make", [BehaviorTable, _from_flat], ids=["init", "from_flat"])
 @pytest.mark.parametrize(
     "probs,match",
     [
@@ -181,13 +189,30 @@ _STRINGS = r"^behavior table entries must be real, got non-numeric values$"
         (np.full((2, 2, 2, 2), "0.25").tolist(), _STRINGS),
         (np.full((2, 2, 2, 2), "0.25", dtype=object), _STRINGS),
         (np.full((2, 2, 2, 2), 10**400, dtype=object).tolist(), r"^behavior table entries must be real numbers: int"),
+        # Ragged nesting used to escape as numpy's bare ValueError.
+        ([[0.25] * 4, [0.25] * 12], r"^behavior table must be a regular array: "),
     ],
-    ids=["negative", "unnormalized", "strings", "bytes", "string_lists", "string_objects", "past_float_range"],
+    ids=[
+        "negative", "unnormalized", "strings", "bytes", "string_lists", "string_objects", "past_float_range", "ragged"
+    ],
 )
 def test_construction_rejects_non_probability_tables(make, probs, match):
     """Every BehaviorTable is a probability table, not only one loaded from a file."""
     with pytest.raises(TableFormatError, match=match):
         make(probs)
+
+
+@pytest.mark.parametrize(
+    "make,values,match",
+    [
+        (BehaviorTable, np.full((4, 4), 1 / 16), r"^behavior table must have shape \(2,2,2,2\), got \(4, 4\)$"),
+        (BehaviorTable.from_flat, [1 / 15] * 15, r"^flat behavior table must have 16 entries, got 15$"),
+    ],
+    ids=["init_4x4", "from_flat_15"],
+)
+def test_construction_rejects_wrong_sizes(make, values, match):
+    with pytest.raises(TableFormatError, match=match):
+        make(values)
 
 
 def test_construction_keeps_round_off_negatives_and_totals():

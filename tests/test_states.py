@@ -12,6 +12,7 @@ from noisybell import (
     noisy_state,
     sample_experiment,
     scan_grid,
+    separability_threshold,
     threshold_rows,
     violation_threshold,
 )
@@ -149,6 +150,21 @@ def test_separability_flips_at_boundary(n):
     boundary = n / (n + 1)
     assert not is_separable_family(n, boundary - 1e-9)
     assert is_separable_family(n, boundary + 1e-9)
+
+
+def test_separability_threshold_is_the_one_boundary():
+    """is_separable_family and gap_rows' gap_hi both read N/(N+1) from separability_threshold.
+
+    int32 and int64 at their maxima wrap around in n + 1, and uint64 past int64 has no int64 twin.
+    """
+    dims = [2, 3, 17, 10**6, np.int32(2**31 - 1), np.int64(2**63 - 1), np.uint64(2**64 - 1)]
+    for n in dims:
+        boundary = separability_threshold(n)
+        assert type(boundary) is float and boundary == int(n) / (int(n) + 1)
+        # One ulp either side; one ulp up from 1.0 is no noise fraction.
+        for noise in (math.nextafter(boundary, 0.0), boundary, math.nextafter(boundary, 1.0)):
+            assert is_separable_family(n, noise) is (noise >= boundary)
+    assert gap_rows(dims)["gap_hi"].tolist() == [separability_threshold(n) for n in dims]
 
 
 @settings(max_examples=80, deadline=None)
