@@ -72,7 +72,9 @@ class BehaviorTable:
             raise TableFormatError("behavior table contains non-finite entries")
         if probs.min() < -NEGATIVITY_TOL:
             raise TableFormatError(f"behavior table has negative entry {float(probs.min())}")
-        object.__setattr__(self, "probs", _freeze(probs))
+        # + 0.0 turns a -0.0 entry into 0.0 and keeps every other bit, so a file that
+        # writes its zeros as -0.0 prints the same verdict and weights as one with 0.0.
+        object.__setattr__(self, "probs", _freeze(probs + 0.0))
         if self.normalization_defect > NORMALIZATION_TOL:
             raise TableFormatError(f"per-setting totals deviate from 1 by {self.normalization_defect}")
 

@@ -6,7 +6,10 @@ verdict has one definition.  A table whose signaling defect is at most
 SIGNALING_TOL is local when each of the 8 CHSH facets is at most 2 + tol,
 which Fine's theorem makes exact.  Any other table is local when the L1
 residual of a linear program over the 16 vertex weights is at most tol.
-The linear program also gives a local table's weight certificate.
+Every vertex is no-signaling, so that residual is at least the table's
+signaling defect, and a defect above tol decides the verdict without the
+linear program.  The linear program also gives a local table's weight
+certificate.
 """
 
 from __future__ import annotations
@@ -80,12 +83,16 @@ def is_local_lp(table: BehaviorTable, tol: float = LOCALITY_TOL) -> LocalityVerd
     """Decide polytope membership, with weights over the 16 vertices as the certificate.
 
     The verdict is the module's one definition: :func:`is_local_facets` for
-    a no-signaling table, else the LP's L1 residual at most ``tol``.  The LP
-    runs only for a local verdict's weights or a signaling table's verdict.
+    a no-signaling table, else the LP's L1 residual at most ``tol``.  That
+    residual is at least the signaling defect, so a signaling table whose
+    defect exceeds ``tol`` is nonlocal without the LP, also where the float
+    LP's round-off would have read a residual just under ``tol``.  The LP
+    runs only for a local verdict's weights or to decide a signaling table
+    whose defect is at most ``tol``.
     """
     check_tolerance(tol)
     no_signaling = table.is_no_signaling()
-    if no_signaling and not is_local_facets(table, tol):
+    if not (is_local_facets(table, tol) if no_signaling else table.signaling_defect <= tol):
         return LocalityVerdict(is_local=False, weights=None)
     weights, residual = l1_feasibility(_LP_SYSTEM, np.append(table.probs, 1.0))  # the 16 entries, then the sum
     local = no_signaling or residual <= tol

@@ -36,14 +36,14 @@ def l1_feasibility(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     tableau[:m, n + m:n + 2 * m] = -np.eye(m)
     tableau[:m, -1] = b * signs
 
-    cost = np.zeros(n + 2 * m)
-    cost[n:] = 1.0
+    cost = np.zeros(n + 2 * m + 1)
+    cost[n:-1] = 1.0
     basis = list(range(n, n + m))
 
-    # Reduced-cost row for the initial basis (all basic columns cost 1).
-    tableau[m, :-1] = cost
-    for row in range(m):
-        tableau[m, :] -= tableau[row, :]
+    # Reduced-cost row for the initial basis (all basic columns cost 1): the
+    # cost row minus each constraint row in turn, which a reduce along axis 0
+    # does in the same order.
+    tableau[m] = np.subtract.reduce(np.vstack([cost, tableau[:m]]), axis=0)
 
     reduced = tableau[m, :-1]  # a view, so it follows every pivot
     for _ in range(_MAX_PIVOTS):

@@ -365,6 +365,22 @@ def test_lhv_check_fallback_then_io_error_is_one_line(tmp_path, capsys):
     assert stderr.startswith("i/o error: ") and stderr.count("\n") == 1
 
 
+def test_lhv_check_reads_negative_zero_entries_as_zero(tmp_path, capsys):
+    """A file writing its zeros as -0.0 used to print certificate weights of -0."""
+    vertices = local_vertices()
+    for table in (vertices[0], vertices[9], BehaviorTable((vertices[3].probs + vertices[12].probs) / 2.0)):
+        px = table.to_flat()
+        plain, negative = tmp_path / "plain.json", tmp_path / "negative.json"
+        plain.write_text(_px_text(px))
+        negative.write_text(_px_text([-0.0 if v == 0.0 else v for v in px]))
+        assert "-0.0" in negative.read_text()
+        for method in ("lp", "facets"):
+            for fmt in ("csv", "json"):
+                flags = ["--method", method, "--format", fmt]
+                expected = run(["lhv-check", str(plain), *flags], capsys)
+                assert run(["lhv-check", str(negative), *flags], capsys) == expected
+
+
 def test_lhv_check_sampled_local_regime_reports_signaling(tmp_path, capsys):
     """Finite-sample tables sit slightly off the no-signaling subspace."""
     table_path = tmp_path / "sampled_local.json"
@@ -408,17 +424,31 @@ def test_lhv_call_sites_the_benchmark_traces(monkeypatch, tmp_path, capsys):
     save_table(UNIFORM, uniform)
     signaling = tmp_path / "signaling.json"
     save_table(BehaviorTable(_SIGNALING), signaling)
-    # The LP runs only for a local table's certificate or a signaling table's verdict.
-    for path, method, expected_code, expected in (
-        (quantum, "lp", 3, ["load_table", "is_local_lp"]),
-        (uniform, "lp", 0, ["load_table", "is_local_lp", "l1_feasibility"]),
-        (quantum, "facets", 3, ["load_table", "is_local_facets"]),
-        (signaling, "facets", 3, ["load_table", "is_local_facets", "is_local_lp", "l1_feasibility"]),
+    barely_signaling = tmp_path / "barely_signaling.json"
+    probs = np.full((2, 2, 2, 2), 0.25)
+    probs[0, 1] += [[5e-8, 0.0], [0.0, -5e-8]]  # signaling defect 5e-8, above SIGNALING_TOL
+    save_table(BehaviorTable(probs), barely_signaling)
+    # The LP runs only for a local table's certificate, or for a signaling table
+    # whose defect is at most --tol: a larger defect bounds the residual past --tol.
+    for path, flags, expected_code, expected in (
+        (quantum, ["--method", "lp"], 3, ["load_table", "is_local_lp"]),
+        (uniform, ["--method", "lp"], 0, ["load_table", "is_local_lp", "l1_feasibility"]),
+        (quantum, ["--method", "facets"], 3, ["load_table", "is_local_facets"]),
+        (signaling, ["--method", "facets"], 3, ["load_table", "is_local_facets", "is_local_lp"]),
+        (
+            barely_signaling,
+            ["--method", "facets", "--tol", "1e-6"],
+            0,
+            ["load_table", "is_local_facets", "is_local_lp", "l1_feasibility"],
+        ),
     ):
         calls.clear()
-        code, _, _ = run(["lhv-check", str(path), "--method", method], capsys)
+        code, stdout, _ = run(["lhv-check", str(path), *flags, "--format", "json"], capsys)
         assert code == expected_code
         assert calls == expected
+        weights = json.loads(stdout)["weights"]
+        assert (weights is None) == (expected_code == 3)
+        assert weights is None or abs(sum(weights) - 1.0) <= 1e-12
 
 
 def test_parser_is_built_once_per_process(capsys):

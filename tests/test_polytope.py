@@ -23,6 +23,9 @@ from noisybell.polytope import _LP_SYSTEM, LOCALITY_TOL, LocalityVerdict
 from dense import TSIRELSON, UNIFORM, behavior_table, condition, local_vertices
 
 QUANTUM_TABLE = behavior_table(noisy_state(2, 0.0), TSIRELSON)
+_SIGNALING_PROBS = np.full((2, 2, 2, 2), 0.25)
+_SIGNALING_PROBS[0, 1] = [[0.55, 0.05], [0.05, 0.35]]  # Bob's marginal moves with Alice's setting
+_SIGNALING = BehaviorTable(_SIGNALING_PROBS)
 
 
 def post_selected_table(n, noise):
@@ -33,6 +36,24 @@ def post_selected_table(n, noise):
 def mix(tables, weights):
     probs = sum(w * t.probs for w, t in zip(weights, tables))
     return BehaviorTable(probs)
+
+
+def shifted(table, size, pair=(0, 1)):
+    """``table`` with a zero-sum shift of ``size`` in one setting pair, which moves both sides' marginals by it."""
+    probs = table.probs.copy()
+    probs[pair] += [[size, 0.0], [0.0, -size]]
+    return BehaviorTable(probs)
+
+
+def sampled(table, count, seed):
+    """Frequencies of ``count`` draws from ``table`` in each setting pair."""
+    rng = np.random.default_rng(seed)
+    counts = [rng.multinomial(count, pair.reshape(-1)) for pair in table.probs.reshape(4, 4)]
+    return BehaviorTable(np.reshape(counts, (2, 2, 2, 2)) / count)
+
+
+def unreachable(*args):
+    raise AssertionError("l1_feasibility called")
 
 
 def test_sixteen_deterministic_vertices():
@@ -211,15 +232,51 @@ def test_methods_agree_near_a_facet_on_rounded_no_signaling_tables(case):
 
 def test_lp_is_not_solved_for_a_no_signaling_table_the_facets_call_nonlocal(monkeypatch):
     """The LP used to run for every table, only to drop its weights on a nonlocal verdict."""
-
-    def unreachable(*args):
-        raise AssertionError("l1_feasibility called")
-
     monkeypatch.setattr(polytope, "l1_feasibility", unreachable)
     mu = (2.0 + 1.1e-9) / (2.0 * math.sqrt(2.0))  # largest facet 2 + 1.1e-9, just past the tolerance
     for table in (QUANTUM_TABLE, mix([QUANTUM_TABLE, UNIFORM], [mu, 1.0 - mu])):
         assert table.is_no_signaling()
         assert is_local_lp(table) == LocalityVerdict(is_local=False, weights=None)
+
+
+def test_lp_is_not_solved_for_a_table_whose_signaling_defect_exceeds_tol(monkeypatch):
+    """Every vertex is no-signaling, so the LP's L1 residual is at least the signaling defect."""
+    monkeypatch.setattr(polytope, "l1_feasibility", unreachable)
+    for table in (_SIGNALING, sampled(UNIFORM, 1000, 3), shifted(UNIFORM, 1e-7)):
+        assert table.signaling_defect > LOCALITY_TOL and not table.is_no_signaling()
+        assert is_local_lp(table) == LocalityVerdict(is_local=False, weights=None)
+
+
+@st.composite
+def _signaling_tables(draw):
+    """A vertex mixture, Tsirelson's or the uniform table, shifted by 1e-12 to 1e-2 in one setting pair or sampled."""
+    kind = draw(st.sampled_from(["mixture", "tsirelson", "uniform"]))
+    if kind == "mixture":
+        weights = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=16, max_size=16)))
+        base = mix(local_vertices(), weights / weights.sum())
+    else:
+        base = QUANTUM_TABLE if kind == "tsirelson" else UNIFORM
+    if draw(st.booleans()):
+        return sampled(base, draw(st.integers(100, 10**6)), draw(st.integers(0, 2**32 - 1)))
+    size = 10.0 ** draw(st.floats(-12.0, -2.0))
+    pair = draw(st.sampled_from([(0, 0), (0, 1), (1, 0), (1, 1)]))
+    assume(base.probs[pair][1, 1] >= size)
+    return shifted(base, size, pair)
+
+
+@settings(max_examples=200, deadline=None)
+@given(table=_signaling_tables(), tol=st.floats(-8.0, -2.0).map(lambda e: 10.0**e))
+def test_lp_residual_is_at_least_the_signaling_defect(table, tol):
+    """The bound that lets a signaling defect past tol decide the verdict without the LP.
+
+    The simplex reads amounts below its tolerances (1e-12 in the ratio test,
+    1e-11 in the reduced costs) as zero, so a defect of about 1e-12 can leave a
+    residual of 0: the float LP keeps the bound to within 1e-11.
+    """
+    _, residual = polytope.l1_feasibility(_LP_SYSTEM, np.append(table.probs, 1.0))
+    assert residual >= table.signaling_defect - 1e-11
+    if not table.is_no_signaling():  # else the facets decide
+        assert is_local_lp(table, tol).is_local == (residual <= tol)
 
 
 def test_lp_rejects_malformed_table():
@@ -228,16 +285,12 @@ def test_lp_rejects_malformed_table():
 
 
 def test_facets_reject_signaling_table():
-    probs = np.full((2, 2, 2, 2), 0.25)
-    probs[0, 1] = np.array([[0.55, 0.05], [0.05, 0.35]])
     with pytest.raises(SignalingTable):
-        is_local_facets(BehaviorTable(probs))
+        is_local_facets(_SIGNALING)
 
 
 def test_lp_detects_signaling_table_as_nonmember():
-    probs = np.full((2, 2, 2, 2), 0.25)
-    probs[0, 1] = np.array([[0.55, 0.05], [0.05, 0.35]])
-    verdict = is_local_lp(BehaviorTable(probs))
+    verdict = is_local_lp(_SIGNALING)
     assert not verdict.is_local
 
 
