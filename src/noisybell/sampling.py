@@ -7,12 +7,15 @@ experiment without simulating state collapse, and a fixed seed reproduces
 every count bit for bit (numpy PCG64).
 
 Runs are drawn and binned in chunks of ``CHUNK``, so memory does not grow
-with the run count.  A chunk is raw 64-bit PCG64 outputs, cut from the same
-stream as one-shot ``integers(0, 4, count)`` followed by ``random(count)``,
-so every run keeps its (setting, uniform) pair whatever the chunk size.
-Runs are binned from the bits of those outputs through one bucket table per
-setting pair, without building floats except for the few runs whose bucket
-holds one of their pair's CDF values.
+with the run count.  Each array of a chunk holds at most 128 KiB, small
+enough for the C allocator to serve from memory the process already holds
+instead of mapping and zeroing fresh pages for every chunk.  A chunk is raw
+64-bit PCG64 outputs, cut from the same stream as one-shot
+``integers(0, 4, count)`` followed by ``random(count)``, so every run keeps
+its (setting, uniform) pair whatever the chunk size.  Runs are binned from
+the bits of those outputs through one bucket table per setting pair, without
+building floats except for the few runs whose bucket holds one of their
+pair's CDF values.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .sequential import sequential_joint_distribution
 from .states import noisy_state  # noqa: F401  not called; bound because perfbench/tracing.py TARGETS names it
 
 GENERATOR_NAME = "numpy-pcg64"
-CHUNK = 2**16  # runs drawn and binned at a time
+CHUNK = 2**14  # runs drawn and binned at a time: an int64 array of a chunk is 128 KiB
 MAX_SAMPLE_COUNT = 2**63 - 1  # outcome counters are int64
 _BUCKET_BITS = 12  # a run's bucket floor(u * _BUCKETS) is the top 12 bits of its word
 _BUCKETS = 2**_BUCKET_BITS
@@ -91,16 +94,17 @@ def sample_experiment(dim: int, noise: float, count: int, seed: int) -> Experime
 
 
 def _draws(count: int, seed: int):
-    """Yield (settings, words) chunks of ``count`` runs.
+    """Yield (key, words) chunks of ``count`` runs.
 
-    ``settings`` holds setting pairs 0..3 as uint8; ``words`` holds one raw
-    PCG64 output per run, whose uniform ``(w >> 11) * 2**-53`` is what
-    ``random()`` returns.  Concatenated, the chunks equal
-    ``integers(0, 4, count)`` followed by ``random(count)`` on one
-    ``default_rng(seed)``.  ``integers(0, 4)`` is the top two bits of one
-    32-bit half of an output, low half first, and never rejects (Lemire's
-    method, range 4), so the settings are ``(w >> 30) & 3`` and ``w >> 62``
-    of (size + 1) // 2 outputs, interleaved, and the uniforms start
+    ``words`` holds one raw PCG64 output per run, whose uniform
+    ``(w >> 11) * 2**-53`` is what ``random()`` returns; ``key`` holds each
+    run's ``p << 12 | w >> 52`` as intp, with p its setting pair 0..3.
+    Concatenated, the pairs and uniforms equal ``integers(0, 4, count)``
+    followed by ``random(count)`` on one ``default_rng(seed)``.
+    ``integers(0, 4)`` is the top two bits of one 32-bit half of an output,
+    low half first, and never rejects (Lemire's method, range 4), so the
+    pairs are ``halves >> 30`` of the little-endian 32-bit halves of
+    (size + 1) // 2 outputs, which lie in run order, and the uniforms start
     (count + 1) // 2 outputs in; a second generator advanced that far draws
     them.  ``CHUNK`` is even, so only the last chunk can leave a half unused.
     """
@@ -109,17 +113,17 @@ def _draws(count: int, seed: int):
     uniform_bits.advance((count + 1) // 2)
     for start in range(0, count, CHUNK):
         size = min(CHUNK, count - start)
-        words = settings_bits.random_raw((size + 1) // 2)
-        settings = np.empty(2 * words.size, dtype=np.uint8)
-        # Shifts stored straight into the strided uint8 entries keep their low byte.
-        np.right_shift(words, 30, out=settings[0::2], casting="unsafe")
-        np.right_shift(words, 62, out=settings[1::2], casting="unsafe")
-        settings &= 3  # bits 30 and 31 of the low halves; the high halves are below 4 already
-        yield settings[:size], uniform_bits.random_raw(size)
+        words = uniform_bits.random_raw(size)
+        key = (words >> (64 - _BUCKET_BITS)).view(np.intp)  # below 2**12, so the bits read as intp keep the value
+        pairs = settings_bits.random_raw((size + 1) // 2).astype("<u8", copy=False).view("<u4")[:size]
+        pairs >>= 30
+        pairs <<= _BUCKET_BITS
+        key |= pairs
+        yield key, words
 
 
 def _outcome_counts(cdf: np.ndarray, draws) -> np.ndarray:
-    """Outcome counts [x][y][outcome] of the (settings, words) chunks in ``draws``.
+    """Outcome counts [x][y][outcome] of the (key, words) chunks in ``draws``.
 
     A run with setting pair p = 2x + y and uniform u has outcome
     ``min(#{j : cdf[x, y, j] <= u}, 15)``.  The bucket ``floor(u * _BUCKETS)``
@@ -144,17 +148,11 @@ def _outcome_counts(cdf: np.ndarray, draws) -> np.ndarray:
     split[(first_keys + floors.astype(np.intp))[inside]] = True
     bucket_totals = np.zeros(4 * _BUCKETS, dtype=np.int64)
     exact_counts = np.zeros(64, dtype=np.int64)
-    # Reused across chunks: fresh arrays of a chunk's size cost page faults.
-    bucket_buffer = np.empty(CHUNK, dtype=np.intp)
-    key_buffer = np.empty(CHUNK, dtype=np.intp)
-    for settings, words in draws:
-        bucket = np.right_shift(words, 64 - _BUCKET_BITS, out=bucket_buffer[: words.size])
-        key = np.left_shift(settings, _BUCKET_BITS, out=key_buffer[: words.size], dtype=np.intp)
-        key |= bucket
+    for key, words in draws:
         bucket_totals += np.bincount(key, minlength=4 * _BUCKETS)
         runs = np.flatnonzero(split[key])
         if runs.size:
-            pair = settings[runs].astype(np.intp)
+            pair = key[runs] >> _BUCKET_BITS
             uniform = (words[runs] >> 11) * 2.0**-53
             outcome = np.minimum(np.count_nonzero(rows[pair] <= uniform[:, None], axis=1), 15)
             exact_counts += np.bincount(16 * pair + outcome, minlength=64)

@@ -83,9 +83,11 @@ def l1_feasibility(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
     else:
         raise RuntimeError(f"simplex did not converge within {_MAX_PIVOTS} pivots")
 
+    # max keeps its first argument on a tie, so max(-0.0, 0.0) is -0.0; adding
+    # 0.0 turns that into 0.0 and keeps every other value, NaN included.
     x = np.zeros(n)
     for i, var in enumerate(basis):
         if var < n:
-            x[var] = max(tableau[i, -1], 0.0)
-    residual = max(-float(tableau[m, -1]), 0.0)
+            x[var] = max(tableau[i, -1], 0.0) + 0.0
+    residual = max(-float(tableau[m, -1]), 0.0) + 0.0
     return x, residual

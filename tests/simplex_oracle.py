@@ -49,5 +49,5 @@ def l1_feasibility(a, b):
     x = np.zeros(n)
     for i, var in enumerate(basis):
         if var < n:
-            x[var] = max(tableau[i, -1], 0.0)
-    return x, max(-float(tableau[m, -1]), 0.0)
+            x[var] = max(tableau[i, -1], 0.0) + 0.0
+    return x, max(-float(tableau[m, -1]), 0.0) + 0.0

@@ -59,8 +59,8 @@ CASES = (
         ["sample", "--dim", "24", "--noise", "0.5", "--count", "100000", "--seed", "9", "--format", "json"],
         0,
     ),
-    # Chunk boundaries of the streamed Monte Carlo (2**16 runs a chunk): an odd
-    # count that crosses two boundaries, and exactly one full chunk.
+    # Chunk boundaries of the streamed Monte Carlo (2**14 runs a chunk): an odd
+    # count one run past the eighth boundary, and exactly four full chunks.
     (
         "sample_chunks_csv",
         ["sample", "--dim", "3", "--noise", "0.25", "--count", "131073", "--seed", "17", "--out", "{out}"],

@@ -279,6 +279,18 @@ def test_lp_residual_is_at_least_the_signaling_defect(table, tol):
         assert is_local_lp(table, tol).is_local == (residual <= tol)
 
 
+@pytest.mark.parametrize(
+    "table",
+    [UNIFORM, shifted(UNIFORM, 1e-14), shifted(UNIFORM, 1e-14, (1, 1)), shifted(UNIFORM, 10**-12.5, (1, 1))],
+    ids=["uniform", "shift_1e-14", "shift_1e-14_pair_11", "shift_3e-13_pair_11"],
+)
+def test_lp_residual_of_an_exactly_local_table_is_positive_zero(table):
+    """The final cost entry is 0.0 on these tables, and max(-0.0, 0.0) would keep the -0.0."""
+    _, residual = polytope.l1_feasibility(_LP_SYSTEM, np.append(table.probs, 1.0))
+    assert residual == 0.0
+    assert math.copysign(1.0, residual) == 1.0
+
+
 def test_lp_rejects_malformed_table():
     with pytest.raises(TableFormatError):
         is_local_lp(BehaviorTable(np.full((2, 2, 2, 2), 0.2)))

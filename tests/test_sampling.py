@@ -82,6 +82,19 @@ def test_memory_does_not_grow_with_count():
     assert peak < 16 * 2**20  # one-shot draws of 4e6 runs held about 88 MB
 
 
+@pytest.mark.parametrize(("dim", "count"), [(24, 10**5), (2, 10**6)])
+def test_chunk_working_set_stays_under_a_mebibyte(dim, count):
+    """A chunk's arrays stay small enough for the heap to reuse, chunk after chunk."""
+    sample_experiment(2, 0.3, 10, seed=3)  # the first call in a process imports numpy's random modules
+    tracemalloc.start()
+    try:
+        sample_experiment(dim, 0.3, count, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20  # 2**16-run chunks peaked at 2.2 to 2.6 MiB
+
+
 def test_sampling_call_sites_the_benchmark_traces(monkeypatch):
     """The benchmark's tracer rebinds these names in noisybell.sampling.
 
@@ -132,14 +145,19 @@ def _uniform(words):
     return (words >> 11) * 2.0**-53
 
 
-@pytest.mark.parametrize("count", [1, 2, 3, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1])
+# 4 * CHUNK and 8 * CHUNK + 1 are the counts of the two chunk goldens in test_golden.py.
+@pytest.mark.parametrize(
+    "count", [1, 2, 3, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1, 4 * CHUNK - 1, 4 * CHUNK, 4 * CHUNK + 1, 8 * CHUNK + 1]
+)
 def test_chunked_draws_equal_one_shot_draws(count):
     chunks = list(_draws(count, seed=2024))
-    assert all(0 < settings.size == words.size <= CHUNK for settings, words in chunks)
+    assert all(0 < key.size == words.size <= CHUNK and key.dtype == np.intp for key, words in chunks)
+    key = np.concatenate([key for key, _ in chunks])
+    words = np.concatenate([words for _, words in chunks])
     expected_settings, expected_uniforms = _oracle_draws(count, seed=2024)
-    assert np.array_equal(np.concatenate([settings for settings, _ in chunks]), expected_settings)
-    uniforms = _uniform(np.concatenate([words for _, words in chunks]))
-    assert np.array_equal(uniforms.view(np.uint64), expected_uniforms.view(np.uint64))
+    assert np.array_equal(key >> 12, expected_settings)
+    assert np.array_equal(key & 4095, words >> 52)
+    assert np.array_equal(_uniform(words).view(np.uint64), expected_uniforms.view(np.uint64))
 
 
 # A CDF row holds 15 sorted interior values, then the 1.0 that sample_experiment
@@ -181,8 +199,8 @@ def test_cell_binning_matches_one_shot_oracle(cdf, count, seed):
     # The words random() turns into these uniforms, with random low 11 bits it drops.
     words = (uniform_draws * 2.0**53).astype(np.uint64) << 11 | rng.integers(0, 2**11, size=count, dtype=np.uint64)
     assert np.array_equal(_uniform(words), uniform_draws)
-    settings_u8 = setting_draws.astype(np.uint8)
-    chunks = [(settings_u8[i : i + CHUNK], words[i : i + CHUNK]) for i in range(0, count, CHUNK)]
+    key = setting_draws << 12 | (words >> 52).astype(np.intp)
+    chunks = [(key[i : i + CHUNK], words[i : i + CHUNK]) for i in range(0, count, CHUNK)]
     assert np.array_equal(_outcome_counts(cdf, chunks), _oracle_counts(cdf, setting_draws, uniform_draws))
 
 

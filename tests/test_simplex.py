@@ -71,7 +71,7 @@ def test_pivots_match_the_per_element_route_bit_for_bit():
     rng = np.random.default_rng(5)
     tables = np.array([vertex.to_flat() for vertex in local_vertices()])
     system = np.vstack([tables.T, np.ones(16)])
-    signed_zeros = 0
+    zero_residuals = 0
     for k in range(316):
         if k < 16:
             target = tables[k]
@@ -86,9 +86,9 @@ def test_pivots_match_the_per_element_route_bit_for_bit():
         x_ref, residual_ref = simplex_oracle.l1_feasibility(system, rhs)
         assert x.tobytes() == x_ref.tobytes()
         assert np.float64(residual).tobytes() == np.float64(residual_ref).tobytes()
-        values = np.append(x, residual)
-        signed_zeros += int(np.sum(np.signbit(values) & (values == 0.0)))
-    assert signed_zeros > 0  # the comparison reaches -0.0 results
+        assert not np.signbit(np.append(x, residual)).any()  # no weight or residual is -0.0
+        zero_residuals += residual == 0.0
+    assert zero_residuals > 0  # the comparison reaches zero residuals, the ones max(-0.0, 0.0) would sign
 
 
 def _assert_same_bits(a, b):
@@ -135,3 +135,13 @@ def test_random_normalized_tables_match_the_oracle_bit_for_bit(blocks):
 @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (1, 0)])
 def test_empty_systems_match_the_oracle(shape):
     _assert_same_bits(np.zeros(shape), np.ones(shape[0]))
+
+
+@pytest.mark.parametrize(
+    ("a", "b"),
+    [(np.eye(2), [-0.0, 1.0]), ([[1.0, 1.0], [1.0, -1.0]], [-0.0, -0.0]), ([[1.0, 0.0], [1.0, 1.0]], [-0.0, 1.0])],
+)
+def test_a_negative_zero_right_hand_side_gives_zero_weights(a, b):
+    x, residual = l1_feasibility(np.array(a), np.array(b))
+    assert not np.signbit(np.append(x, residual)).any()
+    _assert_same_bits(np.array(a), np.array(b))
