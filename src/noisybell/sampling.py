@@ -42,7 +42,6 @@ class ExperimentSample:
     """Empirical summary of the runs of :func:`sample_experiment`, conditioned on the (in, in) branch."""
 
     branch_counts: np.ndarray  # [a1][b1] totals over all runs/settings
-    conditioned_counts: np.ndarray  # [x][y][a2][b2] within the (in, in) branch
     empirical_table: BehaviorTable | None
     s_empirical: float | None
     s_stderr: float | None
@@ -74,7 +73,7 @@ def sample_experiment(dim: int, noise: float, count: int, seed: int) -> Experime
     counts = _outcome_counts(cdf, _draws(count, seed))
     full = counts.reshape(2, 2, 2, 2, 2, 2)  # [x][y][a1][b1][a2][b2]
     branch_counts = full.sum(axis=(0, 1, 4, 5))
-    conditioned = full[:, :, 0, 0, :, :].astype(np.int64)
+    conditioned = full[:, :, 0, 0, :, :]
     per_setting = conditioned.sum(axis=(2, 3))
 
     table = s_empirical = s_stderr = None  # S is undefined when a setting pair saw no (in, in) run
@@ -85,7 +84,6 @@ def sample_experiment(dim: int, noise: float, count: int, seed: int) -> Experime
         s_stderr = math.sqrt(float(np.sum((1.0 - correlators**2) / per_setting)))
     return ExperimentSample(
         branch_counts=branch_counts,
-        conditioned_counts=conditioned,
         empirical_table=table,
         s_empirical=s_empirical,
         s_stderr=s_stderr,

@@ -209,7 +209,7 @@ def records_to_csv(records: Table, header: bool = True) -> str:
     column names as ``csv.writer`` does.  The texts of consecutive blocks,
     only the first with its header, join into the text of the whole grid.
     """
-    body = "".join(_rows(records, _csv_reals, format_real, _csv_template))
+    body = _join(records, _csv_texts, [""] + [","] * (len(records.columns) - 1), "\n", "")
     return _csv_header(records.columns) + body if header else body
 
 
@@ -228,12 +228,9 @@ def records_to_json(records: Table, first: bool = True, last: bool = True) -> st
     closes it; the texts of consecutive non-empty blocks, flagged so, join
     into the text of the whole grid.
     """
-    keys = [json.dumps(name).replace("%", "%%") for name in records.columns]
-
-    def template(fields: list[str]) -> str:
-        return "  {\n" + ",\n".join([f"    {key}: {field}" for key, field in zip(keys, fields)]) + "\n  }"
-
-    body = ",\n".join(_rows(records, _json_reals, _json_text, template))
+    keys = [json.dumps(name) + ": " for name in records.columns]
+    literals = ["  {\n    " + keys[0]] + [",\n    " + key for key in keys[1:]]
+    body = _join(records, _json_texts, literals, "\n  }", ",\n")
     if first and last and not body:
         return "[]\n"
     return ("[\n" if first else ",\n") + body + ("\n]\n" if last else "")
@@ -244,18 +241,16 @@ def records_to_json(records: Table, first: bool = True, last: bool = True) -> st
 rows_to_csv = records_to_csv
 rows_to_json = records_to_json
 
-
-def _json_text(value: float) -> str:
-    """json's text of a real rounded to 12 significant digits, NaN and infinities too."""
-    return json.dumps(float(format_real(value)))
+_BOOL_WORDS = np.array(["false", "true"], dtype=object)
 
 
-def _is_real(column: np.ndarray) -> bool:
-    return column.dtype.kind == "f"
-
-
-def _csv_reals(column: np.ndarray) -> tuple[list, str]:
-    return column.tolist(), "%.12g"
+def _csv_texts(column: np.ndarray) -> list[str]:
+    """A column's texts: reals with 12 significant digits, flags as ``true``/``false``, integers as they are."""
+    if column.dtype.kind == "f":
+        return ["%.12g" % x for x in column.tolist()]
+    if column.dtype == bool:
+        return _BOOL_WORDS[column.view(np.uint8)].tolist()
+    return list(map(str, column.tolist()))
 
 
 # "%.12g" already reads like repr of the float it rounds to on normal floats
@@ -267,73 +262,61 @@ _MIN_NORMAL = 2.2250738585072014e-308
 _ROUNDS_TO_1E12 = 999999999999.5
 
 
-def _json_reals(column: np.ndarray) -> tuple[list, str]:
-    """A real column's values for a ``%.12g`` field, or its json texts for a ``%s`` field.
+def _json_texts(column: np.ndarray) -> list[str]:
+    """A column's json texts: its CSV texts, with the reals json writes otherwise replaced.
 
     ``"%.12g"`` is json's text for a normal real below 999999999999.5 unless
     it lacks both ``.`` and ``e``, which takes a real within half a unit of
-    its 12th digit, at most 5e-12 of itself, of an integer.  Only the values
-    outside that range or within 1e-11 of themselves of an integer go through
-    :func:`_json_text`, once per float bit pattern, so ``0.0`` and ``-0.0``
-    keep their own texts.  A column with any such value is written as texts.
+    its 12th digit, at most 5e-12 of itself, of an integer.  Only the reals
+    outside that range or within 1e-11 of themselves of an integer get
+    ``json.dumps`` of the float their text reads as, NaN and infinities too,
+    once per float bit pattern, so ``0.0`` and ``-0.0`` keep their own texts.
     """
-    values = column.tolist()
+    texts = _csv_texts(column)
+    if column.dtype.kind != "f":
+        return texts
     magnitude = np.abs(column)
     with np.errstate(invalid="ignore"):  # inf - rint(inf)
         near_integer = np.abs(column - np.rint(column)) <= 1e-11 * magnitude
-    odd = ~((_MIN_NORMAL <= magnitude) & (magnitude < _ROUNDS_TO_1E12)) | near_integer
-    if not odd.any():
-        return values, "%.12g"
-    texts = ["%.12g" % x for x in values]
+    odd = np.flatnonzero(~((_MIN_NORMAL <= magnitude) & (magnitude < _ROUNDS_TO_1E12)) | near_integer)
     memo: dict[int, str] = {}
-    where = np.flatnonzero(odd)
-    for i, bits in zip(where.tolist(), column.view(np.int64)[where].tolist()):
+    for i, bits in zip(odd.tolist(), column.view(np.int64)[odd].tolist()):
         if bits not in memo:
-            memo[bits] = _json_text(values[i])
+            memo[bits] = json.dumps(float(texts[i]))
         texts[i] = memo[bits]
-    return texts, "%s"
+    return texts
 
 
-def _csv_template(fields: list[str]) -> str:
-    return ",".join(fields) + "\n"
+def _join(records: Table, texts: Callable, literals: list[str], end: str, between: str) -> str:
+    """The text of every record, ``between`` records, by one join.
 
-
-_BOOL_WORDS = np.array(["false", "true"], dtype=object)
-
-
-def _cells(column: np.ndarray) -> list:
-    """A column's values for a ``%s`` field: flags as JSON words, integers as they are."""
-    return (_BOOL_WORDS[column.view(np.uint8)] if column.dtype == bool else column).tolist()
-
-
-def _rows(records: Table, reals: Callable, real_text: Callable, template: Callable) -> list[str]:
-    """The text of each record, from one row template of ``template(fields)``.
-
-    ``reals(column)`` gives a real column's cells and its field, and
-    ``real_text(x)`` the text of one real.  In a table of more than one
-    record, a column whose values are bit-identical on every record, so
-    ``0.0`` and ``-0.0`` differ, is written into the template once and never
-    converted.
+    A record is ``literals[0]``, the text of its first column,
+    ``literals[1]``, ..., and ``end``; ``texts(column)`` gives a column's
+    texts.  One row template, repeated once per record, holds the literals
+    and a slot per column, and each column's texts fill their slots by one
+    slice assignment.  In a table of more than one record, a column whose
+    values are bit-identical on every record, so ``0.0`` and ``-0.0``
+    differ, is folded into the literal before it and converted once.
     """
-    cells, fields = [], []
-    for column in records.columns.values():
+    row, slots, literal = [], [], ""
+    for prefix, column in zip(literals, records.columns.values()):
+        literal += prefix
         if len(records) > 1 and _is_fixed(column):
-            fields.append(_text(column, real_text).replace("%", "%%"))
+            literal += texts(column[:1])[0]
         else:
-            values, field = reals(column) if _is_real(column) else (_cells(column), "%s")
-            cells.append(values)
-            fields.append(field)
-    row = template(fields)
-    return [row % values for values in zip(*cells)] if cells else [row % ()] * len(records)
+            slots.append((len(row) + 1, column))
+            row += [literal, None]
+            literal = ""
+    row.append(literal + end + between)
+    parts = row * len(records)
+    for slot, column in slots:
+        parts[slot :: len(row)] = texts(column)
+    if parts:
+        parts[-1] = literal + end
+    return "".join(parts)
 
 
 def _is_fixed(column: np.ndarray) -> bool:
     """Whether every record holds the first one's value, a real's by its bits."""
-    key = column.view(np.int64) if _is_real(column) else column
+    key = column.view(np.int64) if column.dtype.kind == "f" else column
     return bool((key == key[0]).all())
-
-
-def _text(column: np.ndarray, real_text: Callable) -> str:
-    """The text of a column's first record."""
-    value = column[:1]
-    return real_text(value.item()) if _is_real(column) else str(_cells(value)[0])

@@ -59,9 +59,15 @@ def separability_threshold(n: int) -> float:
 def is_separable_family(n: int, noise: float) -> bool:
     """Separability decision for the noisy maximally entangled family only.
 
-    True exactly when noise >= :func:`separability_threshold` of n.  This
-    closed-form boundary holds for states produced by :func:`noisy_state`; it
-    is not a general separability test.
+    True exactly when noise >= N/(N+1), decided exactly for every float.
+    This closed-form boundary holds for states produced by
+    :func:`noisy_state`; it is not a general separability test.
     """
-    check_family(n, noise)
-    return noise >= separability_threshold(n)
+    n = check_family(n, noise)
+    boundary = separability_threshold(n)
+    # Only the float nearest N/(N+1) can sit on the wrong side of it; when it
+    # lies below, the state there is still entangled.
+    p, q = boundary.as_integer_ratio()
+    if p * (n + 1) < n * q:
+        return noise > boundary
+    return noise >= boundary

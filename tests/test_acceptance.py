@@ -148,7 +148,7 @@ def test_criterion_8_monte_carlo(capsys):
         assert abs(sample.s_empirical - TSIRELSON_BOUND) <= 5.0 * sample.s_stderr
 
         rerun = sample_experiment(2, 0.0, 10**6, seed=seed)
-        assert np.array_equal(sample.conditioned_counts, rerun.conditioned_counts)
+        assert np.array_equal(sample.empirical_table.probs, rerun.empirical_table.probs)
         assert sample.s_empirical == rerun.s_empirical
 
         argv = ["sample", "--dim", "2", "--noise", "0", "--count", "1000000", "--seed", str(seed)]

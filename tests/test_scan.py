@@ -92,11 +92,13 @@ def _exact_violates(n, noise):
 @example(n=2, boundary="threshold", ulps=-1000)  # S clears 2 by less than 1e-12 here
 @example(n=10**6, boundary="threshold", ulps=0)  # S exceeds 2 at the float threshold
 @example(n=2**62, boundary="threshold", ulps=-1)
+@example(n=6, boundary="separable", ulps=0)  # fl(6/7) lies below 6/7: entangled, so gap
 def test_flags_partition_the_noise_axis(n, boundary, ulps):
     """Exactly one of violates, gap and separable holds at every F near either boundary.
 
     violates agrees with the exact rational test except within one ulp of
     the float threshold, where rounding N / (N + c) may fall either side.
+    separable agrees with F(N + 1) >= N at every F.
     """
     threshold = violation_threshold(n)
     center = threshold if boundary == "threshold" else n / (n + 1)
@@ -105,6 +107,8 @@ def test_flags_partition_the_noise_axis(n, boundary, ulps):
     assert point["violates"] + point["gap"] + point["separable"] == 1
     if abs(noise - threshold) > math.ulp(threshold):
         assert point["violates"] == _exact_violates(n, noise)
+    if boundary == "separable":
+        assert point["separable"] == (Fraction(noise) * (n + 1) >= n)
 
 
 def test_noise_grid_inclusive_and_clamped():
@@ -464,7 +468,7 @@ _ODD_REALS = [
     -2.0,
 ]
 _RUN_LENGTHS = [1, 2, 31, 32, 33, 67]
-_NAMES = ["N", "F", "p%", "5%s", 'say "hi"', "é", "a,b", "", "x\r\ny"]
+_NAMES = ["N", "F", "p%", "5%s", 'say "hi"', "é", "a,b", "", "x\r\ny", "{0}", "}{", "100%%"]
 _CELLS = {
     "int64": st.integers(-3, 3),
     "object": st.sampled_from([2**63, 2**64 + 1, -(10**20), 7]),  # N past int64 stays exact

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -77,7 +78,7 @@ def test_family_takes_numpy_integer_dimensions():
     for n in (np.int64(2), np.int32(50000), np.int64(2**32)):
         assert type(check_family(n, 0.5)) is int
         sample, expected = (sample_experiment(m, 1.0, 100, seed=0) for m in (n, int(n)))
-        assert np.array_equal(sample.conditioned_counts, expected.conditioned_counts)
+        assert (sample.s_empirical, sample.s_stderr) == (expected.s_empirical, expected.s_stderr)
         assert np.array_equal(sample.branch_counts, expected.branch_counts)
     # int32 and int64 at their maxima wrap in n + 1: the separability boundary n / (n + 1) came out negative.
     # uint64 past int64 used to be stored as np.uint64 in the object N column, which Table rejects.
@@ -140,7 +141,9 @@ def test_density_matrix_eigenvalues_sorted():
 
 
 def test_separability_examples():
-    assert is_separable_family(2, 2.0 / 3.0)
+    # fl(2/3) lies below 2/3, so the state there is entangled; the next float up is separable.
+    assert not is_separable_family(2, 2.0 / 3.0)
+    assert is_separable_family(2, math.nextafter(2.0 / 3.0, 1.0))
     assert not is_separable_family(2, 0.5)
     assert is_separable_family(100, 0.995)
 
@@ -163,7 +166,7 @@ def test_separability_threshold_is_the_one_boundary():
         assert type(boundary) is float and boundary == int(n) / (int(n) + 1)
         # One ulp either side; one ulp up from 1.0 is no noise fraction.
         for noise in (math.nextafter(boundary, 0.0), boundary, math.nextafter(boundary, 1.0)):
-            assert is_separable_family(n, noise) is (noise >= boundary)
+            assert is_separable_family(n, noise) is (Fraction(noise) * (int(n) + 1) >= int(n))
     assert gap_rows(dims)["gap_hi"].tolist() == [separability_threshold(n) for n in dims]
 
 
