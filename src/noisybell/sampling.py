@@ -13,9 +13,9 @@ instead of mapping and zeroing fresh pages for every chunk.  A chunk is raw
 64-bit PCG64 outputs, cut from the same stream as one-shot
 ``integers(0, 4, count)`` followed by ``random(count)``, so every run keeps
 its (setting, uniform) pair whatever the chunk size.  Runs are binned from
-the bits of those outputs through one bucket table per setting pair, without
-building floats except for the few runs whose bucket holds one of their
-pair's CDF values.
+the bits of those outputs through one 16 KiB int8 table that maps each
+(setting pair, top 12 bits) key to its outcome bin, without building floats
+except for the few runs whose bucket holds one of their pair's CDF values.
 """
 
 from __future__ import annotations
@@ -125,46 +125,33 @@ def _outcome_counts(cdf: np.ndarray, draws) -> np.ndarray:
 
     A run with setting pair p = 2x + y and uniform u has outcome
     ``min(#{j : cdf[x, y, j] <= u}, 15)``.  The bucket ``floor(u * _BUCKETS)``
-    of u is exactly the top 12 bits ``w >> 52`` of its word, so one bincount
-    per chunk tallies every run by its key ``p << 12 | w >> 52``.  With
+    of u is exactly the top 12 bits ``w >> 52`` of its word, so a run's key
+    ``p << 12 | w >> 52`` names its pair and bucket.  With
     ``s = cdf[x, y] * _BUCKETS`` (exact, as ``_BUCKETS`` is a power of two),
-    bucket k starts at outcome ``min(#{j : ceil(s_j) <= k}, 15)``, so each
-    pair's bucket table is 16 runs: outcome o starts at bucket
-    ``ceil(s_(o-1))``, outcome 0 at bucket 0.  A bucket is split when some
-    ``s_j`` lies strictly inside it, at most 15 per pair.  Only runs in a
-    split bucket rebuild u and count their pair's CDF values at or below it.
+    bucket k starts at outcome ``min(#{j : ceil(s_j) <= k}, 15)``: outcome o
+    starts at bucket ``ceil(s_(o-1))``, outcome 0 at bucket 0.  One int8
+    table maps every key to its bin ``16 * p + outcome``, or to -1 when some
+    ``s_j`` lies strictly inside the bucket, at most 15 per pair.  Only runs
+    in such a split bucket rebuild u and count their pair's CDF values at or
+    below it.  The counts are int64, exact up to 2**63 - 1 runs.
     """
     rows = cdf.reshape(4, 16)
     scaled = rows * _BUCKETS
     first_keys = _BUCKETS * np.arange(4)[:, None]
-    # The first 15 CDF values never decrease, nor do their ceilings, so runs follow each other in key order.
+    # The first 15 CDF values never decrease, nor do their ceilings, so bins follow each other in key order.
     ceilings = np.minimum(np.ceil(scaled[:, :15]), _BUCKETS).astype(np.intp)
     starts = np.hstack([first_keys, first_keys + ceilings]).ravel()  # first key of each (pair, outcome)
+    bins = np.repeat(np.arange(64, dtype=np.int8), np.diff(starts, append=4 * _BUCKETS))
     floors = np.floor(scaled)
     inside = (floors < scaled) & (scaled < _BUCKETS)  # s_j lies strictly inside bucket floor(s_j)
-    split = np.zeros(4 * _BUCKETS, dtype=bool)
-    split[(first_keys + floors.astype(np.intp))[inside]] = True
-    bucket_totals = np.zeros(4 * _BUCKETS, dtype=np.int64)
-    exact_counts = np.zeros(64, dtype=np.int64)
+    bins[(first_keys + floors.astype(np.intp))[inside]] = -1
+    counts = np.zeros(64, dtype=np.int64)
     for key, words in draws:
-        bucket_totals += np.bincount(key, minlength=4 * _BUCKETS)
-        runs = np.flatnonzero(split[key])
+        run_bins = bins[key]  # int8: 16 KiB a chunk; an intp table measured slower
+        runs = np.flatnonzero(run_bins < 0)
         if runs.size:
             pair = key[runs] >> _BUCKET_BITS
             uniform = (words[runs] >> 11) * 2.0**-53
-            outcome = np.minimum(np.count_nonzero(rows[pair] <= uniform[:, None], axis=1), 15)
-            exact_counts += np.bincount(16 * pair + outcome, minlength=64)
-    return _fold(starts, split, bucket_totals, exact_counts).reshape(2, 2, 16)
-
-
-def _fold(starts: np.ndarray, split: np.ndarray, bucket_totals: np.ndarray, exact_counts: np.ndarray) -> np.ndarray:
-    """Counts per (pair, outcome): ``exact_counts`` plus the totals of the unsplit buckets.
-
-    The buckets of (pair, outcome) i are the keys from ``starts[i]`` up to
-    the next start, or to the last key.  Every sum is in int64, so counts
-    stay exact up to 2**63 - 1 runs.
-    """
-    nonempty = np.diff(starts, append=split.size) > 0  # reduceat would give an empty run its next bucket
-    counts = exact_counts.copy()
-    counts[nonempty] += np.add.reduceat(np.where(split, 0, bucket_totals), starts[nonempty])
-    return counts
+            run_bins[runs] = 16 * pair + np.minimum(np.count_nonzero(rows[pair] <= uniform[:, None], axis=1), 15)
+        counts += np.bincount(run_bins, minlength=64)
+    return counts.reshape(2, 2, 16)

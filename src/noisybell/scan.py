@@ -134,31 +134,54 @@ def scan_grid(
     grid = np.where(f_max < grid, f_max, grid)
     size = len(ordered) * len(grid)
     s_value = np.empty(size)
+    violates = np.empty(size, dtype=bool)
     threshold = np.empty(size)
     separable = np.empty(size, dtype=bool)
     success_prob = np.empty(size)
     for i, n in enumerate(ordered):
         rows = slice(i * len(grid), (i + 1) * len(grid))
         s_value[rows] = chsh_closed_form(n, grid)
+        violates[rows] = grid < _violation_cut(n)
         threshold[rows] = violation_threshold(n)
         separable[rows] = is_separable_family(n, grid)
         success_prob[rows] = success_probability(n, grid)
-    noise = np.tile(grid, len(ordered))
-    # violates and gap meet at the closed-form threshold, not at S = 2: S can
-    # print as 2 at 12 digits on either side of it.  With separable, exactly
-    # one of the three flags holds at every point.
+    # violates is decided exactly, not from S: S can print as 2 at 12 digits
+    # on either side of the threshold.  With separable, exactly one of the
+    # three flags holds at every point.
     return Table(
         {
             "N": np.repeat(_dim_column(ordered), len(grid)),
-            "F": noise,
+            "F": np.tile(grid, len(ordered)),
             "S": s_value,
-            "violates": noise < threshold,
+            "violates": violates,
             "threshold": threshold,
             "separable": separable,
-            "gap": (noise >= threshold) & ~separable,
+            "gap": ~violates & ~separable,
             "success_prob": success_prob,
         }
     )
+
+
+def _violation_cut(n: int) -> float:
+    """The least float F at which dimension n does not violate CHSH: violates means F < cut.
+
+    S falls as F rises, and S > 2 exactly when a = N(1 - F) - 2F > 0 and
+    a^2 > 8F^2.  With F = p / q both are integer tests, so the cut is found
+    by stepping from the float threshold, which lies within an ulp or so of it.
+    """
+    cut = violation_threshold(n)
+    n = int(n)  # numpy integer n could wrap around in n * (q - p)
+
+    def violates(noise: float) -> bool:
+        p, q = noise.as_integer_ratio()
+        a = n * (q - p) - 2 * p
+        return a > 0 and a * a > 8 * p * p
+
+    while violates(cut):
+        cut = math.nextafter(cut, 2.0)
+    while not violates(below := math.nextafter(cut, -1.0)):
+        cut = below
+    return cut
 
 
 def bisect_threshold(n: int) -> float:

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noisybell import chsh_closed_form, sample_experiment, sampling, sequential, states
-from noisybell.sampling import _BUCKETS, CHUNK, _draws, _fold, _outcome_counts
+from noisybell.sampling import CHUNK, _draws, _outcome_counts
 
 
 def test_same_seed_reproduces_every_count():
@@ -83,7 +83,7 @@ def test_memory_does_not_grow_with_count():
 
 
 @pytest.mark.parametrize(("dim", "count"), [(24, 10**5), (2, 10**6)])
-def test_chunk_working_set_stays_under_a_mebibyte(dim, count):
+def test_chunk_working_set_stays_under_768_kib(dim, count):
     """A chunk's arrays stay small enough for the heap to reuse, chunk after chunk."""
     sample_experiment(2, 0.3, 10, seed=3)  # the first call in a process imports numpy's random modules
     tracemalloc.start()
@@ -92,7 +92,8 @@ def test_chunk_working_set_stays_under_a_mebibyte(dim, count):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2**20  # 2**16-run chunks peaked at 2.2 to 2.6 MiB
+    # 2**16-run chunks peaked at 2.2 to 2.6 MiB; 2**14-run chunks tallied into 2**14 int64 buckets at 795 KiB
+    assert peak < 3 * 2**18
 
 
 def test_sampling_call_sites_the_benchmark_traces(monkeypatch):
@@ -184,6 +185,8 @@ def _cdfs(draw):
 @given(cdf=_cdfs(), count=st.integers(min_value=1, max_value=3 * CHUNK + 1), seed=st.integers(0, 2**32))
 @example(cdf=np.tile(np.arange(1, 17) / 16, (2, 2, 1)), count=3 * CHUNK + 1, seed=0)
 @example(cdf=np.tile(np.r_[np.zeros(15), 1.0], (2, 2, 1)), count=1, seed=5)
+# Every outcome but 0 has no bucket: its 15 CDF values lie just above 1, past the last bucket.
+@example(cdf=np.tile(np.r_[np.full(15, np.nextafter(1.0, 2.0)), 1.0], (2, 2, 1)), count=CHUNK + 1, seed=3)
 def test_cell_binning_matches_one_shot_oracle(cdf, count, seed):
     rng = np.random.default_rng(seed)
     setting_draws = rng.integers(0, 4, size=count)
@@ -201,40 +204,6 @@ def test_cell_binning_matches_one_shot_oracle(cdf, count, seed):
     assert np.array_equal(_uniform(words), uniform_draws)
     key = setting_draws << 12 | (words >> 52).astype(np.intp)
     chunks = [(key[i : i + CHUNK], words[i : i + CHUNK]) for i in range(0, count, CHUNK)]
-    assert np.array_equal(_outcome_counts(cdf, chunks), _oracle_counts(cdf, setting_draws, uniform_draws))
-
-
-def test_fold_keeps_counts_past_float_precision_exact():
-    """Totals past 2**53, where a float-weighted sum rounds, fold exactly in int64."""
-    joint = sequential.sequential_joint_distribution(3, 0.2)
-    cdf = np.cumsum(joint.reshape(2, 2, 16), axis=2)
-    cdf[:, :, -1] = 1.0
-    # Each (pair, bucket) by one-shot search: the outcome at its left edge, and whether a CDF value lies inside it.
-    edges = np.arange(_BUCKETS + 1) / _BUCKETS
-    left = np.array([np.searchsorted(row, edges[:-1], side="right") for row in cdf.reshape(4, 16)])
-    right = np.array([np.searchsorted(row, edges[1:], side="left") for row in cdf.reshape(4, 16)])
-    outcome = np.minimum(left, 15)
-    split = (right > left).ravel()
-    # The left-edge outcome never decreases, so (pair, o) starts after the pair's buckets with smaller outcomes.
-    starts = np.array([pair * _BUCKETS + np.count_nonzero(outcome[pair] < o) for pair in range(4) for o in range(16)])
-    assert split.any()
-    big = 2**60 + 1
-    chosen = []
-    for pair in range(4):
-        unsplit = pair * _BUCKETS + np.flatnonzero(~split[pair * _BUCKETS : (pair + 1) * _BUCKETS])
-        chosen += unsplit[[0, 1, len(unsplit) // 2, -2, -1]].tolist()
-    bucket_totals = np.zeros(4 * _BUCKETS, dtype=np.int64)
-    bucket_totals[chosen] = big
-    bucket_totals[split] = big  # split buckets are counted by the exact path instead
-    exact_counts = np.zeros(64, dtype=np.int64)
-    exact_counts[15::16] = big + 2  # runs above every CDF value, outcome 15
-    counts = _fold(starts, split, bucket_totals, exact_counts)
-
-    expected = [0] * 64
-    for key in chosen:
-        # Every u of an unsplit bucket has the outcome of its left edge.
-        expected[16 * (key // _BUCKETS) + int(outcome.ravel()[key])] += big
-    for pair in range(4):
-        expected[16 * pair + 15] += big + 2
-    assert counts.tolist() == expected
-    assert max(expected) > 2**53
+    counts = _outcome_counts(cdf, chunks)
+    assert counts.dtype == np.int64  # exact up to 2**63 - 1 runs
+    assert np.array_equal(counts, _oracle_counts(cdf, setting_draws, uniform_draws))

@@ -92,21 +92,19 @@ def _exact_violates(n, noise):
 @example(n=2, boundary="threshold", ulps=-1000)  # S clears 2 by less than 1e-12 here
 @example(n=10**6, boundary="threshold", ulps=0)  # S exceeds 2 at the float threshold
 @example(n=2**62, boundary="threshold", ulps=-1)
+@example(n=2, boundary="threshold", ulps=-1)  # above N / (N + c), though below its float: S <= 2, so gap
 @example(n=6, boundary="separable", ulps=0)  # fl(6/7) lies below 6/7: entangled, so gap
 def test_flags_partition_the_noise_axis(n, boundary, ulps):
     """Exactly one of violates, gap and separable holds at every F near either boundary.
 
-    violates agrees with the exact rational test except within one ulp of
-    the float threshold, where rounding N / (N + c) may fall either side.
-    separable agrees with F(N + 1) >= N at every F.
+    violates agrees with the exact rational test, and separable with
+    F(N + 1) >= N, at every F.
     """
-    threshold = violation_threshold(n)
-    center = threshold if boundary == "threshold" else n / (n + 1)
+    center = violation_threshold(n) if boundary == "threshold" else n / (n + 1)
     noise = float(np.clip((np.float64(center).view(np.int64) + ulps).view(np.float64), 0.0, 1.0))
     point = record(n, noise)
     assert point["violates"] + point["gap"] + point["separable"] == 1
-    if abs(noise - threshold) > math.ulp(threshold):
-        assert point["violates"] == _exact_violates(n, noise)
+    assert point["violates"] == _exact_violates(n, noise)
     if boundary == "separable":
         assert point["separable"] == (Fraction(noise) * (n + 1) >= n)
 
