@@ -6,11 +6,17 @@ decides LHV-explainability of behavior tables by local-polytope membership.
 """
 
 from .behavior import BehaviorTable, TableFormatError, load_table, save_table
-from .chsh import (
+from .family import (
     C_THRESHOLD,
     TSIRELSON_BOUND,
     chsh_closed_form,
+    is_separable_family,
+    noisy_state,
     retained_fraction,
+    separability_threshold,
+    sequential_joint_distribution,
+    success_probability,
+    violates_chsh,
     violation_threshold,
 )
 from .polytope import (
@@ -23,8 +29,6 @@ from .polytope import (
 )
 from .sampling import ExperimentSample, sample_experiment
 from .scan import Table, bisect_threshold, gap_rows, scan_grid, threshold_rows
-from .sequential import sequential_joint_distribution, success_probability
-from .states import is_separable_family, noisy_state, separability_threshold
 
 __version__ = "0.1.0"
 
@@ -55,5 +59,6 @@ __all__ = [
     "sequential_joint_distribution",
     "success_probability",
     "threshold_rows",
+    "violates_chsh",
     "violation_threshold",
 ]

@@ -209,33 +209,15 @@ def cmd_lhv_check(args: argparse.Namespace) -> int:
         "signaling_defect": table.signaling_defect,
         "weights": weights,
     }
-    text = _format_verdict(report, args.format)
+    if args.format == "json":
+        text = json.dumps({key: _rounded(value) for key, value in report.items()}, indent=2) + "\n"
+    else:
+        text = "".join(f"{key}: {_text(value)}\n" for key, value in report.items() if value is not None)
     with _sink(args.out) as write:
         write(text)
     if method != args.method:  # after the write, so an I/O error stays the only stderr line
         print("notice: facet criterion not applicable to a signaling table; falling back to LP", file=sys.stderr)
     return EXIT_OK if local else EXIT_NONLOCAL
-
-
-def _format_verdict(report: dict, fmt: str) -> str:
-    if fmt == "json":
-        cleaned = dict(report)
-        if cleaned["weights"] is not None:
-            cleaned["weights"] = [float(format_real(w)) for w in cleaned["weights"]]
-        for key in ("max_facet", "signaling_defect"):
-            cleaned[key] = float(format_real(cleaned[key]))
-        return json.dumps(cleaned, indent=2) + "\n"
-    lines = [
-        f"verdict: {report['verdict']}",
-        f"method: {report['method']}",
-        f"max_facet: {format_real(report['max_facet'])}",
-    ]
-    if report["violated_facet"]:
-        lines.append(f"violated_facet: {report['violated_facet']}")
-    lines.append(f"signaling_defect: {format_real(report['signaling_defect'])}")
-    if report["weights"] is not None:
-        lines.append("weights: " + ",".join(format_real(w) for w in report["weights"]))
-    return "\n".join(lines) + "\n"
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
@@ -258,21 +240,28 @@ def cmd_sample(args: argparse.Namespace) -> int:
     fields["in_in_count"] = int(sample.branch_counts[0, 0])
     estimates = {"s_empirical": sample.s_empirical, "s_stderr": sample.s_stderr, "s_analytic": sample.s_analytic}
     if args.format == "json":
-        payload = fields | {key: _maybe_rounded(value) for key, value in estimates.items()}
+        payload = fields | {key: _rounded(value) for key, value in estimates.items()}
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
     else:
-        fields["noise"] = format_real(args.noise)
-        cells = [str(value) for value in fields.values()] + [_maybe_real(value) for value in estimates.values()]
-        sys.stdout.write(",".join(fields | estimates) + "\n" + ",".join(cells) + "\n")
+        row = fields | estimates
+        sys.stdout.write(",".join(row) + "\n" + ",".join(map(_text, row.values())) + "\n")
     return EXIT_OK
 
 
-def _maybe_real(value: float | None) -> str:
-    return "nan" if value is None else format_real(value)
+def _text(value) -> str:
+    """A report value as text: None as nan, reals with 12 significant digits, weights comma-joined."""
+    if value is None:
+        return "nan"
+    if isinstance(value, float):
+        return format_real(value)
+    return str(value) if isinstance(value, (str, int)) else ",".join(map(_text, value))
 
 
-def _maybe_rounded(value: float | None) -> float | None:
-    return None if value is None else float(format_real(value))
+def _rounded(value):
+    """A report value for JSON: reals, alone or in a list, rounded to 12 significant digits."""
+    if isinstance(value, float):
+        return float(format_real(value))
+    return value if value is None or isinstance(value, str) else [_rounded(v) for v in value]
 
 
 def main(argv: list[str] | None = None) -> int:

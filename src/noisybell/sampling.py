@@ -26,9 +26,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .behavior import BehaviorTable
-from .chsh import chsh_closed_form
-from .sequential import sequential_joint_distribution
-from .states import noisy_state  # noqa: F401  not called; bound because perfbench/tracing.py TARGETS names it
+from .family import chsh_closed_form, sequential_joint_distribution
+from .family import noisy_state  # noqa: F401  not called; bound because perfbench/tracing.py TARGETS names it
 
 GENERATOR_NAME = "numpy-pcg64"
 CHUNK = 2**14  # runs drawn and binned at a time: an int64 array of a chunk is 128 KiB

@@ -19,9 +19,14 @@ from types import MappingProxyType
 import numpy as np
 
 from .behavior import _freeze
-from .chsh import chsh_closed_form, violation_threshold
-from .sequential import success_probability
-from .states import is_separable_family, separability_threshold
+from .family import (
+    chsh_closed_form,
+    is_separable_family,
+    separability_threshold,
+    success_probability,
+    violates_chsh,
+    violation_threshold,
+)
 
 BISECT_TOL = 1e-12  # bisect_threshold stops once its bracket is this narrow
 
@@ -82,7 +87,12 @@ def _grid_points(f_min: float, f_max: float, f_step: float) -> int:
         raise ValueError(f"grid step must be positive, got {f_step}")
     if not (0.0 <= f_min <= f_max <= 1.0):
         raise ValueError(f"noise range [{f_min}, {f_max}] must lie inside [0, 1]")
-    steps = (f_max - f_min) / f_step + 1e-9
+    # An f_max on the grid can give a quotient short of its integer by the
+    # inputs' rounding, which at millions of points exceeds any fixed slack;
+    # the slack scales with it, but stays under half a step, so an f_max off
+    # the grid gains no point.
+    slack = min(max(1e-9, 4 * math.ulp(1.0) * (f_min + f_max) / f_step), 0.25)
+    steps = (f_max - f_min) / f_step + slack
     if steps >= MAX_SCAN_RECORDS:
         raise ValueError(f"grid step {f_step} gives more than {MAX_SCAN_RECORDS} noise points")
     return int(steps) + 1
@@ -141,7 +151,7 @@ def scan_grid(
     for i, n in enumerate(ordered):
         rows = slice(i * len(grid), (i + 1) * len(grid))
         s_value[rows] = chsh_closed_form(n, grid)
-        violates[rows] = grid < _violation_cut(n)
+        violates[rows] = violates_chsh(n, grid)
         threshold[rows] = violation_threshold(n)
         separable[rows] = is_separable_family(n, grid)
         success_prob[rows] = success_probability(n, grid)
@@ -160,28 +170,6 @@ def scan_grid(
             "success_prob": success_prob,
         }
     )
-
-
-def _violation_cut(n: int) -> float:
-    """The least float F at which dimension n does not violate CHSH: violates means F < cut.
-
-    S falls as F rises, and S > 2 exactly when a = N(1 - F) - 2F > 0 and
-    a^2 > 8F^2.  With F = p / q both are integer tests, so the cut is found
-    by stepping from the float threshold, which lies within an ulp or so of it.
-    """
-    cut = violation_threshold(n)
-    n = int(n)  # numpy integer n could wrap around in n * (q - p)
-
-    def violates(noise: float) -> bool:
-        p, q = noise.as_integer_ratio()
-        a = n * (q - p) - 2 * p
-        return a > 0 and a * a > 8 * p * p
-
-    while violates(cut):
-        cut = math.nextafter(cut, 2.0)
-    while not violates(below := math.nextafter(cut, -1.0)):
-        cut = below
-    return cut
 
 
 def bisect_threshold(n: int) -> float:

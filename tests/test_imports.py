@@ -1,5 +1,6 @@
 """Every name a package module imports is used, every private module-level name has a reader,
-the package exports exactly what it imports, and README's library table names only what its modules have.
+the package exports exactly what it imports, README's library table names only what its modules have,
+and every dotted ``noisybell.<module>`` or ``noisybell.<module>.<NAME>`` README cites is there.
 
 A stdlib ``ast`` scan stands in for a linter: it catches the stale imports,
 exports and private helpers that deleting a function leaves behind.  An import on a line
@@ -149,3 +150,23 @@ def test_every_documented_name_exists():
             unresolved[module.__name__] = sorted(name for name in leading_names(contents) if not resolves(module, name))
     assert sorted(unresolved) == sorted(f"noisybell.{path.stem}" for path in PACKAGE.glob("*.py") if path.stem != "__init__")
     assert {module: names for module, names in unresolved.items() if names} == {}
+
+
+def unresolved_dotted_names(text: str) -> list[str]:
+    """Each ``noisybell.<module>`` or ``noisybell.<module>.<NAME>`` in ``text`` that is not a package module or its attribute."""
+    stale = set()
+    for module, name in re.findall(r"\bnoisybell\.(\w+)(?:\.(\w+))?", text):
+        if not (PACKAGE / f"{module}.py").is_file():
+            stale.add(f"noisybell.{module}")
+        elif name and not hasattr(importlib.import_module(f"noisybell.{module}"), name):
+            stale.add(f"noisybell.{module}.{name}")
+    return sorted(stale)
+
+
+def test_every_dotted_name_in_readme_resolves():
+    """README's prose cites modules and constants by dotted name too; a merge or deletion cannot leave one stale."""
+    assert unresolved_dotted_names("`noisybell.scan.BLOCK`, noisybell.states, noisybell.scan.NO_SUCH.") == [
+        "noisybell.scan.NO_SUCH",
+        "noisybell.states",
+    ]
+    assert unresolved_dotted_names((ROOT / "README.md").read_text()) == []

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from noisybell import noisy_state
-from noisybell.sequential import sequential_joint_distribution
+from noisybell.family import sequential_joint_distribution
 
 from dense import TSIRELSON, dense_joint
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from noisybell import chsh_closed_form, sample_experiment, sampling, sequential, states
+from noisybell import chsh_closed_form, family, sample_experiment, sampling
 from noisybell.sampling import CHUNK, _draws, _outcome_counts
 
 
@@ -102,8 +102,8 @@ def test_sampling_call_sites_the_benchmark_traces(monkeypatch):
     The closed-form joint law needs no dense state, so ``noisy_state`` stays
     bound for the tracer but is not called.
     """
-    assert sampling.noisy_state is states.noisy_state
-    assert sampling.sequential_joint_distribution is sequential.sequential_joint_distribution
+    assert sampling.noisy_state is family.noisy_state
+    assert sampling.sequential_joint_distribution is family.sequential_joint_distribution
     calls = []
 
     def recording(name, original):

@@ -20,6 +20,7 @@ from noisybell import (
     scan_grid,
     success_probability,
     threshold_rows,
+    violates_chsh,
     violation_threshold,
 )
 from noisybell import cli, scan
@@ -104,7 +105,7 @@ def test_flags_partition_the_noise_axis(n, boundary, ulps):
     noise = float(np.clip((np.float64(center).view(np.int64) + ulps).view(np.float64), 0.0, 1.0))
     point = record(n, noise)
     assert point["violates"] + point["gap"] + point["separable"] == 1
-    assert point["violates"] == _exact_violates(n, noise)
+    assert point["violates"] == violates_chsh(n, noise) == _exact_violates(n, noise)
     if boundary == "separable":
         assert point["separable"] == (Fraction(noise) * (n + 1) >= n)
 
@@ -115,6 +116,17 @@ def test_noise_grid_inclusive_and_clamped():
     assert grid[0] == 0.0
     assert grid[-1] == 1.0
     assert all(0.0 <= f <= 1.0 for f in grid)
+
+
+@pytest.mark.parametrize(
+    "f_min, f_max, f_step, points",
+    [(0.48245730361, 0.50326924273, 5.67e-9, 3_670_537), (0.4791285915, 0.5463645675, 1.66e-8, 4_050_361)],
+)
+def test_noise_grid_keeps_an_f_max_on_the_grid_at_millions_of_points(f_min, f_max, f_step, points):
+    # (f_max - f_min) / f_step falls short of its integer by more than 1e-9 steps here;
+    # only the last point is built.
+    assert scan_size([2], f_min, f_max, f_step) == points
+    assert scan_grid([2], f_min, f_max, f_step, points - 1, points)["F"].tolist() == [f_max]
 
 
 def test_noise_grid_rejects_bad_config():

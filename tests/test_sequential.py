@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noisybell import chsh_closed_form, noisy_state, retained_fraction, success_probability
-from noisybell.sequential import sequential_joint_distribution
+from noisybell.family import sequential_joint_distribution
 
 from dense import TSIRELSON, behavior_table, condition, dense_joint, post_select, projector
 

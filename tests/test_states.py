@@ -17,7 +17,7 @@ from noisybell import (
     threshold_rows,
     violation_threshold,
 )
-from noisybell.states import check_family
+from noisybell.family import check_family
 
 from dense import partial_transpose
 
