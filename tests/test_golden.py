@@ -133,11 +133,12 @@ CASES = (
 
 
 # Outputs too large to commit, pinned by SHA-256 and byte length.  scan writes
-# in blocks of 2**14 records: one dimension with one record fewer than a block,
-# a whole block and one record more (F steps of 2**-15, so the point counts are
-# exact), and three dimensions of about 3.5 blocks each on an off-grid F range,
-# one of them past int64.  Each goes to stdout and to --out ("{out}"), where
-# the digest is of the written file and stdout must stay empty.
+# in blocks of 2**12 records: one dimension with one record fewer than four
+# blocks, four whole blocks and one record more (F steps of 2**-15, so the
+# point counts are exact), and three dimensions of just under 14 blocks each on
+# an off-grid F range, one of them past int64.  Each goes to stdout and to
+# --out ("{out}"), where the digest is of the written file and stdout must
+# stay empty.
 _EDGE = ["--dims", "5", "--f-step", "3.0517578125e-05", "--f-max"]
 _WIDE = ["--dims", f"3,97,{10**20}", "--f-min", "0.0123", "--f-max", "0.9871", "--f-step", "1.7e-5"]
 

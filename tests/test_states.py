@@ -3,8 +3,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from noisybell import (
     chsh_closed_form,
@@ -190,6 +191,49 @@ def test_separability_matches_ppt(n, noise):
 def test_check_family_names_first_bad_array_entry(noise, first_bad):
     with pytest.raises(ValueError, match=rf"noise fraction must lie in \[0, 1\], got {first_bad}$"):
         check_family(3, np.array(noise))
+
+
+def _elementwise_rule(noise) -> str | None:
+    """What check_family raised for noise when it tested every entry, or None where it passed."""
+    values = np.asarray(noise)
+    bad = ~((values >= 0.0) & (values <= 1.0))
+    return f"noise fraction must lie in [0, 1], got {values[bad][0].item()}" if bad.any() else None
+
+
+_EDGES = st.sampled_from([-0.0, 0.0, 1.0, math.nextafter(0.0, -1.0), math.nextafter(1.0, 2.0), math.nan, math.inf])
+_REALS = st.one_of(_EDGES, st.floats(0.0, 1.0), st.floats())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.sampled_from([2, 3, np.int64(5), np.uint8(7), 10**30]),
+    noise=st.one_of(
+        _REALS,
+        _REALS.map(np.float64),
+        st.floats(width=32).map(np.float32),
+        st.integers(-2, 3),
+        arrays(np.float64, array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=6), elements=_REALS),
+    ),
+)
+@example(n=2, noise=math.nan)
+@example(n=2, noise=-0.0)
+@example(n=2, noise=1.0)
+@example(n=2, noise=math.nextafter(1.0, 2.0))
+@example(n=2, noise=np.array([]))
+@example(n=np.int64(3), noise=np.array([0.5, math.nan, -1.0]))
+def test_check_family_takes_and_rejects_as_the_elementwise_rule(n, noise):
+    """Comparing a scalar once and an array's min and max decides as testing every entry does.
+
+    A rejection names the same first bad entry.
+    """
+    expected = _elementwise_rule(noise)
+    if expected is None:
+        checked = check_family(n, noise)
+        assert type(checked) is int and checked == n
+    else:
+        with pytest.raises(ValueError) as raised:
+            check_family(n, noise)
+        assert str(raised.value) == expected
 
 
 def test_family_closed_forms_take_noise_arrays():
