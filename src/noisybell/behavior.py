@@ -9,13 +9,19 @@ the order of the 16-entry ``px`` list in the JSON file format::
 
 ``px`` is mandatory; ``settings`` and ``outcomes`` are validated when present
 and must equal [2, 2].  Unknown keys (e.g. ``meta``) are ignored on load.
+
+A table computes its checks and every derived quantity (the defects, the
+correlators and the 8 CHSH facets) once, when it is built, from its 16
+entries as Python floats: on 16 numbers that is cheaper than numpy's
+per-call cost, and the sums are written in numpy's order, so every value
+keeps the bits of the numpy expression it stands for.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from functools import cached_property
+import math
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -43,6 +49,41 @@ def _entries(values: object) -> np.ndarray:
         raise TableFormatError(f"behavior table must be a regular array: {exc}") from exc
 
 
+def _derived(p: list[float]) -> tuple[float, float, list[float], list[float]]:
+    """normalization_defect, signaling_defect, the correlators and the 8 facets of the flat entries ``p``.
+
+    Every sum runs left to right, which is numpy's own order for a sum of
+    fewer than 8 terms, so each value has the bits of the numpy expression
+    on the (2, 2, 2, 2) array that it stands for.  Built-in ``sum`` is
+    avoided: from Python 3.12 it compensates float sums, which changes bits.
+    """
+    # s, t, u, v are the setting pairs (x, y) = 00, 01, 10, 11; 0 to 3 their outcomes ++, +-, -+, --.
+    s0, s1, s2, s3, t0, t1, t2, t3, u0, u1, u2, u3, v0, v1, v2, v3 = p
+    normalization = max(
+        abs(s0 + s1 + s2 + s3 - 1.0),
+        abs(t0 + t1 + t2 + t3 - 1.0),
+        abs(u0 + u1 + u2 + u3 - 1.0),
+        abs(v0 + v1 + v2 + v3 - 1.0),
+    )
+    signaling = max(
+        # Alice's marginal P(a | x, y) at y = 0 against y = 1 ...
+        abs((s0 + s1) - (t0 + t1)),
+        abs((s2 + s3) - (t2 + t3)),
+        abs((u0 + u1) - (v0 + v1)),
+        abs((u2 + u3) - (v2 + v3)),
+        # ... and Bob's P(b | x, y) at x = 0 against x = 1.
+        abs((s0 + s2) - (u0 + u2)),
+        abs((s1 + s3) - (u1 + u3)),
+        abs((t0 + t2) - (v0 + v2)),
+        abs((t1 + t3) - (v1 + v3)),
+    )
+    e00, e01, e10, e11 = s0 - s1 - s2 + s3, t0 - t1 - t2 + t3, u0 - u1 - u2 + u3, v0 - v1 - v2 + v3
+    total = e00 + e01 + e10 + e11
+    # The minus sign on E00, E01, E10, E11 in turn, each with the global sign + and then -.
+    f00, f01, f10, f11 = total - 2.0 * e00, total - 2.0 * e01, total - 2.0 * e10, total - 2.0 * e11
+    return normalization, signaling, [e00, e01, e10, e11], [f00, -f00, f01, -f01, f10, -f10, f11, -f11]
+
+
 @dataclass(frozen=True)
 class BehaviorTable:
     """Probabilities indexed [x][y][a][b] with outcome index 0 = +1.
@@ -50,10 +91,19 @@ class BehaviorTable:
     Every table is a probability table: construction raises
     :class:`TableFormatError` unless the entries are real, finite, at least
     -NEGATIVITY_TOL and sum to 1 within NORMALIZATION_TOL per setting pair.
-    The derived quantities are computed on first use and kept.
+    Construction also computes the derived quantities below, once.
     """
 
     probs: np.ndarray
+    normalization_defect: float = field(init=False, repr=False, compare=False)
+    """Largest deviation of a per-setting total from 1."""
+    signaling_defect: float = field(init=False, repr=False, compare=False)
+    """How much one side's marginals depend on the other side's setting."""
+    correlators: np.ndarray = field(init=False, repr=False, compare=False)
+    """All E(x, y) = P(++) - P(+-) - P(-+) + P(--) as a read-only 2x2 array [x][y]."""
+    facets: np.ndarray = field(init=False, repr=False, compare=False)
+    """The 8 CHSH expressions as a read-only array, in ``noisybell.polytope.FACET_LABELS`` order:
+    the minus sign on E00, E01, E10 and E11 in turn, each with the global sign + then -."""
 
     def __post_init__(self) -> None:
         raw = _entries(self.probs)
@@ -68,15 +118,23 @@ class BehaviorTable:
             raise TableFormatError(f"behavior table entries must be real numbers: {exc}") from exc
         if probs.shape != (2, 2, 2, 2):
             raise TableFormatError(f"behavior table must have shape (2,2,2,2), got {probs.shape}")
-        if not np.all(np.isfinite(probs)):
-            raise TableFormatError("behavior table contains non-finite entries")
-        if probs.min() < -NEGATIVITY_TOL:
-            raise TableFormatError(f"behavior table has negative entry {float(probs.min())}")
         # + 0.0 turns a -0.0 entry into 0.0 and keeps every other bit, so a file that
         # writes its zeros as -0.0 prints the same verdict and weights as one with 0.0.
-        object.__setattr__(self, "probs", _freeze(probs + 0.0))
-        if self.normalization_defect > NORMALIZATION_TOL:
-            raise TableFormatError(f"per-setting totals deviate from 1 by {self.normalization_defect}")
+        probs += 0.0  # astype made a copy
+        flat = probs.ravel().tolist()
+        if not all(map(math.isfinite, flat)):
+            raise TableFormatError("behavior table contains non-finite entries")
+        low = min(flat)
+        if low < -NEGATIVITY_TOL:
+            raise TableFormatError(f"behavior table has negative entry {low}")
+        normalization, signaling, corr, facets = _derived(flat)
+        if normalization > NORMALIZATION_TOL:
+            raise TableFormatError(f"per-setting totals deviate from 1 by {normalization}")
+        object.__setattr__(self, "probs", _freeze(probs))
+        object.__setattr__(self, "normalization_defect", normalization)
+        object.__setattr__(self, "signaling_defect", signaling)
+        object.__setattr__(self, "correlators", _freeze(np.array(corr).reshape(2, 2)))
+        object.__setattr__(self, "facets", _freeze(np.array(facets)))
 
     @classmethod
     def from_flat(cls, values: object) -> "BehaviorTable":
@@ -87,26 +145,6 @@ class BehaviorTable:
 
     def to_flat(self) -> list[float]:
         return [float(v) for v in self.probs.reshape(-1)]
-
-    @cached_property
-    def correlators(self) -> np.ndarray:
-        """All E(x, y) = P(++) - P(+-) - P(-+) + P(--) as a read-only 2x2 array [x][y]."""
-        p = self.probs
-        return _freeze(p[:, :, 0, 0] - p[:, :, 0, 1] - p[:, :, 1, 0] + p[:, :, 1, 1])
-
-    @cached_property
-    def normalization_defect(self) -> float:
-        """Largest deviation of a per-setting total from 1."""
-        return float(np.max(np.abs(self.probs.sum(axis=(2, 3)) - 1.0)))
-
-    @cached_property
-    def signaling_defect(self) -> float:
-        """How much one side's marginals depend on the other side's setting."""
-        marg_a = self.probs.sum(axis=3)  # [x][y][a]
-        marg_b = self.probs.sum(axis=2)  # [x][y][b]
-        defect_a = np.max(np.abs(marg_a[:, 0, :] - marg_a[:, 1, :]))
-        defect_b = np.max(np.abs(marg_b[0, :, :] - marg_b[1, :, :]))
-        return float(max(defect_a, defect_b))
 
     def is_no_signaling(self) -> bool:
         return self.signaling_defect <= SIGNALING_TOL

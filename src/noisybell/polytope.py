@@ -9,7 +9,9 @@ residual of a linear program over the 16 vertex weights is at most tol.
 Every vertex is no-signaling, so that residual is at least the table's
 signaling defect, and a defect above tol decides the verdict without the
 linear program.  The linear program also gives a local table's weight
-certificate.
+certificate.  The facets and the signaling defect are the table's own,
+computed once when it was built, so the verdict and a report on it read
+one evaluation.
 """
 
 from __future__ import annotations
@@ -65,11 +67,10 @@ def chsh_facets(table: BehaviorTable) -> np.ndarray:
 
     These are plain linear functionals of the table, which is normalized by
     construction; using them as a locality criterion is only sound for
-    no-signaling tables (see is_local_facets).
+    no-signaling tables (see is_local_facets).  The array is the table's own,
+    computed once when the table was built, so every call returns it.
     """
-    corr = table.correlators
-    base = corr.sum() - 2.0 * corr.reshape(-1)  # the minus sign on E00, E01, E10, E11 in turn
-    return _freeze(np.stack([base, -base], axis=1).reshape(-1))
+    return table.facets
 
 
 def check_tolerance(tol: float) -> float:
@@ -112,4 +113,4 @@ def is_local_facets(table: BehaviorTable, tol: float = LOCALITY_TOL) -> bool:
         raise SignalingTable(
             f"signaling defect {table.signaling_defect} exceeds {SIGNALING_TOL}; facet criterion not applicable"
         )
-    return bool(np.max(chsh_facets(table)) <= 2.0 + tol)
+    return bool(chsh_facets(table).max() <= 2.0 + tol)

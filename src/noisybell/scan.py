@@ -226,8 +226,8 @@ def records_to_csv(records: Table, header: bool = True) -> str:
     column names as ``csv.writer`` does.  The texts of consecutive blocks,
     only the first with its header, join into the text of the whole grid.
     """
-    body = _join(records, _csv_texts, [""] + [","] * (len(records.columns) - 1), "\n", "")
-    return _csv_header(records.columns) + body if header else body
+    head = _csv_header(records.columns) if header else ""
+    return _join(records, _csv_texts, [""] + [","] * (len(records.columns) - 1), "\n", "", head, "")
 
 
 def _csv_header(names) -> str:
@@ -247,10 +247,9 @@ def records_to_json(records: Table, first: bool = True, last: bool = True) -> st
     """
     keys = [json.dumps(name) + ": " for name in records.columns]
     literals = ["  {\n    " + keys[0]] + [",\n    " + key for key in keys[1:]]
-    body = _join(records, _json_texts, literals, "\n  }", ",\n")
-    if first and last and not body:
+    if first and last and len(records) == 0:
         return "[]\n"
-    return ("[\n" if first else ",\n") + body + ("\n]\n" if last else "")
+    return _join(records, _json_texts, literals, "\n  }", ",\n", "[\n" if first else ",\n", "\n]\n" if last else "")
 
 
 # threshold and gap output goes through these names too: the benchmark's
@@ -304,8 +303,8 @@ def _json_texts(column: np.ndarray) -> list[str]:
     return texts
 
 
-def _join(records: Table, texts: Callable, literals: list[str], end: str, between: str) -> str:
-    """The text of every record, ``between`` records, by one join.
+def _join(records: Table, texts: Callable, literals: list[str], end: str, between: str, head: str, tail: str) -> str:
+    """``head``, the text of every record, ``between`` records, and ``tail``, by one join.
 
     A record is ``literals[0]``, the text of its first column,
     ``literals[1]``, ..., and ``end``; ``texts(column)`` gives a column's
@@ -314,6 +313,8 @@ def _join(records: Table, texts: Callable, literals: list[str], end: str, betwee
     slice assignment.  In a table of more than one record, a column whose
     values are bit-identical on every record, so ``0.0`` and ``-0.0``
     differ, is folded into the literal before it and converted once.
+    ``head`` and ``tail`` go into the first and last parts, so the joined
+    text is never copied to add them.
     """
     row, slots, literal = [], [], ""
     for prefix, column in zip(literals, records.columns.values()):
@@ -328,8 +329,10 @@ def _join(records: Table, texts: Callable, literals: list[str], end: str, betwee
     parts = row * len(records)
     for slot, column in slots:
         parts[slot :: len(row)] = texts(column)
-    if parts:
-        parts[-1] = literal + end
+    if not parts:
+        return head + tail
+    parts[0] = head + parts[0]
+    parts[-1] = literal + end + tail
     return "".join(parts)
 
 

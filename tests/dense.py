@@ -5,7 +5,9 @@ the measurement operators as dense matrices, form A x B with plain np.kron
 and take traces, so they share no code path with the closed forms they
 check.  The joint law costs O(N^6): small N only.  The tables at the end
 (the uniform table, the 16 deterministic vertices, a branch of a joint law)
-are built entry by entry, apart from the package's own constructions.
+are built entry by entry, apart from the package's own constructions.  Last
+come numpy expressions for a table's derived quantities, on its (2, 2, 2, 2)
+array: BehaviorTable computes them on Python floats and must match their bits.
 """
 
 import itertools
@@ -131,3 +133,26 @@ def condition(joint: np.ndarray, a1: int = 0, b1: int = 0) -> BehaviorTable:
     """P(a2, b2 | x, y) within the first-stage branch (a1, b1) of a [x][y][a1][b1][a2][b2] law; 0 = in."""
     branch = joint[:, :, a1, b1]
     return BehaviorTable(branch / branch.sum(axis=(2, 3), keepdims=True))
+
+
+def numpy_normalization_defect(probs: np.ndarray) -> float:
+    return float(np.max(np.abs(probs.sum(axis=(2, 3)) - 1.0)))
+
+
+def numpy_signaling_defect(probs: np.ndarray) -> float:
+    marg_a = probs.sum(axis=3)  # [x][y][a]
+    marg_b = probs.sum(axis=2)  # [x][y][b]
+    defect_a = np.max(np.abs(marg_a[:, 0, :] - marg_a[:, 1, :]))
+    defect_b = np.max(np.abs(marg_b[0, :, :] - marg_b[1, :, :]))
+    return float(max(defect_a, defect_b))
+
+
+def numpy_correlators(probs: np.ndarray) -> np.ndarray:
+    return probs[:, :, 0, 0] - probs[:, :, 0, 1] - probs[:, :, 1, 0] + probs[:, :, 1, 1]
+
+
+def numpy_facets(probs: np.ndarray) -> np.ndarray:
+    """The 8 CHSH expressions in FACET_LABELS order."""
+    corr = numpy_correlators(probs)
+    base = corr.sum() - 2.0 * corr.reshape(-1)  # the minus sign on E00, E01, E10, E11 in turn
+    return np.stack([base, -base], axis=1).reshape(-1)

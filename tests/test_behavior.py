@@ -1,16 +1,24 @@
 import json
+import re
+import struct
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noisybell import BehaviorTable, TableFormatError, chsh_facets, load_table, save_table
-from noisybell.behavior import table_from_json, table_to_json
+from noisybell.behavior import NEGATIVITY_TOL, NORMALIZATION_TOL, table_from_json, table_to_json
 
-from dense import UNIFORM
+from dense import (
+    UNIFORM,
+    numpy_correlators,
+    numpy_facets,
+    numpy_normalization_defect,
+    numpy_signaling_defect,
+)
 
 
 def test_flat_order_is_xyab_lexicographic():
@@ -154,11 +162,74 @@ def test_table_quantities_are_computed_once_and_read_only():
     table = BehaviorTable(probs)
     for name in ("correlators", "signaling_defect", "normalization_defect"):
         assert getattr(table, name) is getattr(table, name)
-    assert chsh_facets(table=table).tobytes() == chsh_facets(table).tobytes()  # the public signature is unchanged
+    assert chsh_facets(table=table) is chsh_facets(table)  # the public signature is unchanged
     for array in (table.correlators, chsh_facets(table)):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
     assert BehaviorTable(probs).correlators is not table.correlators
+
+
+_TINY = 2.2250738585072014e-308  # the smallest normal float64; below it, subnormals
+# Entries from 1e-300 to 1, exact zeros of both signs, subnormals and round-off negatives down to -NEGATIVITY_TOL.
+_entry = st.one_of(
+    st.floats(1e-300, 1.0),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, -NEGATIVITY_TOL]),
+    st.floats(5e-324, _TINY, exclude_max=True),
+    st.floats(-NEGATIVITY_TOL, 0.0),
+)
+
+
+@st.composite
+def _tables(draw) -> np.ndarray:
+    """Per setting pair, four drawn entries, left as drawn or normalized: one entry made 1 minus the
+    others (scaled to sum to at most 1), so that entry may itself be a round-off negative.  A table
+    may also repeat one normalized pair, so it is no-signaling and its defect is the sums' round-off."""
+    mode = draw(st.sampled_from(["drawn", "normalized", "repeated"]))
+    cells = []
+    for _ in range(1 if mode == "repeated" else 4):
+        cell = draw(st.lists(_entry, min_size=4, max_size=4))
+        if mode != "drawn":
+            k = draw(st.integers(0, 3))
+            others = cell[:k] + cell[k + 1 :]
+            total = others[0] + others[1] + others[2]
+            if total > 1.0:
+                others = [value / total for value in others]
+            cell = others[:k] + [1.0 - (others[0] + others[1] + others[2])] + others[k:]
+        cells.append(cell)
+    return np.array(cells * (4 // len(cells))).reshape(2, 2, 2, 2)
+
+
+# Every setting pair holds 1 and three halves of its last bit, the 1 first or last.  Summed in another
+# order than left to right (reversed, pairwise, or the last three first), a pair's total rounds
+# differently, and so do the marginals and correlators that hold the 1.
+_HALF_ULP = 2.0**-53
+_ORDER_TABLES = [
+    np.array([cell] * 4).reshape(2, 2, 2, 2) for cell in ([1.0] + [_HALF_ULP] * 3, [_HALF_ULP] * 3 + [1.0])
+]
+
+
+def _bits(value: float) -> bytes:
+    return struct.pack("<d", value)
+
+
+@settings(max_examples=200, deadline=None)
+@given(probs=_tables())
+@example(probs=_ORDER_TABLES[0])
+@example(probs=_ORDER_TABLES[1])
+def test_table_quantities_have_the_bits_of_the_numpy_expressions(probs):
+    """Construction accepts exactly the tables the numpy checks accept, and every quantity has their bits."""
+    expected = probs + 0.0
+    defect = numpy_normalization_defect(expected)
+    if defect > NORMALIZATION_TOL:
+        with pytest.raises(TableFormatError, match=f"^{re.escape(f'per-setting totals deviate from 1 by {defect}')}$"):
+            BehaviorTable.from_flat(probs.reshape(-1).tolist())
+        return
+    table = BehaviorTable.from_flat(probs.reshape(-1).tolist())
+    assert table.probs.tobytes() == expected.tobytes()
+    assert _bits(table.normalization_defect) == _bits(defect)
+    assert _bits(table.signaling_defect) == _bits(numpy_signaling_defect(expected))
+    assert table.correlators.tobytes() == numpy_correlators(expected).tobytes()
+    assert chsh_facets(table).tobytes() == numpy_facets(expected).tobytes()
 
 
 def _correlated(e00: float) -> np.ndarray:
