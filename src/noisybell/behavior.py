@@ -19,8 +19,12 @@ keeps the bits of the numpy expression it stands for.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
+import os
+import stat
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -39,6 +43,43 @@ class TableFormatError(ValueError):
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+@contextlib.contextmanager
+def _overwrite(path: str | Path) -> Iterator[Callable[[str], object]]:
+    """The UTF-8 write function of ``path``, which is rewritten in place and then cut to length.
+
+    The file is opened without ``O_TRUNC``; once the writes are done it is
+    truncated at the final position.  A finished write leaves the bytes a fresh
+    file would hold, in the same inode with the same permissions.  An exception
+    during the writes, ``KeyboardInterrupt`` included, still cuts the file, so
+    it holds exactly what was written before it; if that cut fails too, the
+    first exception is the one raised.  Only a regular file is cut: ``ftruncate``
+    fails on ``/dev/null``, a FIFO or a pipe.  A process killed with no cleanup
+    (SIGKILL, or SIGTERM with its default action) mid-write can leave the new
+    bytes followed by the old file's tail.
+
+    Why not ``open(path, "w")``: most likely ext4's default ``auto_da_alloc``.
+    Truncating a file to zero makes its ``close()`` start writeback, and the
+    next ``O_TRUNC`` open of that file waits for it.  Rewriting a 600-byte
+    file (4 files in turn, 2 ms apart, 2 shared vCPUs, medians) took 181-212 µs
+    to open, 17-18 µs to write and 26-28 µs to close with ``O_TRUNC``;
+    15, 16 and 2 µs without it and with the trailing cut.  With ``O_TRUNC``,
+    ``save_table`` took 0.51-0.57 ms of a 2.7-3.1 ms in-process
+    ``sample --dim 24 --count 100000 --out`` op, and under cProfile the open
+    of each 10 MB CSV or 2.4 MB JSON ``scan --out`` took about 4 ms.
+    """
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    f = open(fd, "w", encoding="utf-8")
+    cut = f.truncate if stat.S_ISREG(os.fstat(fd).st_mode) else f.flush  # truncate flushes, then cuts where it is
+    try:
+        yield f.write
+        cut()
+    except BaseException:
+        with contextlib.suppress(OSError), f:  # the exception that stopped the write is the one to report
+            cut()
+        raise
+    f.close()
 
 
 def _entries(values: object) -> np.ndarray:
@@ -84,7 +125,7 @@ def _derived(p: list[float]) -> tuple[float, float, list[float], list[float]]:
     return normalization, signaling, [e00, e01, e10, e11], [f00, -f00, f01, -f01, f10, -f10, f11, -f11]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BehaviorTable:
     """Probabilities indexed [x][y][a][b] with outcome index 0 = +1.
 
@@ -95,13 +136,13 @@ class BehaviorTable:
     """
 
     probs: np.ndarray
-    normalization_defect: float = field(init=False, repr=False, compare=False)
+    normalization_defect: float = field(init=False, repr=False)
     """Largest deviation of a per-setting total from 1."""
-    signaling_defect: float = field(init=False, repr=False, compare=False)
+    signaling_defect: float = field(init=False, repr=False)
     """How much one side's marginals depend on the other side's setting."""
-    correlators: np.ndarray = field(init=False, repr=False, compare=False)
+    correlators: np.ndarray = field(init=False, repr=False)
     """All E(x, y) = P(++) - P(+-) - P(-+) + P(--) as a read-only 2x2 array [x][y]."""
-    facets: np.ndarray = field(init=False, repr=False, compare=False)
+    facets: np.ndarray = field(init=False, repr=False)
     """The 8 CHSH expressions as a read-only array, in ``noisybell.polytope.FACET_LABELS`` order:
     the minus sign on E00, E01, E10 and E11 in turn, each with the global sign + then -."""
 
@@ -185,7 +226,9 @@ def table_from_json(text: str) -> BehaviorTable:
 
 
 def save_table(table: BehaviorTable, path: str | Path, meta: dict | None = None) -> None:
-    Path(path).write_text(table_to_json(table, meta=meta), encoding="utf-8")
+    """Write ``table_to_json(table, meta)`` to ``path``; an existing file is rewritten in place and cut to length."""
+    with _overwrite(path) as write:
+        write(table_to_json(table, meta=meta))
 
 
 def load_table(path: str | Path) -> BehaviorTable:

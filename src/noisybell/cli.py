@@ -16,10 +16,10 @@ import contextlib
 import functools
 import json
 import sys
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from pathlib import Path
 
-from .behavior import load_table, save_table
+from .behavior import _overwrite, load_table, save_table
 from .polytope import (
     FACET_LABELS,
     LOCALITY_TOL,
@@ -138,18 +138,14 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-@contextlib.contextmanager
-def _sink(out: Path | None) -> Iterator[Callable[[str], object]]:
+def _sink(out: Path | None) -> contextlib.AbstractContextManager[Callable[[str], object]]:
     """The write function of stdout or of the ``--out`` file, opened here.
 
     Commands open it only once their request is known to be valid, so a
-    usage error writes nothing, not even an empty file.
+    usage error writes nothing, not even an empty file.  An existing file is
+    rewritten in place and cut to the new length (``behavior._overwrite``).
     """
-    if out is None:
-        yield sys.stdout.write
-    else:
-        with out.open("w", encoding="utf-8") as f:
-            yield f.write
+    return contextlib.nullcontext(sys.stdout.write) if out is None else _overwrite(out)
 
 
 def cmd_scan(args: argparse.Namespace) -> int:

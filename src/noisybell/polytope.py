@@ -54,7 +54,7 @@ class SignalingTable(ValueError):
     """The facet criterion was applied to a table with signaling marginals."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalityVerdict:
     """Locality verdict, with the LP's weight certificate of a local table, rescaled to sum to 1."""
 

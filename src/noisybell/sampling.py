@@ -36,7 +36,7 @@ _BUCKET_BITS = 12  # a run's bucket floor(u * _BUCKETS) is the top 12 bits of it
 _BUCKETS = 2**_BUCKET_BITS
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExperimentSample:
     """Empirical summary of the runs of :func:`sample_experiment`, conditioned on the (in, in) branch."""
 

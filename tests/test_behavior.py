@@ -35,6 +35,13 @@ def test_flat_order_is_xyab_lexicographic():
     assert table.to_flat() == flat
 
 
+def test_equality_is_identity_and_tables_hash():
+    """Two tables of equal entries are distinct objects: the default dataclass == compared their arrays and raised."""
+    first, second = BehaviorTable.from_flat([0.25] * 16), BehaviorTable.from_flat([0.25] * 16)
+    assert first == first and first != second
+    assert len({first, second, first}) == 2
+
+
 def test_uniform_table_properties():
     table = UNIFORM
     assert table.normalization_defect < 1e-15

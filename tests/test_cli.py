@@ -591,6 +591,124 @@ def test_sample_rejects_counts_past_the_int64_counters(capsys):
     assert stderr.startswith("error: sample count must be between 1 and") and stderr.count("\n") == 1
 
 
+# --- --out rewrites an existing file in place ------------------------------
+# The file is written without truncation and cut to length afterwards, so
+# whatever was there before, the result holds the bytes of a fresh write.
+
+_REWRITES = [
+    ["scan", "--dims", "2,4", "--f-step", "0.1"],
+    ["scan", "--dims", "2,4", "--f-step", "0.1", "--format", "json"],
+    ["threshold", "--dims", "2,3,100"],
+    ["gap", "--dims", "2,3,100", "--format", "json"],
+    ["lhv-check", "{tmp}/table.json"],
+    ["lhv-check", "{tmp}/table.json", "--format", "json"],
+    ["sample", "--dim", "3", "--noise", "0.2", "--count", "1000", "--seed", "5"],
+]
+
+
+def _written(argv, out):
+    """Exit code, stdout and the bytes of ``out`` after ``main(argv + ["--out", out])``."""
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        code = main([*argv, "--out", str(out)])
+    return code, stdout.getvalue(), out.read_bytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    argv=st.sampled_from(_REWRITES),
+    length=st.sampled_from([(0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (3, 0)]),  # (a, b): a n + b bytes
+    filler=st.binary(min_size=1, max_size=3),
+)
+def test_out_holds_a_fresh_writes_bytes_whatever_was_there(argv, length, filler):
+    with tempfile.TemporaryDirectory() as tmp:
+        save_table(QUANTUM_TABLE, Path(tmp) / "table.json")
+        argv = [arg.replace("{tmp}", tmp) for arg in argv]
+        fresh = _written(argv, Path(tmp) / "fresh")
+        assert fresh[0] in (0, 3) and fresh[2]
+        old, size = Path(tmp) / "old", length[0] * len(fresh[2]) + length[1]
+        old.write_bytes((filler * size)[:size])
+        assert _written(argv, old) == fresh
+
+
+@pytest.mark.parametrize("argv", [["scan", "--dims", "2"], ["sample", "--count", "100"]])
+def test_out_dev_null_is_not_cut(argv, capsys):
+    """ftruncate fails on /dev/null, a FIFO or a pipe, so only a regular file is cut."""
+    code, _, stderr = run([*argv, "--out", os.devnull], capsys)
+    assert (code, stderr) == (0, "")
+
+
+def test_out_dev_stdout_on_a_pipe(capsys):
+    argv = ["threshold", "--dims", "2,3"]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    done = subprocess.run(
+        [sys.executable, "-m", "noisybell.cli", *argv, "--out", "/dev/stdout"], capture_output=True, env=env, timeout=60
+    )
+    assert (done.returncode, done.stderr) == (0, b"")
+    assert done.stdout.decode() == run(argv, capsys)[1]
+
+
+def test_out_symlink_stays_a_link_and_its_target_gets_the_bytes(tmp_path, capsys):
+    argv = ["scan", "--dims", "2", "--f-step", "0.5"]
+    target, link = tmp_path / "target.csv", tmp_path / "link.csv"
+    target.write_bytes(b"x" * 10_000)
+    link.symlink_to(target)
+    code, stdout, _ = run([*argv, "--out", str(link)], capsys)
+    assert (code, stdout) == (0, "")
+    assert link.is_symlink() and link.resolve() == target
+    assert target.read_text() == run(argv, capsys)[1]
+
+
+@pytest.mark.parametrize("argv", [["gap"], ["sample", "--count", "100"]])
+def test_out_keeps_an_existing_files_inode_and_mode(argv, tmp_path, capsys):
+    out = tmp_path / "out"
+    out.write_bytes(b"x" * 10_000)
+    out.chmod(0o640)
+    before = out.stat()
+    assert run([*argv, "--out", str(out)], capsys)[0] == 0
+    after = out.stat()
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+    assert 0 < after.st_size < 10_000
+
+
+@pytest.mark.parametrize("error", [OSError(28, "No space left on device"), KeyboardInterrupt()])
+def test_an_exception_mid_write_leaves_exactly_the_blocks_written(error, monkeypatch, tmp_path, capsys):
+    """No tail of the old file survives an interrupted write: the file is cut where the writes stopped."""
+    argv = ["scan", "--dims", "2", "--f-step", "5e-5"]  # 20,001 records: five blocks
+    out = tmp_path / "scan.csv"
+    out.write_bytes(b"x" * 10**6)
+    first_block = []
+
+    def once_then_raise(records, header):
+        if first_block:
+            raise error
+        first_block.append(records_to_csv(records, header=header))
+        return first_block[0]
+
+    monkeypatch.setattr(cli, "records_to_csv", once_then_raise)
+    if isinstance(error, OSError):
+        code, _, stderr = run([*argv, "--out", str(out)], capsys)
+        assert (code, stderr) == (2, "i/o error: [Errno 28] No space left on device\n")
+    else:
+        with pytest.raises(KeyboardInterrupt):
+            main([*argv, "--out", str(out)])
+    assert out.read_text() == first_block[0]
+
+
+def test_a_failed_cut_does_not_hide_the_error_that_stopped_the_write(monkeypatch):
+    """With /dev/null taken for a regular file, the cut fails (EINVAL).  After clean writes that error is
+    raised; after writes that raised, their exception is."""
+    monkeypatch.setattr(behavior.stat, "S_ISREG", lambda mode: True)
+    with pytest.raises(OSError) as cut:
+        with behavior._overwrite(os.devnull) as write:
+            write("x")
+    assert cut.value.errno == 22
+    with pytest.raises(KeyboardInterrupt):
+        with behavior._overwrite(os.devnull) as write:
+            write("x")
+            raise KeyboardInterrupt
+
+
 # --- the CLI contract, over drawn argv ---------------------------------------
 # Every argv ends in a result or in one documented line on stderr: no
 # exception leaves main, the exit code is documented, and a rerun repeats

@@ -63,6 +63,43 @@ def test_no_module_calls_builtin_sum():
     assert {name: lines for name, lines in calls.items() if lines} == {}
 
 
+def truncating_writes(source: str) -> list[tuple[str, int]]:
+    """(enclosing top-level name, line) of each ``.write_text(``, ``.write_bytes(``, ``O_TRUNC`` and
+    ``open``/``.open`` call with a literal mode containing ``w``.  Each truncates its file to zero when it
+    opens it, except ``open`` of a file descriptor, which is how the one writer wraps its own."""
+    sites = []
+    for statement in ast.parse(source).body:
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Attribute) and node.attr == "O_TRUNC":
+                sites.append((getattr(statement, "name", ""), node.lineno))
+            if not isinstance(node, ast.Call):
+                continue
+            name = node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
+            modes = [kw.value for kw in node.keywords if kw.arg == "mode"] + node.args[:2]  # open(p, m), p.open(m)
+            writes = name == "open" and any(
+                isinstance(m, ast.Constant) and isinstance(m.value, str) and "w" in m.value for m in modes
+            )
+            if writes or (isinstance(node.func, ast.Attribute) and name in ("write_text", "write_bytes")):
+                sites.append((getattr(statement, "name", ""), node.lineno))
+    return sites
+
+
+def test_only_the_one_writer_opens_files_for_writing():
+    """Output files are rewritten in place by ``behavior._overwrite`` and cut to length; a truncating open
+    elsewhere would bring back the slow open of an existing file that the writer avoids."""
+    probe = (
+        "def f(p, q):\n"
+        "    p.write_text('x'); q.write_bytes(b'')\n"
+        "    open(p, 'w'); open(p); open(p, mode='wb'); p.open('w'); p.open(); io.open(p, 'r')\n"
+        "    os.open(p, os.O_WRONLY | os.O_TRUNC)\n"
+        "g = Path('x').read_text()\n"
+    )
+    assert truncating_writes(probe) == [("f", 2), ("f", 2), ("f", 3), ("f", 3), ("f", 3), ("f", 4)]
+    sites = {path.name: truncating_writes(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    owners = {name: {owner for owner, _ in found} for name, found in sites.items() if found}
+    assert owners == {"behavior.py": {"_overwrite"}}
+
+
 def test_init_exports_exactly_what_it_imports():
     source = (PACKAGE / "__init__.py").read_text()
     tree = ast.parse(source)

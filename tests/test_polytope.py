@@ -56,6 +56,14 @@ def unreachable(*args):
     raise AssertionError("l1_feasibility called")
 
 
+def test_verdict_equality_is_identity_and_verdicts_hash():
+    """A local verdict holds its weights array, which the default dataclass == compared and raised on."""
+    first, second = is_local_lp(UNIFORM), is_local_lp(UNIFORM)
+    assert isinstance(first, LocalityVerdict) and first.weights is not None
+    assert first == first and first != second
+    assert len({first, second, first}) == 2
+
+
 def test_sixteen_deterministic_vertices():
     vertices = local_vertices()
     assert len(vertices) == 16
@@ -236,7 +244,8 @@ def test_lp_is_not_solved_for_a_no_signaling_table_the_facets_call_nonlocal(monk
     mu = (2.0 + 1.1e-9) / (2.0 * math.sqrt(2.0))  # largest facet 2 + 1.1e-9, just past the tolerance
     for table in (QUANTUM_TABLE, mix([QUANTUM_TABLE, UNIFORM], [mu, 1.0 - mu])):
         assert table.is_no_signaling()
-        assert is_local_lp(table) == LocalityVerdict(is_local=False, weights=None)
+        verdict = is_local_lp(table)
+        assert (verdict.is_local, verdict.weights) == (False, None)
 
 
 def test_lp_is_not_solved_for_a_table_whose_signaling_defect_exceeds_tol(monkeypatch):
@@ -244,7 +253,8 @@ def test_lp_is_not_solved_for_a_table_whose_signaling_defect_exceeds_tol(monkeyp
     monkeypatch.setattr(polytope, "l1_feasibility", unreachable)
     for table in (_SIGNALING, sampled(UNIFORM, 1000, 3), shifted(UNIFORM, 1e-7)):
         assert table.signaling_defect > LOCALITY_TOL and not table.is_no_signaling()
-        assert is_local_lp(table) == LocalityVerdict(is_local=False, weights=None)
+        verdict = is_local_lp(table)
+        assert (verdict.is_local, verdict.weights) == (False, None)
 
 
 @st.composite

@@ -19,6 +19,12 @@ def test_same_seed_reproduces_every_count():
     assert first.s_stderr == second.s_stderr
 
 
+def test_sample_equality_is_identity_and_samples_hash():
+    first, second = sample_experiment(2, 0.3, 100, seed=42), sample_experiment(2, 0.3, 100, seed=42)
+    assert first == first and first != second
+    assert len({first, second, first}) == 2
+
+
 def test_different_seeds_differ():
     first = sample_experiment(2, 0.3, 5000, seed=1)
     second = sample_experiment(2, 0.3, 5000, seed=2)
