@@ -23,7 +23,6 @@ from .polytope import (
     FACET_LABELS,
     LocalityVerdict,
     SignalingTable,
-    chsh_facets,
     is_local_facets,
     is_local_lp,
 )
@@ -44,7 +43,6 @@ __all__ = [
     "TableFormatError",
     "bisect_threshold",
     "chsh_closed_form",
-    "chsh_facets",
     "gap_rows",
     "is_local_facets",
     "is_local_lp",

@@ -25,7 +25,6 @@ from .polytope import (
     LOCALITY_TOL,
     SignalingTable,
     check_tolerance,
-    chsh_facets,
     is_local_facets,
     is_local_lp,
 )
@@ -191,7 +190,7 @@ def cmd_lhv_check(args: argparse.Namespace) -> int:
         verdict = is_local_lp(table, tol=args.tol)
         local, weights = verdict.is_local, verdict.weights
 
-    facets = chsh_facets(table)
+    facets = table.facets
     max_idx = int(facets.argmax())
     max_facet = float(facets[max_idx])
     # A nonlocal verdict with no violated facet means the table sits outside

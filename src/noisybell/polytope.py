@@ -62,17 +62,6 @@ class LocalityVerdict:
     weights: np.ndarray | None
 
 
-def chsh_facets(table: BehaviorTable) -> np.ndarray:
-    """The 8 CHSH expressions (setting/sign relabelings), in FACET_LABELS order, read-only.
-
-    These are plain linear functionals of the table, which is normalized by
-    construction; using them as a locality criterion is only sound for
-    no-signaling tables (see is_local_facets).  The array is the table's own,
-    computed once when the table was built, so every call returns it.
-    """
-    return table.facets
-
-
 def check_tolerance(tol: float) -> float:
     """Return ``tol`` if it is a finite real >= 0; a NaN or negative one would decide verdicts."""
     if not (math.isfinite(tol) and tol >= 0.0):
@@ -113,4 +102,4 @@ def is_local_facets(table: BehaviorTable, tol: float = LOCALITY_TOL) -> bool:
         raise SignalingTable(
             f"signaling defect {table.signaling_defect} exceeds {SIGNALING_TOL}; facet criterion not applicable"
         )
-    return bool(chsh_facets(table).max() <= 2.0 + tol)
+    return bool(table.facets.max() <= 2.0 + tol)

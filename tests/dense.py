@@ -21,6 +21,10 @@ from noisybell import BehaviorTable
 # here rather than read from the package, so the oracle stays independent of it.
 TSIRELSON = ((0.0, math.pi / 2), (math.pi / 4, -math.pi / 4))
 
+# |psi_2> = (|00> + |11>) / sqrt(2) and its projector, written out rather than read from noisy_state(2, 0).
+PSI2 = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+PSI2_MATRIX = np.outer(PSI2, PSI2)
+
 
 def projector(n: int) -> np.ndarray:
     """Diagonal 0/1 projector of one n-level side onto its levels 0 and 1."""

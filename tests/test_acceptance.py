@@ -20,7 +20,6 @@ from noisybell import (
     is_local_facets,
     is_local_lp,
     noisy_state,
-    retained_fraction,
     sample_experiment,
     scan_grid,
     success_probability,
@@ -29,6 +28,7 @@ from noisybell import (
 from noisybell.cli import main
 
 from dense import TSIRELSON, behavior_table, chsh_value, condition, local_vertices, post_select
+from family_helpers import post_selected_closed_form
 
 
 @contextmanager
@@ -60,9 +60,7 @@ def test_criterion_2_closed_form_conditioned_state():
             for k in range(11):
                 noise = k / 10.0
                 dense, prob = post_select(noisy_state(n, noise), n)
-                # v |psi_2><psi_2| + (1 - v) I/4 is the qubit member of the family at noise 1 - v.
-                closed = noisy_state(2, 1.0 - retained_fraction(n, noise))
-                assert np.max(np.abs(dense - closed)) < 1e-12
+                assert np.max(np.abs(dense - post_selected_closed_form(n, noise))) < 1e-12
                 assert abs(prob - success_probability(n, noise)) < 1e-12
 
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from noisybell import BehaviorTable, TableFormatError, chsh_facets, load_table, save_table
+from noisybell import BehaviorTable, TableFormatError, load_table, save_table
 from noisybell.behavior import NEGATIVITY_TOL, NORMALIZATION_TOL, table_from_json, table_to_json
 
 from dense import (
@@ -167,10 +167,9 @@ def test_table_quantities_are_computed_once_and_read_only():
     probs = np.full((2, 2, 2, 2), 0.25)
     probs[0, 1] = np.array([[0.5, 0.1], [0.1, 0.3]])
     table = BehaviorTable(probs)
-    for name in ("correlators", "signaling_defect", "normalization_defect"):
+    for name in ("correlators", "facets", "signaling_defect", "normalization_defect"):
         assert getattr(table, name) is getattr(table, name)
-    assert chsh_facets(table=table) is chsh_facets(table)  # the public signature is unchanged
-    for array in (table.correlators, chsh_facets(table)):
+    for array in (table.correlators, table.facets):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
     assert BehaviorTable(probs).correlators is not table.correlators
@@ -236,7 +235,7 @@ def test_table_quantities_have_the_bits_of_the_numpy_expressions(probs):
     assert _bits(table.normalization_defect) == _bits(defect)
     assert _bits(table.signaling_defect) == _bits(numpy_signaling_defect(expected))
     assert table.correlators.tobytes() == numpy_correlators(expected).tobytes()
-    assert chsh_facets(table).tobytes() == numpy_facets(expected).tobytes()
+    assert table.facets.tobytes() == numpy_facets(expected).tobytes()
 
 
 def _correlated(e00: float) -> np.ndarray:

@@ -1,6 +1,7 @@
 """Every name a package module imports is used, every private module-level name has a reader,
 the package exports exactly what it imports, README's library table names only what its modules have,
-and every dotted ``noisybell.<module>`` or ``noisybell.<module>.<NAME>`` README cites is there.
+every dotted ``noisybell.<module>`` or ``noisybell.<module>.<NAME>`` README cites is there,
+and each package module has its test modules.
 
 A stdlib ``ast`` scan stands in for a linter: it catches the stale imports,
 exports and private helpers that deleting a function leaves behind.  An import on a line
@@ -18,6 +19,11 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "noisybell"
+# The test modules that span the package rather than test one of its modules.
+CROSS_CUTTING = {"acceptance", "golden", "imports", "tracing_targets"}
+# ``noisybell.family`` merged the states, chsh and sequential modules; its tests keep the four
+# test module names they had then, so that every test keeps its id.
+FAMILY_TESTS = {"states", "chsh", "sequential", "oracle"}
 
 
 def exported(tree: ast.Module) -> list[str]:
@@ -225,3 +231,13 @@ def test_every_dotted_name_in_readme_resolves():
         "noisybell.states",
     ]
     assert unresolved_dotted_names((ROOT / "README.md").read_text()) == []
+
+
+def test_every_module_has_its_test_modules():
+    """``noisybell.<m>`` is tested in ``tests/test_<m>.py``, ``family`` in the ``FAMILY_TESTS`` modules.
+
+    Every other test module spans the package, so a merged or renamed module cannot leave its tests behind.
+    """
+    modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
+    tests = {path.stem.removeprefix("test_") for path in Path(__file__).parent.glob("test_*.py")}
+    assert tests == (modules - {"family"}) | FAMILY_TESTS | CROSS_CUTTING

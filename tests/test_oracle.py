@@ -9,10 +9,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from noisybell import noisy_state
 from noisybell.family import sequential_joint_distribution
 
-from dense import TSIRELSON, dense_joint
+from family_helpers import kron_joint
 
 TOL = 1e-14
 
@@ -20,8 +19,7 @@ TOL = 1e-14
 @settings(max_examples=60, deadline=None)
 @given(n=st.integers(2, 8), noise=st.floats(0.0, 1.0))
 def test_closed_form_joint_distribution_matches_dense(n, noise):
-    dense = dense_joint(noisy_state(n, noise), n, TSIRELSON)
-    assert np.max(np.abs(sequential_joint_distribution(n, noise) - dense)) < TOL
+    assert np.max(np.abs(sequential_joint_distribution(n, noise) - kron_joint(n, noise))) < TOL
 
 
 @settings(max_examples=30, deadline=None)
@@ -29,4 +27,4 @@ def test_closed_form_joint_distribution_matches_dense(n, noise):
 def test_joint_distribution_matches_dense_on_family(n, noise):
     """The whole six-index table, at the dimensions the old dense route was checked at."""
     joint = sequential_joint_distribution(n, noise)
-    assert np.max(np.abs(joint - dense_joint(noisy_state(n, noise), n, TSIRELSON))) < TOL
+    assert np.max(np.abs(joint - kron_joint(n, noise))) < TOL

@@ -9,7 +9,6 @@ from noisybell import (
     BehaviorTable,
     TableFormatError,
     SignalingTable,
-    chsh_facets,
     is_local_facets,
     is_local_lp,
     noisy_state,
@@ -75,7 +74,7 @@ def test_sixteen_deterministic_vertices():
 
 def test_vertices_hit_facet_values_plus_minus_two():
     for vertex in local_vertices():
-        values = chsh_facets(vertex)
+        values = vertex.facets
         assert np.all(np.isin(values, [-2.0, 2.0]))
 
 
@@ -85,16 +84,16 @@ def test_uniform_mixture_of_vertices_is_uniform():
 
 
 def test_facets_of_uniform_table_vanish():
-    assert np.allclose(chsh_facets(UNIFORM), 0.0, atol=1e-15)
+    assert np.allclose(UNIFORM.facets, 0.0, atol=1e-15)
 
 
 def test_facets_of_quantum_table_peak_at_tsirelson():
-    values = chsh_facets(QUANTUM_TABLE)
+    values = QUANTUM_TABLE.facets
     assert abs(np.max(values) - 2.0 * math.sqrt(2.0)) < 1e-12
 
 
 def test_facets_match_the_per_setting_loop():
-    """chsh_facets equals the loop over the minus sign's position, bit for bit."""
+    """table.facets equals the loop over the minus sign's position, bit for bit."""
     rng = np.random.default_rng(8)
     for _ in range(50):
         table = BehaviorTable(rng.dirichlet(np.ones(4), size=(2, 2)).reshape(2, 2, 2, 2))
@@ -103,7 +102,7 @@ def test_facets_match_the_per_setting_loop():
         for minus in ((0, 0), (0, 1), (1, 0), (1, 1)):
             base = corr.sum() - 2.0 * corr[minus]
             expected.extend((base, -base))
-        assert chsh_facets(table).tobytes() == np.array(expected).tobytes()
+        assert table.facets.tobytes() == np.array(expected).tobytes()
 
 
 def test_vertex_is_local_with_unit_weight():
@@ -118,7 +117,7 @@ def test_vertex_is_local_with_unit_weight():
 def test_uniform_table_is_local():
     verdict = is_local_lp(UNIFORM)
     assert verdict.is_local
-    assert chsh_facets(UNIFORM).max() <= 2.0
+    assert UNIFORM.facets.max() <= 2.0
 
 
 @pytest.mark.parametrize("decide", [is_local_lp, is_local_facets], ids=["lp", "facets"])
@@ -139,7 +138,7 @@ def test_quantum_table_is_nonlocal():
     verdict = is_local_lp(QUANTUM_TABLE)
     assert not verdict.is_local
     assert verdict.weights is None
-    assert abs(chsh_facets(QUANTUM_TABLE).max() - 2.0 * math.sqrt(2.0)) < 1e-12
+    assert abs(QUANTUM_TABLE.facets.max() - 2.0 * math.sqrt(2.0)) < 1e-12
 
 
 def test_post_selected_state_above_threshold_is_local():
@@ -206,7 +205,7 @@ def _near_facet_tables(draw):
     direction = np.full((2, 2), sign)  # facet i = sum of direction[x, y] * E[x, y]
     direction[minus_x, minus_y] = -sign
     box = (1.0 + direction[:, :, None, None] * np.array([[1.0, -1.0], [-1.0, 1.0]])) / 4.0
-    local_value = chsh_facets(BehaviorTable(local))[facet]
+    local_value = BehaviorTable(local).facets[facet]
     mu = max(0.0, (2.0 + excess - local_value) / (4.0 - local_value))
     probs = mu * box + (1.0 - mu) * local
     alice = np.rint(probs[:, 0, 0].sum(axis=1) * unit).astype(np.int64)
@@ -230,7 +229,7 @@ def test_methods_agree_near_a_facet_on_rounded_no_signaling_tables(case):
     """The LP and the facets give one verdict near a facet, and a local certificate sums to 1."""
     table, facet, excess, unit = case
     assert table.is_no_signaling()
-    assert abs(chsh_facets(table)[facet] - 2.0 - excess) <= 2.0 / unit + 1e-12  # half a step of one unit in C
+    assert abs(table.facets[facet] - 2.0 - excess) <= 2.0 / unit + 1e-12  # half a step of one unit in C
     verdict = is_local_lp(table)
     assert verdict.is_local == is_local_facets(table)
     assert (verdict.weights is None) == (not verdict.is_local)
@@ -321,7 +320,7 @@ def test_high_noise_large_dimension_stays_nonlocal():
     table = post_selected_table(100, 0.9)
     verdict = is_local_lp(table)
     assert not verdict.is_local
-    assert abs(chsh_facets(table).max() - 2.396972139615415) < 1e-10
+    assert abs(table.facets.max() - 2.396972139615415) < 1e-10
     assert not is_local_facets(table)
 
 

@@ -581,9 +581,10 @@ def test_json_real_matches_repr_of_the_rounded_float(value):
 def test_scan_memory_is_flat_in_grid_size(fmt, tmp_path):
     """The CLI writes a scan block by block, so its peak memory does not grow with the grid.
 
-    A block holds few enough records that the 400,001-record scan peaks under
+    A block holds few enough records that the 100,001-record scan peaks under
     2.5 MiB: about 1.2 MiB for CSV and 1.7 MiB for JSON in blocks of 2**12,
-    against 4.6 and 6.6 MiB in blocks of 2**14.  The 20,001-record scan ends
+    against 4.6 and 6.6 MiB in blocks of 2**14.  Written in one block, it
+    peaked at 29 and 41 MiB, five times the 20,001-record scan.  That scan ends
     in a block of 3,617 records; it peaked at 2.07 MiB in JSON while its text
     was concatenated with the closing bracket, which copied it twice more.
     """
@@ -599,7 +600,7 @@ def test_scan_memory_is_flat_in_grid_size(fmt, tmp_path):
             out.unlink()
 
     peak("0.5")  # one-time allocations (caches, lazy imports) stay out of both peaks
-    small, large = peak("5e-5"), peak("2.5e-6")  # 20,001 and 400,001 records
+    small, large = peak("5e-5"), peak("1e-5")  # 20,001 and 100,001 records
     assert 20_001 > BLOCK
     assert large <= 1.5 * small, (small, large)
     assert small <= 1.1 * large, (small, large)  # no block, the last included, holds its text more often

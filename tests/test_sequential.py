@@ -5,21 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from noisybell import chsh_closed_form, noisy_state, retained_fraction, success_probability
+from noisybell import chsh_closed_form, noisy_state, success_probability
 from noisybell.family import sequential_joint_distribution
 
-from dense import TSIRELSON, behavior_table, condition, dense_joint, post_select, projector
-
-PSI2_MATRIX = noisy_state(2, 0.0)
-
-
-def post_selected_closed_form(n, noise):
-    """v |psi_2><psi_2| + (1 - v) I/4: the qubit member of the family at noise 1 - v."""
-    return noisy_state(2, 1.0 - retained_fraction(n, noise))
-
-
-def kron_joint(n, noise):
-    return dense_joint(noisy_state(n, noise), n, TSIRELSON)
+from dense import PSI2_MATRIX, TSIRELSON, behavior_table, condition, post_select, projector
+from family_helpers import kron_joint, post_selected_closed_form
 
 
 def first_stage(joint):

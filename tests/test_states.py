@@ -20,9 +20,7 @@ from noisybell import (
 )
 from noisybell.family import check_family
 
-from dense import partial_transpose
-
-PSI2 = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
+from dense import PSI2, partial_transpose
 
 
 # The maximally entangled component is noisy_state(n, 0): the projector onto
