@@ -12,6 +12,14 @@ linear program.  The linear program also gives a local table's weight
 certificate.  The facets and the signaling defect are the table's own,
 computed once when it was built, so the verdict and a report on it read
 one evaluation.
+
+The weight certificate comes from :func:`l1_feasibility`, which solves
+min sum|A x - b| subject to x >= 0 as the standard linear program
+min sum(p + q) s.t. A x + p - q = b, all variables nonnegative.  The optimum
+is 0 exactly when A x = b has a nonnegative solution, and the optimal L1
+residual bounds every entrywise residual from above, so one tolerance reads
+"feasible within tol".  It is a dense tableau with Bland's rule, meant for
+systems of a few dozen rows and columns (the membership LP is 17 x 50).
 """
 
 from __future__ import annotations
@@ -23,9 +31,13 @@ from itertools import product
 import numpy as np
 
 from .behavior import SIGNALING_TOL, BehaviorTable, _freeze
-from .simplex import l1_feasibility
 
 LOCALITY_TOL = 1e-9  # default LP residual and facet margin of a local verdict
+
+# l1_feasibility's tolerances: an improving reduced cost, then an eligible pivot and a ratio tie.
+_COST_EPS = 1e-11
+_PIVOT_EPS = 1e-12
+_MAX_PIVOTS = 2000  # Bland's rule terminates in exact arithmetic; this caps round-off cycling
 
 # The 16 deterministic strategies as tables [vertex][x][y][a][b].  Vertex k
 # answers outcome index a_x on Alice's side and b_y on Bob's, with (a0, a1,
@@ -36,17 +48,17 @@ _VERTICES = np.einsum("kxa,kyb->kxyab", _ANSWERS[:, :2], _ANSWERS[:, 2:])
 # LP rows: the 16 table entries as vertex mixtures, then the weights' sum.
 _LP_SYSTEM = _freeze(np.vstack([_VERTICES.reshape(16, 16).T, np.ones(16)]))
 
-_SETTING_PAIRS = ((0, 0), (0, 1), (1, 0), (1, 1))
-
-
-def _facet_label(minus: tuple[int, int], sign: str) -> str:
-    plus_terms = "+".join(f"E{x}{y}" for (x, y) in _SETTING_PAIRS if (x, y) != minus)
-    return f"{sign}[{plus_terms}-E{minus[0]}{minus[1]}]"
-
-
-# Facet order: position of the minus sign, then global sign (+ before -).
-FACET_LABELS = tuple(
-    _facet_label(minus, sign) for minus in _SETTING_PAIRS for sign in ("+", "-")
+# The 8 CHSH facets in the order of behavior._derived's facet values: the
+# minus sign on E00, E01, E10, E11 in turn, each with the global sign + then -.
+FACET_LABELS = (
+    "+[E01+E10+E11-E00]",
+    "-[E01+E10+E11-E00]",
+    "+[E00+E10+E11-E01]",
+    "-[E00+E10+E11-E01]",
+    "+[E00+E01+E11-E10]",
+    "-[E00+E01+E11-E10]",
+    "+[E00+E01+E10-E11]",
+    "-[E00+E01+E10-E11]",
 )
 
 
@@ -103,3 +115,77 @@ def is_local_facets(table: BehaviorTable, tol: float = LOCALITY_TOL) -> bool:
             f"signaling defect {table.signaling_defect} exceeds {SIGNALING_TOL}; facet criterion not applicable"
         )
     return bool(table.facets.max() <= 2.0 + tol)
+
+
+def l1_feasibility(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
+    """Return (x, residual) minimizing sum|a @ x - b| over x >= 0."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.ndim != 2 or b.ndim != 1 or a.shape[0] != b.size:
+        raise ValueError(f"incompatible LP shapes {a.shape} and {b.shape}")
+    m, n = a.shape
+
+    # Flip rows so the right-hand side is nonnegative, then the +1 residual
+    # columns form a feasible starting basis.
+    signs = np.where(b < 0.0, -1.0, 1.0)
+    tableau = np.zeros((m + 1, n + 2 * m + 1))
+    tableau[:m, :n] = a * signs[:, None]
+    tableau[:m, n:n + m] = np.eye(m)
+    tableau[:m, n + m:n + 2 * m] = -np.eye(m)
+    tableau[:m, -1] = b * signs
+
+    cost = np.zeros(n + 2 * m + 1)
+    cost[n:-1] = 1.0
+    basis = list(range(n, n + m))
+
+    # Reduced-cost row for the initial basis (all basic columns cost 1): the
+    # cost row minus each constraint row in turn, which a reduce along axis 0
+    # does in the same order.
+    tableau[m] = np.subtract.reduce(np.vstack([cost, tableau[:m]]), axis=0)
+
+    reduced = tableau[m, :-1]  # a view, so it follows every pivot
+    for _ in range(_MAX_PIVOTS):
+        # Bland's rule: the lowest-index improving column enters.
+        improving = (reduced < -_COST_EPS).nonzero()[0]
+        if improving.size == 0:
+            break
+        entering = int(improving[0])
+
+        # The ratio test runs on Python floats, read once per pivot: IEEE
+        # division and comparison give the same bits as on float64 scalars.
+        column = tableau[:, entering]
+        coefs = column[:m].tolist()
+        rhs = tableau[:m, -1].tolist()
+        leaving = -1
+        best_ratio = np.inf
+        for i in range(m):
+            coef = coefs[i]
+            if coef > _PIVOT_EPS:
+                ratio = rhs[i] / coef
+                if ratio < best_ratio - _PIVOT_EPS or (
+                    abs(ratio - best_ratio) <= _PIVOT_EPS
+                    and (leaving < 0 or basis[i] < basis[leaving])
+                ):
+                    best_ratio = ratio
+                    leaving = i
+        if leaving < 0:
+            raise RuntimeError("L1 feasibility LP is unbounded; inputs are malformed")
+
+        tableau[leaving, :] /= tableau[leaving, entering]
+        # Only rows with a nonzero entry change, so the others keep their exact
+        # bits (a -0.0 stays -0.0).
+        changed = column != 0.0
+        changed[leaving] = False
+        np.subtract(tableau, column[:, None] * tableau[leaving], out=tableau, where=changed[:, None])
+        basis[leaving] = entering
+    else:
+        raise RuntimeError(f"simplex did not converge within {_MAX_PIVOTS} pivots")
+
+    # max keeps its first argument on a tie, so max(-0.0, 0.0) is -0.0; adding
+    # 0.0 turns that into 0.0 and keeps every other value, NaN included.
+    x = np.zeros(n)
+    for i, var in enumerate(basis):
+        if var < n:
+            x[var] = max(tableau[i, -1], 0.0) + 0.0
+    residual = max(-float(tableau[m, -1]), 0.0) + 0.0
+    return x, residual

@@ -45,10 +45,6 @@ def test_observable_projectors(theta):
     assert np.allclose(plus - minus, observable(theta), atol=1e-15)
 
 
-def test_perfect_correlation_at_equal_angles():
-    assert abs(correlator(PSI2_MATRIX, 0.0, 0.0) - 1.0) < 1e-12
-
-
 def test_white_noise_has_no_correlations():
     assert abs(chsh_value(UNIFORM4, TSIRELSON)) < 1e-12
     assert abs(correlator(UNIFORM4, 0.4, -0.9)) < 1e-12

@@ -20,11 +20,3 @@ TOL = 1e-14
 @given(n=st.integers(2, 8), noise=st.floats(0.0, 1.0))
 def test_closed_form_joint_distribution_matches_dense(n, noise):
     assert np.max(np.abs(sequential_joint_distribution(n, noise) - kron_joint(n, noise))) < TOL
-
-
-@settings(max_examples=30, deadline=None)
-@given(n=st.sampled_from([2, 3, 5]), noise=st.floats(0.0, 1.0))
-def test_joint_distribution_matches_dense_on_family(n, noise):
-    """The whole six-index table, at the dimensions the old dense route was checked at."""
-    joint = sequential_joint_distribution(n, noise)
-    assert np.max(np.abs(joint - kron_joint(n, noise))) < TOL

@@ -10,8 +10,7 @@ from noisybell import (
     sample_experiment,
     sequential_joint_distribution,
 )
-from noisybell.polytope import _LP_SYSTEM
-from noisybell.simplex import l1_feasibility
+from noisybell.polytope import _LP_SYSTEM, l1_feasibility
 
 from dense import UNIFORM, condition, local_vertices
 
