@@ -27,6 +27,7 @@ from .polytope import (
     check_tolerance,
     is_local_facets,
     is_local_lp,
+    violated_facet,
 )
 from .sampling import GENERATOR_NAME, sample_experiment
 from .scan import (
@@ -48,14 +49,10 @@ EXIT_IO = 2
 EXIT_NONLOCAL = 3
 
 
-class UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad usage; remap to the documented code 1.
     def error(self, message: str) -> None:  # type: ignore[override]
-        raise UsageError(message)
+        raise ValueError(message)
 
 
 def _parse_dims(text: str) -> list[int]:
@@ -65,8 +62,6 @@ def _parse_dims(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"bad dimension list {text!r}") from exc
     if not dims:
         raise argparse.ArgumentTypeError("dimension list is empty")
-    if any(n < 2 for n in dims):
-        raise argparse.ArgumentTypeError("dimensions must be at least 2")
     return sorted(set(dims))
 
 
@@ -190,17 +185,15 @@ def cmd_lhv_check(args: argparse.Namespace) -> int:
         verdict = is_local_lp(table, tol=args.tol)
         local, weights = verdict.is_local, verdict.weights
 
-    facets = table.facets
-    max_idx = int(facets.argmax())
-    max_facet = float(facets[max_idx])
+    facet = None if local else violated_facet(table, args.tol)
     # A nonlocal verdict with no violated facet means the table sits outside
     # the no-signaling subspace (e.g. finite-sample noise), not that it
     # violates CHSH; the signaling defect makes that readable.
     report = {
         "verdict": "local" if local else "nonlocal",
         "method": method,
-        "max_facet": max_facet,
-        "violated_facet": None if local or max_facet <= 2.0 + args.tol else FACET_LABELS[max_idx],
+        "max_facet": float(table.facets.max()),
+        "violated_facet": None if facet is None else FACET_LABELS[facet],
         "signaling_defect": table.signaling_defect,
         "weights": weights,
     }
@@ -264,8 +257,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (UsageError, ValueError) as exc:
-        # TableFormatError is a ValueError: parse and config failures share exit 1.
+    except ValueError as exc:
+        # Parser errors and TableFormatError are ValueErrors: parse and config failures share exit 1.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OverflowError as exc:

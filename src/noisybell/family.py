@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
+from collections.abc import Callable
 
 import numpy as np
 
@@ -91,13 +92,7 @@ def is_separable_family(n: int, noise: float | np.ndarray) -> bool | np.ndarray:
     :func:`noisy_state`; it is not a general separability test.
     """
     n = check_family(n, noise)
-    boundary = separability_threshold(n)
-    # Only the float nearest N/(N+1) can sit on the wrong side of it; when it
-    # lies below, the state there is still entangled.
-    p, q = boundary.as_integer_ratio()
-    if p * (n + 1) < n * q:
-        return noise > boundary
-    return noise >= boundary
+    return noise >= _least_float(separability_threshold(n), lambda p, q: p * (n + 1) >= n * q)
 
 
 def retained_fraction(n: int, noise: float) -> float:
@@ -132,22 +127,30 @@ def violates_chsh(n: int, noise: float | np.ndarray) -> bool | np.ndarray:
     float next to the boundary gets the decision of its exact value, not of
     :func:`violation_threshold` rounded.  S falls as F rises, and S > 2
     exactly when a = N(1 - F) - 2F > 0 and a^2 > 8F^2.  With F = p / q both
-    are integer tests, so the least float that does not violate is found by
-    stepping from the float threshold, which lies within an ulp or so of it.
+    are integer tests, so the cut is the least float at which they fail.
     """
     n = check_family(n, noise)
-    cut = violation_threshold(n)
 
-    def violates(f: float) -> bool:
-        p, q = f.as_integer_ratio()
+    def no_violation(p: int, q: int) -> bool:
         a = n * (q - p) - 2 * p
-        return a > 0 and a * a > 8 * p * p
+        return not (a > 0 and a * a > 8 * p * p)
 
-    while violates(cut):
+    return noise < _least_float(violation_threshold(n), no_violation)
+
+
+def _least_float(start: float, holds: Callable[[int, int], bool]) -> float:
+    """The least float f at which ``holds(*f.as_integer_ratio())`` is true.
+
+    ``holds`` is an exact test that is false below one cut on the noise
+    axis and true from it on, and ``start`` is that cut rounded, so the
+    steps from it, up then down, are a few at most.
+    """
+    cut = start
+    while not holds(*cut.as_integer_ratio()):
         cut = math.nextafter(cut, 2.0)
-    while not violates(below := math.nextafter(cut, -1.0)):
+    while holds(*(below := math.nextafter(cut, -1.0)).as_integer_ratio()):
         cut = below
-    return noise < cut
+    return cut
 
 
 def success_probability(n: int, noise: float) -> float:

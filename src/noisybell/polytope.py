@@ -114,7 +114,19 @@ def is_local_facets(table: BehaviorTable, tol: float = LOCALITY_TOL) -> bool:
         raise SignalingTable(
             f"signaling defect {table.signaling_defect} exceeds {SIGNALING_TOL}; facet criterion not applicable"
         )
-    return bool(table.facets.max() <= 2.0 + tol)
+    return violated_facet(table, tol) is None
+
+
+def violated_facet(table: BehaviorTable, tol: float = LOCALITY_TOL) -> int | None:
+    """Index in :data:`FACET_LABELS` of the largest CHSH facet if it exceeds 2 + tol, else None.
+
+    The one facet test of the module.  It reads any table's facets; only for
+    a no-signaling table does None mean local (Fine's theorem).
+    """
+    check_tolerance(tol)
+    facets = table.facets
+    largest = int(facets.argmax())
+    return largest if facets[largest] > 2.0 + tol else None
 
 
 def l1_feasibility(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:

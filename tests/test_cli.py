@@ -108,9 +108,9 @@ def test_scan_rejects_bad_step(capsys):
 
 
 def test_scan_rejects_bad_dims(capsys):
-    code, _, stderr = run(["scan", "--dims", "1,2"], capsys)
-    assert code == 1
-    assert "error" in stderr
+    for command in ("scan", "threshold", "gap"):
+        code, stdout, stderr = run([command, "--dims", "1,2"], capsys)
+        assert (code, stdout, stderr) == (1, "", "error: local dimension must be at least 2, got 1\n")
 
 
 @pytest.mark.parametrize("command", ["scan", "threshold", "gap"])
@@ -159,8 +159,8 @@ def test_dimension_past_float_range_is_usage_error(argv, capsys):
 @pytest.mark.parametrize("existing", [False, True], ids=["missing", "existing"])
 @pytest.mark.parametrize(
     "flags",
-    [["--dims", f"2,{10**160}"], ["--dims", "2,3", "--f-step", "2e-19"]],
-    ids=["dimension_past_float_range", "records_past_bound"],
+    [["--dims", f"2,{10**160}"], ["--dims", "2,3", "--f-step", "2e-19"], ["--dims", "2,1"]],
+    ids=["dimension_past_float_range", "records_past_bound", "dimension_below_two"],
 )
 def test_scan_usage_error_leaves_out_untouched(flags, existing, tmp_path, capsys):
     out = tmp_path / "scan.csv"

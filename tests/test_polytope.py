@@ -17,7 +17,7 @@ from noisybell import (
 )
 
 from noisybell import polytope
-from noisybell.polytope import _LP_SYSTEM, LOCALITY_TOL, LocalityVerdict
+from noisybell.polytope import _LP_SYSTEM, LOCALITY_TOL, LocalityVerdict, violated_facet
 
 from dense import TSIRELSON, UNIFORM, behavior_table, condition, local_vertices
 
@@ -120,7 +120,9 @@ def test_uniform_table_is_local():
     assert UNIFORM.facets.max() <= 2.0
 
 
-@pytest.mark.parametrize("decide", [is_local_lp, is_local_facets], ids=["lp", "facets"])
+@pytest.mark.parametrize(
+    "decide", [is_local_lp, is_local_facets, violated_facet], ids=["lp", "facets", "violated_facet"]
+)
 @pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-300, math.inf, -math.inf])
 def test_verdicts_refuse_nan_negative_and_infinite_tolerances(decide, tol):
     """A NaN or negative tolerance used to call the uniform table nonlocal."""
@@ -231,7 +233,7 @@ def test_methods_agree_near_a_facet_on_rounded_no_signaling_tables(case):
     assert table.is_no_signaling()
     assert abs(table.facets[facet] - 2.0 - excess) <= 2.0 / unit + 1e-12  # half a step of one unit in C
     verdict = is_local_lp(table)
-    assert verdict.is_local == is_local_facets(table)
+    assert verdict.is_local == is_local_facets(table) == (violated_facet(table) is None)
     assert (verdict.weights is None) == (not verdict.is_local)
     if verdict.is_local:
         assert abs(verdict.weights.sum() - 1.0) <= 1e-12

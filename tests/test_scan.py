@@ -347,8 +347,8 @@ def _oracle_records(dims, f_min, f_max, f_step):
             s_value = chsh_closed_form(n, f)
             threshold = violation_threshold(n)
             separable = is_separable_family(n, f)
-            violates = f < threshold
-            gap = f >= threshold and not separable
+            violates = _exact_violates(n, f)
+            gap = not violates and not separable
             records.append((n, f, s_value, violates, threshold, separable, gap, success_probability(n, f)))
     return records
 
@@ -398,6 +398,7 @@ def _oracle_json(records, keys):
 @example(dims=[2, 5], bounds=[0.0, 0.3], f_step=0.1)  # last point clamped to f_max
 @example(dims=[3], bounds=[0.0, -0.0], f_step=0.5)  # min() keeps 0.0 where np.minimum gives -0.0
 @example(dims=[3, 3], bounds=[0.25, 0.25], f_step=1.0)
+@example(dims=[28], bounds=[0.8529193279227653, 0.8529193279227653], f_step=0.5)  # fl(28/(28+c)), below it: violates
 def test_columnar_scan_matches_per_point_oracle(dims, bounds, f_step):
     f_min, f_max = bounds
     expected = _oracle_records(dims, f_min, f_max, f_step)

@@ -113,13 +113,13 @@ def test_noisy_state_rejects_bad_noise(noise):
 
 
 @pytest.mark.parametrize("n", range(2, 9))
-@pytest.mark.parametrize("noise", [0.0, 0.25, 0.5, 0.75, 1.0])
+@pytest.mark.parametrize("noise", [0.0, 0.25, 0.4, 0.5, 0.75, 1.0])
 def test_noisy_state_spectrum(n, noise):
     """Eigenvalues are (1-F) + F/N^2 once and F/N^2 with multiplicity N^2 - 1."""
     dim = n * n
     eigs = np.sort(np.linalg.eigvalsh(noisy_state(n, noise)))
     expected = np.sort(np.concatenate([[1.0 - noise + noise / dim], np.full(dim - 1, noise / dim)]))
-    assert np.max(np.abs(eigs - expected)) < 1e-10
+    assert np.max(np.abs(eigs - expected)) < 1e-12
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -130,13 +130,6 @@ def test_noisy_state_passes_validate(n, noise):
     assert np.max(np.abs(rho - rho.conj().T)) < 1e-12
     assert abs(np.trace(rho) - 1.0) < 1e-12
     assert np.linalg.eigvalsh(rho)[0] >= -1e-10
-
-
-def test_density_matrix_eigenvalues_sorted():
-    eigs = np.linalg.eigvalsh(noisy_state(2, 0.5))
-    assert eigs.shape == (4,)
-    assert abs(eigs[-1] - (0.5 + 0.125)) < 1e-12
-    assert all(a <= b for a, b in zip(eigs, eigs[1:]))
 
 
 def test_separability_examples():
@@ -240,14 +233,6 @@ def test_family_closed_forms_take_noise_arrays():
     assert chsh_closed_form(2, noise).tolist() == [chsh_closed_form(2, f) for f in noise.tolist()]
     assert type(chsh_closed_form(2, 0.5)) is float
     assert type(is_separable_family(2, 0.5)) is bool
-
-
-def test_validate_off_grid_state():
-    assert np.linalg.eigvalsh(noisy_state(3, 0.4))[0] >= 0.0
-
-
-def test_validate_pure_state_has_zero_min_eigenvalue():
-    assert abs(np.linalg.eigvalsh(noisy_state(2, 0.0))[0]) < 1e-10
 
 
 def test_states_are_immutable():
