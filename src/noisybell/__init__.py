@@ -11,7 +11,6 @@ from .family import (
     TSIRELSON_BOUND,
     chsh_closed_form,
     is_separable_family,
-    noisy_state,
     retained_fraction,
     separability_threshold,
     sequential_joint_distribution,
@@ -48,7 +47,6 @@ __all__ = [
     "is_local_lp",
     "is_separable_family",
     "load_table",
-    "noisy_state",
     "retained_fraction",
     "sample_experiment",
     "save_table",

@@ -68,6 +68,11 @@ def noisy_state(n: int, noise: float) -> np.ndarray:
     (1 - noise) * |psi><psi| + noise * I / n**2, where |psi> has amplitude
     1/sqrt(n) at every doubled basis index m*n + m (0-based, first factor
     major) and noise in [0, 1] is the weight of the maximally mixed component.
+
+    No package code calls it and ``noisybell`` does not export it.  It is kept
+    only because the benchmark tracer's ``TARGETS`` names
+    ``noisybell.sampling.noisy_state``; ROADMAP item 2 deletes it with the
+    tracer.  The tests' dense oracle builds its own copy of the state.
     """
     n = check_family(n, noise)
     dim = n * n

@@ -1,5 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# Tier-1 draws the same examples on every run, so a failure recurs when the same commit
+# runs again; derandomize also turns the example database off.  Each test keeps its own
+# max_examples.  The non-gating fuzz job selects "fuzz" with --hypothesis-profile and
+# passes a random --hypothesis-seed.
+settings.register_profile("tier1", derandomize=True)
+settings.register_profile("fuzz", derandomize=False)
+settings.load_profile("tier1")
 
 
 @pytest.fixture

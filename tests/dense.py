@@ -1,13 +1,14 @@
 """Dense Kronecker-product oracles for the package's closed forms, and small test tables.
 
 The package computes every quantity in closed form.  These references build
-the measurement operators as dense matrices, form A x B with plain np.kron
-and take traces, so they share no code path with the closed forms they
-check.  The joint law costs O(N^6): small N only.  The tables at the end
-(the uniform table, the 16 deterministic vertices, a branch of a joint law)
-are built entry by entry, apart from the package's own constructions.  Last
-come numpy expressions for a table's derived quantities, on its (2, 2, 2, 2)
-array: BehaviorTable computes them on Python floats and must match their bits.
+the family's state and the measurement operators as dense matrices, form
+A x B with plain np.kron and take traces, so they share no code path with the
+closed forms they check.  The joint law costs O(N^6): small N only.  The
+tables at the end (the uniform table, the 16 deterministic vertices, a branch
+of a joint law) are built entry by entry, apart from the package's own
+constructions.  Last come numpy expressions for a table's derived
+quantities, on its (2, 2, 2, 2) array: BehaviorTable computes them on Python
+floats and must match their bits.
 """
 
 import itertools
@@ -21,9 +22,22 @@ from noisybell import BehaviorTable
 # here rather than read from the package, so the oracle stays independent of it.
 TSIRELSON = ((0.0, math.pi / 2), (math.pi / 4, -math.pi / 4))
 
-# |psi_2> = (|00> + |11>) / sqrt(2) and its projector, written out rather than read from noisy_state(2, 0).
+# |psi_2> = (|00> + |11>) / sqrt(2) and its projector, written out so that they check noisy_state(2, 0).
 PSI2 = np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2.0)
 PSI2_MATRIX = np.outer(PSI2, PSI2)
+
+
+def noisy_state(n: int, noise: float) -> np.ndarray:
+    """(1 - F) |psi><psi| + F I/n^2, the family's (n^2, n^2) state, from matrix units.
+
+    |psi><psi| = (1/n) sum_{m,k} |m><k| x |m><k|, each term an np.kron of two
+    n x n matrix units; first factor major, as in the package.
+    """
+    units = [[np.outer(row, col) for col in np.eye(n)] for row in np.eye(n)]
+    entangled = np.zeros((n * n, n * n))
+    for m, k in itertools.product(range(n), repeat=2):
+        entangled += np.kron(units[m][k], units[m][k])
+    return (1.0 - noise) * (entangled / n) + noise * np.eye(n * n) / (n * n)
 
 
 def projector(n: int) -> np.ndarray:

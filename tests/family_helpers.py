@@ -1,13 +1,14 @@
 """Helpers that the tests of ``noisybell.family`` share, each defined once.
 
-They compose the package's closed forms or feed its states to the dense
-oracle, so they do not belong in ``dense.py``, which shares no code path with
-the package.
+They compose the package's closed forms with the dense oracle on purpose, so
+they do not belong in ``dense.py``, which shares no code path with the
+package.  Every state here is the oracle's ``noisy_state``; the package
+supplies only ``retained_fraction``.
 """
 
-from noisybell import noisy_state, retained_fraction
+from noisybell import retained_fraction
 
-from dense import TSIRELSON, dense_joint
+from dense import TSIRELSON, dense_joint, noisy_state
 
 
 def post_selected_closed_form(n, noise):

@@ -19,7 +19,6 @@ from noisybell import (
     gap_rows,
     is_local_facets,
     is_local_lp,
-    noisy_state,
     sample_experiment,
     scan_grid,
     success_probability,
@@ -27,7 +26,7 @@ from noisybell import (
 )
 from noisybell.cli import main
 
-from dense import TSIRELSON, behavior_table, chsh_value, condition, local_vertices, post_select
+from dense import TSIRELSON, behavior_table, chsh_value, condition, local_vertices, noisy_state, post_select
 from family_helpers import post_selected_closed_form
 
 

@@ -7,7 +7,6 @@ from noisybell import (
     C_THRESHOLD,
     TSIRELSON_BOUND,
     chsh_closed_form,
-    noisy_state,
     retained_fraction,
     violation_threshold,
 )
@@ -18,6 +17,7 @@ from dense import (
     behavior_table,
     chsh_value,
     correlator,
+    noisy_state,
     observable,
     observable_projectors,
     post_select,

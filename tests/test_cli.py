@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from noisybell import (
     BehaviorTable,
     load_table,
-    noisy_state,
     save_table,
 )
 from noisybell import behavior, cli, polytope, sampling
@@ -25,7 +24,7 @@ from noisybell.cli import main
 from noisybell.sampling import MAX_SAMPLE_COUNT
 from noisybell.scan import BLOCK, records_to_csv, records_to_json, scan_grid
 
-from dense import TSIRELSON, UNIFORM, behavior_table, local_vertices
+from dense import TSIRELSON, UNIFORM, behavior_table, local_vertices, noisy_state
 
 QUANTUM_TABLE = behavior_table(noisy_state(2, 0.0), TSIRELSON)
 _SIGNALING = np.full((2, 2, 2, 2), 0.25)  # Bob's marginal moves with Alice's setting

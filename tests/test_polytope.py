@@ -11,7 +11,6 @@ from noisybell import (
     SignalingTable,
     is_local_facets,
     is_local_lp,
-    noisy_state,
     sequential_joint_distribution,
     violation_threshold,
 )
@@ -19,7 +18,7 @@ from noisybell import (
 from noisybell import polytope
 from noisybell.polytope import _LP_SYSTEM, LOCALITY_TOL, LocalityVerdict, violated_facet
 
-from dense import TSIRELSON, UNIFORM, behavior_table, condition, local_vertices
+from dense import TSIRELSON, UNIFORM, behavior_table, condition, local_vertices, noisy_state
 
 QUANTUM_TABLE = behavior_table(noisy_state(2, 0.0), TSIRELSON)
 _SIGNALING_PROBS = np.full((2, 2, 2, 2), 0.25)

@@ -106,7 +106,9 @@ def test_sampling_call_sites_the_benchmark_traces(monkeypatch):
     """The benchmark's tracer rebinds these names in noisybell.sampling.
 
     The closed-form joint law needs no dense state, so ``noisy_state`` stays
-    bound for the tracer but is not called.
+    bound for the tracer but is not called.  This is the one reader of the
+    seam outside ``test_states.py``; the oracles build their state in
+    ``dense.py``.
     """
     assert sampling.noisy_state is family.noisy_state
     assert sampling.sequential_joint_distribution is family.sequential_joint_distribution

@@ -16,7 +16,6 @@ from noisybell import (
     bisect_threshold,
     chsh_closed_form,
     gap_rows,
-    is_separable_family,
     scan_grid,
     success_probability,
     threshold_rows,
@@ -335,7 +334,8 @@ def test_threshold_and_gap_look_their_functions_up_when_they_run(monkeypatch, ca
 # --- per-point oracle -------------------------------------------------------
 # The route scan_grid, threshold_rows, gap_rows and the emitters replaced: one
 # closed-form call per grid point or dimension, text built field by field, and
-# JSON through json.dumps.
+# JSON through json.dumps.  The violates and separable flags are decided in
+# rationals, not by the functions scan_grid calls.
 
 
 def _oracle_records(dims, f_min, f_max, f_step):
@@ -346,7 +346,7 @@ def _oracle_records(dims, f_min, f_max, f_step):
         for f in grid:
             s_value = chsh_closed_form(n, f)
             threshold = violation_threshold(n)
-            separable = is_separable_family(n, f)
+            separable = Fraction(f) * (n + 1) >= n
             violates = _exact_violates(n, f)
             gap = not violates and not separable
             records.append((n, f, s_value, violates, threshold, separable, gap, success_probability(n, f)))
@@ -399,6 +399,7 @@ def _oracle_json(records, keys):
 @example(dims=[3], bounds=[0.0, -0.0], f_step=0.5)  # min() keeps 0.0 where np.minimum gives -0.0
 @example(dims=[3, 3], bounds=[0.25, 0.25], f_step=1.0)
 @example(dims=[28], bounds=[0.8529193279227653, 0.8529193279227653], f_step=0.5)  # fl(28/(28+c)), below it: violates
+@example(dims=[6], bounds=[0.8571428571428571, 0.8571428571428571], f_step=0.5)  # fl(6/7), below it: gap
 def test_columnar_scan_matches_per_point_oracle(dims, bounds, f_step):
     f_min, f_max = bounds
     expected = _oracle_records(dims, f_min, f_max, f_step)

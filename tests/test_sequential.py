@@ -5,10 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from noisybell import chsh_closed_form, noisy_state, success_probability
+from noisybell import chsh_closed_form, success_probability
 from noisybell.family import sequential_joint_distribution
 
-from dense import PSI2_MATRIX, TSIRELSON, behavior_table, condition, post_select, projector
+from dense import PSI2_MATRIX, TSIRELSON, behavior_table, condition, noisy_state, post_select, projector
 from family_helpers import kron_joint, post_selected_closed_form
 
 

@@ -11,20 +11,21 @@ from noisybell import (
     chsh_closed_form,
     gap_rows,
     is_separable_family,
-    noisy_state,
     sample_experiment,
     scan_grid,
     separability_threshold,
     threshold_rows,
     violation_threshold,
 )
+from noisybell import family
 from noisybell.family import check_family
 
-from dense import PSI2, partial_transpose
+from dense import PSI2, noisy_state, partial_transpose
 
 
-# The maximally entangled component is noisy_state(n, 0): the projector onto
-# amplitude 1/sqrt(n) at every doubled index m*n + m.
+# The oracle's noisy_state checks itself here: its maximally entangled component
+# noisy_state(n, 0) is the projector onto amplitude 1/sqrt(n) at every doubled
+# index m*n + m.  family.noisy_state is tested for its own contract and tied to it.
 
 
 def test_max_entangled_qubit_amplitudes():
@@ -51,7 +52,7 @@ def test_max_entangled_normalized(n):
 @pytest.mark.parametrize("n", [0, 1])
 def test_max_entangled_rejects_small_dimension(n):
     with pytest.raises(ValueError):
-        noisy_state(n, 0.0)
+        family.noisy_state(n, 0.0)
 
 
 @pytest.mark.parametrize("n", [2.5, 2.0, np.float64(3.0)])
@@ -109,7 +110,14 @@ def test_noisy_state_half_noise_entry():
 @pytest.mark.parametrize("noise", [-0.1, 1.1, math.inf])
 def test_noisy_state_rejects_bad_noise(noise):
     with pytest.raises(ValueError):
-        noisy_state(2, noise)
+        family.noisy_state(2, noise)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(2, 8), noise=st.floats(0.0, 1.0))
+def test_noisy_state_matches_the_oracle(n, noise):
+    """The package's index placement gives the oracle's matrix-unit sum, entry by entry."""
+    assert np.max(np.abs(family.noisy_state(n, noise) - noisy_state(n, noise))) <= 1e-15
 
 
 @pytest.mark.parametrize("n", range(2, 9))
@@ -236,7 +244,7 @@ def test_family_closed_forms_take_noise_arrays():
 
 
 def test_states_are_immutable():
-    rho = noisy_state(2, 0.5)
+    rho = family.noisy_state(2, 0.5)
     assert rho.dtype == complex
     with pytest.raises(ValueError):
         rho[0, 0] = 9.0
