@@ -5,8 +5,9 @@ Subcommands: ``scan`` (grid of closed-form records), ``threshold``
 intervals), ``lhv-check`` (polytope membership of a table file) and
 ``sample`` (seeded Monte Carlo of the two-stage experiment).
 
-Exit codes: 0 success / local verdict, 1 usage or parse error, 2 I/O error,
-3 nonlocal verdict, so shell pipelines can branch on locality.
+Exit codes: 0 success / local verdict, 1 usage or parse error, 2 I/O error
+(a failed write to stdout included), 3 nonlocal verdict, so shell pipelines
+can branch on locality.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 from collections.abc import Callable
 from pathlib import Path
@@ -252,11 +254,29 @@ def _rounded(value):
     return value if value is None or isinstance(value, str) else [_rounded(v) for v in value]
 
 
+def _flush_stdout() -> None:
+    """Flush stdout here, so that a closed pipe or a full disk ends in the one ``i/o error:`` line.
+
+    Unflushed output would otherwise fail only in the flush at interpreter exit,
+    which prints Python's own message.  After a failed flush, fd 1 points at
+    ``os.devnull``, so that flush cannot fail again (see Python's "Note on SIGPIPE").
+    """
+    try:
+        sys.stdout.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        raise
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        _flush_stdout()
+        return code
     except ValueError as exc:
         # Parser errors and TableFormatError are ValueErrors: parse and config failures share exit 1.
         print(f"error: {exc}", file=sys.stderr)

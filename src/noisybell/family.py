@@ -93,8 +93,8 @@ def is_separable_family(n: int, noise: float | np.ndarray) -> bool | np.ndarray:
     """Separability decision for the noisy maximally entangled family only.
 
     True exactly when noise >= N/(N+1), decided exactly for every float.
-    This closed-form boundary holds for states produced by
-    :func:`noisy_state`; it is not a general separability test.
+    This closed-form boundary holds for the family
+    (1 - F)|psi_N><psi_N| + F I/N^2 alone; it is not a general separability test.
     """
     n = check_family(n, noise)
     return noise >= _least_float(separability_threshold(n), lambda p, q: p * (n + 1) >= n * q)

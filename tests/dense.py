@@ -4,11 +4,11 @@ The package computes every quantity in closed form.  These references build
 the family's state and the measurement operators as dense matrices, form
 A x B with plain np.kron and take traces, so they share no code path with the
 closed forms they check.  The joint law costs O(N^6): small N only.  The
-tables at the end (the uniform table, the 16 deterministic vertices, a branch
-of a joint law) are built entry by entry, apart from the package's own
-constructions.  Last come numpy expressions for a table's derived
-quantities, on its (2, 2, 2, 2) array: BehaviorTable computes them on Python
-floats and must match their bits.
+tables at the end (the uniform, quantum and signaling tables, the 16
+deterministic vertices, a branch of a joint law) are built entry by entry,
+apart from the package's own constructions.  Last come numpy expressions
+for a table's derived quantities, on its (2, 2, 2, 2) array: BehaviorTable
+computes them on Python floats and must match their bits.
 """
 
 import itertools
@@ -130,6 +130,18 @@ def random_state(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 UNIFORM = BehaviorTable(np.full((2, 2, 2, 2), 0.25))
+# The two-qubit singlet's table at the Tsirelson angles: CHSH 2*sqrt(2).
+QUANTUM_TABLE = behavior_table(noisy_state(2, 0.0), TSIRELSON)
+
+
+def _signaling() -> BehaviorTable:
+    """The uniform table with setting pair (0, 1) skewed: Bob's marginal moves with Alice's setting."""
+    probs = np.full((2, 2, 2, 2), 0.25)
+    probs[0, 1] = [[0.55, 0.05], [0.05, 0.35]]
+    return BehaviorTable(probs)
+
+
+SIGNALING = _signaling()
 
 
 def local_vertices() -> tuple[BehaviorTable, ...]:

@@ -26,7 +26,7 @@ from noisybell import (
 )
 from noisybell.cli import main
 
-from dense import TSIRELSON, behavior_table, chsh_value, condition, local_vertices, noisy_state, post_select
+from dense import QUANTUM_TABLE, TSIRELSON, chsh_value, condition, local_vertices, noisy_state, post_select
 from family_helpers import post_selected_closed_form
 
 
@@ -84,7 +84,6 @@ def test_criterion_5_lhv_oracle_agreement():
     with criterion(5, f"LP and 8-facet verdicts agree on 1000 random no-signaling tables (seed {seed})", budget=30.0):
         rng = np.random.default_rng(seed)
         vertices = local_vertices()
-        quantum = behavior_table(noisy_state(2, 0.0), TSIRELSON)
         checked_local = 0
         checked_nonlocal = 0
         for trial in range(1000):
@@ -92,7 +91,7 @@ def test_criterion_5_lhv_oracle_agreement():
             weights /= weights.sum()
             local_part = sum(w * v.probs for w, v in zip(weights, vertices))
             mu = rng.random() if trial % 2 else 0.0  # half pure-local, half quantum mixtures
-            table = BehaviorTable(mu * quantum.probs + (1.0 - mu) * local_part)
+            table = BehaviorTable(mu * QUANTUM_TABLE.probs + (1.0 - mu) * local_part)
 
             verdict = is_local_lp(table, tol=1e-9)
             assert verdict.is_local == is_local_facets(table, tol=1e-9)

@@ -1,5 +1,6 @@
 import concurrent.futures
 import contextlib
+import errno
 import io
 import json
 import math
@@ -19,16 +20,12 @@ from noisybell import (
     load_table,
     save_table,
 )
-from noisybell import behavior, cli, polytope, sampling
+from noisybell import behavior, cli, sampling
 from noisybell.cli import main
 from noisybell.sampling import MAX_SAMPLE_COUNT
 from noisybell.scan import BLOCK, records_to_csv, records_to_json, scan_grid
 
-from dense import TSIRELSON, UNIFORM, behavior_table, local_vertices, noisy_state
-
-QUANTUM_TABLE = behavior_table(noisy_state(2, 0.0), TSIRELSON)
-_SIGNALING = np.full((2, 2, 2, 2), 0.25)  # Bob's marginal moves with Alice's setting
-_SIGNALING[0, 1] = [[0.55, 0.05], [0.05, 0.35]]
+from dense import QUANTUM_TABLE, SIGNALING, UNIFORM, local_vertices
 
 
 def run(argv, capsys):
@@ -315,7 +312,7 @@ def test_lhv_check_missing_file_is_io_error(tmp_path, capsys):
 
 def test_lhv_check_facets_falls_back_on_signaling_table(tmp_path, capsys):
     path = tmp_path / "signaling.json"
-    save_table(BehaviorTable(_SIGNALING), path)
+    save_table(SIGNALING, path)
     code, stdout, stderr = run(["lhv-check", str(path), "--method", "facets"], capsys)
     assert "not applicable" in stderr
     assert "method: lp" in stdout
@@ -357,7 +354,7 @@ def test_lhv_check_methods_give_one_verdict(name, method, tmp_path, capsys):
 
 def test_lhv_check_fallback_then_io_error_is_one_line(tmp_path, capsys):
     path = tmp_path / "signaling.json"
-    save_table(BehaviorTable(_SIGNALING), path)
+    save_table(SIGNALING, path)
     out = tmp_path / "missing" / "verdict.txt"
     code, stdout, stderr = run(["lhv-check", str(path), "--method", "facets", "--out", str(out)], capsys)
     assert code == 2
@@ -397,60 +394,6 @@ def test_lhv_check_sampled_local_regime_reports_signaling(tmp_path, capsys):
     assert code == 3  # off the subspace by sampling noise, hence not a member
 
 
-def test_lhv_call_sites_the_benchmark_traces(monkeypatch, tmp_path, capsys):
-    """The benchmark's tracer rebinds these names in noisybell.cli and noisybell.polytope."""
-    assert cli.load_table is behavior.load_table
-    assert cli.is_local_lp is polytope.is_local_lp
-    assert cli.is_local_facets is polytope.is_local_facets
-    assert polytope.l1_feasibility.__module__ == "noisybell.polytope"
-    calls = []
-
-    def record(module, name):
-        original = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(module, name, wrapper)
-
-    for name in ("load_table", "is_local_lp", "is_local_facets"):
-        record(cli, name)
-    record(polytope, "l1_feasibility")
-
-    quantum = tmp_path / "quantum.json"
-    save_table(QUANTUM_TABLE, quantum)
-    uniform = tmp_path / "uniform.json"
-    save_table(UNIFORM, uniform)
-    signaling = tmp_path / "signaling.json"
-    save_table(BehaviorTable(_SIGNALING), signaling)
-    barely_signaling = tmp_path / "barely_signaling.json"
-    probs = np.full((2, 2, 2, 2), 0.25)
-    probs[0, 1] += [[5e-8, 0.0], [0.0, -5e-8]]  # signaling defect 5e-8, above SIGNALING_TOL
-    save_table(BehaviorTable(probs), barely_signaling)
-    # The LP runs only for a local table's certificate, or for a signaling table
-    # whose defect is at most --tol: a larger defect bounds the residual past --tol.
-    for path, flags, expected_code, expected in (
-        (quantum, ["--method", "lp"], 3, ["load_table", "is_local_lp"]),
-        (uniform, ["--method", "lp"], 0, ["load_table", "is_local_lp", "l1_feasibility"]),
-        (quantum, ["--method", "facets"], 3, ["load_table", "is_local_facets"]),
-        (signaling, ["--method", "facets"], 3, ["load_table", "is_local_facets", "is_local_lp"]),
-        (
-            barely_signaling,
-            ["--method", "facets", "--tol", "1e-6"],
-            0,
-            ["load_table", "is_local_facets", "is_local_lp", "l1_feasibility"],
-        ),
-    ):
-        calls.clear()
-        code, stdout, _ = run(["lhv-check", str(path), *flags, "--format", "json"], capsys)
-        assert code == expected_code
-        assert calls == expected
-        weights = json.loads(stdout)["weights"]
-        assert (weights is None) == (expected_code == 3)
-        assert weights is None or abs(sum(weights) - 1.0) <= 1e-12
-
-
 def test_parser_is_built_once_per_process(capsys):
     """A per-call argparse rebuild used to cost more than an LP; it must not come back."""
     cli._parser.cache_clear()
@@ -458,8 +401,6 @@ def test_parser_is_built_once_per_process(capsys):
         assert main(["threshold", "--dims", str(2 + k)]) == 0
     capsys.readouterr()
     assert cli._parser.cache_info().misses == 1
-    # perfbench's tracer reads a __wrapped__ on a traced name as its own wrapper left in place.
-    assert not hasattr(cli.build_parser, "__wrapped__")
 
 
 def test_cached_parser_leaks_nothing_between_calls(tmp_path, capsys):
@@ -467,7 +408,7 @@ def test_cached_parser_leaks_nothing_between_calls(tmp_path, capsys):
     quantum = tmp_path / "quantum.json"
     save_table(QUANTUM_TABLE, quantum)
     signaling = tmp_path / "signaling.json"
-    save_table(BehaviorTable(_SIGNALING), signaling)
+    save_table(SIGNALING, signaling)
     sequence = [
         ["scan"],
         ["lhv-check", str(quantum)],
@@ -647,6 +588,34 @@ def test_out_dev_stdout_on_a_pipe(capsys):
     assert done.stdout.decode() == run(argv, capsys)[1]
 
 
+def test_a_failed_write_to_stdout_is_one_io_error_line():
+    """A report small enough to sit in stdout's buffer fails only when the buffer is flushed.
+
+    Left to the flush at interpreter exit, that failure printed Python's own two lines and exit 120.
+    """
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    env.pop("PYTHONUNBUFFERED", None)  # unbuffered, each write fails where it is made
+
+    def closed_pipe():
+        read, write = os.pipe()
+        os.close(read)
+        return write
+
+    sinks = [(closed_pipe, errno.EPIPE)]
+    if os.path.exists("/dev/full"):
+        sinks.append((lambda: os.open("/dev/full", os.O_WRONLY), errno.ENOSPC))
+    for open_sink, code in sinks:
+        for argv in (["threshold", "--dims", "2"], ["sample", "--dim", "3", "--count", "100"]):
+            fd = open_sink()
+            try:
+                done = subprocess.run(
+                    [sys.executable, "-m", "noisybell.cli", *argv], stdout=fd, stderr=subprocess.PIPE, env=env, timeout=60
+                )
+            finally:
+                os.close(fd)
+            assert (done.returncode, done.stderr.decode()) == (2, f"i/o error: [Errno {code}] {os.strerror(code)}\n")
+
+
 def test_out_symlink_stays_a_link_and_its_target_gets_the_bytes(tmp_path, capsys):
     argv = ["scan", "--dims", "2", "--f-step", "0.5"]
     target, link = tmp_path / "target.csv", tmp_path / "link.csv"
@@ -751,7 +720,7 @@ _table_text = st.one_of(
     st.sampled_from(
         [
             _px_text(QUANTUM_TABLE.to_flat()),
-            _px_text(_SIGNALING.reshape(-1).tolist()),
+            _px_text(SIGNALING.to_flat()),
             _px_text([0.25] * 16),
             _px_text([0.9 / 4.0] * 16),
             _px_text([-0.25, 0.5, 0.5, 0.25] + [0.25] * 12),

@@ -1,4 +1,4 @@
-"""Every name a package module imports is used, every private module-level name has a reader,
+"""Every name a package or test module imports is used, every private module-level name has a reader,
 the package exports exactly what it imports, README's library table names only what its modules have,
 every dotted ``noisybell.<module>`` or ``noisybell.<module>.<NAME>`` README cites is there,
 and each package module has its test modules.
@@ -46,7 +46,11 @@ def imported(tree: ast.Module, lines: list[str]) -> set[str]:
     return names
 
 
-@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda path: path.name)
+@pytest.mark.parametrize(
+    "path",
+    sorted(PACKAGE.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py")),
+    ids=lambda path: path.name if path.parent == PACKAGE else f"tests/{path.name}",
+)
 def test_every_import_is_used(path):
     source = path.read_text()
     tree = ast.parse(source)

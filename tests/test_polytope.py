@@ -18,12 +18,7 @@ from noisybell import (
 from noisybell import polytope
 from noisybell.polytope import _LP_SYSTEM, LOCALITY_TOL, LocalityVerdict, violated_facet
 
-from dense import TSIRELSON, UNIFORM, behavior_table, condition, local_vertices, noisy_state
-
-QUANTUM_TABLE = behavior_table(noisy_state(2, 0.0), TSIRELSON)
-_SIGNALING_PROBS = np.full((2, 2, 2, 2), 0.25)
-_SIGNALING_PROBS[0, 1] = [[0.55, 0.05], [0.05, 0.35]]  # Bob's marginal moves with Alice's setting
-_SIGNALING = BehaviorTable(_SIGNALING_PROBS)
+from dense import QUANTUM_TABLE, SIGNALING, UNIFORM, condition, local_vertices
 
 
 def post_selected_table(n, noise):
@@ -91,19 +86,6 @@ def test_facets_of_quantum_table_peak_at_tsirelson():
     assert abs(np.max(values) - 2.0 * math.sqrt(2.0)) < 1e-12
 
 
-def test_facets_match_the_per_setting_loop():
-    """table.facets equals the loop over the minus sign's position, bit for bit."""
-    rng = np.random.default_rng(8)
-    for _ in range(50):
-        table = BehaviorTable(rng.dirichlet(np.ones(4), size=(2, 2)).reshape(2, 2, 2, 2))
-        corr = table.correlators
-        expected = []
-        for minus in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            base = corr.sum() - 2.0 * corr[minus]
-            expected.extend((base, -base))
-        assert table.facets.tobytes() == np.array(expected).tobytes()
-
-
 def test_vertex_is_local_with_unit_weight():
     vertices = local_vertices()
     for idx in (0, 7, 15):
@@ -154,34 +136,6 @@ def test_post_selected_state_below_threshold_is_nonlocal():
     table = post_selected_table(4, noise)
     assert not is_local_lp(table).is_local
     assert not is_local_facets(table)
-
-
-def test_local_certificate_reconstructs_table():
-    rng = np.random.default_rng(314159)
-    vertices = local_vertices()
-    for _ in range(50):
-        weights = rng.exponential(size=16)
-        weights /= weights.sum()
-        table = mix(vertices, weights)
-        verdict = is_local_lp(table)
-        assert verdict.is_local
-        rebuilt = mix(vertices, verdict.weights)
-        assert np.max(np.abs(rebuilt.probs - table.probs)) < 1e-9
-        assert verdict.weights.min() >= -1e-12
-        assert abs(verdict.weights.sum() - 1.0) < 1e-10
-
-
-def test_lp_and_facets_agree_on_random_no_signaling_tables():
-    """Both criteria classify mixtures of local noise and the quantum table alike."""
-    rng = np.random.default_rng(271828)
-    vertices = local_vertices()
-    for _ in range(200):
-        weights = rng.exponential(size=16)
-        weights /= weights.sum()
-        local_part = mix(vertices, weights)
-        mu = rng.random()
-        table = BehaviorTable(mu * QUANTUM_TABLE.probs + (1.0 - mu) * local_part.probs)
-        assert is_local_lp(table).is_local == is_local_facets(table)
 
 
 @st.composite
@@ -251,7 +205,7 @@ def test_lp_is_not_solved_for_a_no_signaling_table_the_facets_call_nonlocal(monk
 def test_lp_is_not_solved_for_a_table_whose_signaling_defect_exceeds_tol(monkeypatch):
     """Every vertex is no-signaling, so the LP's L1 residual is at least the signaling defect."""
     monkeypatch.setattr(polytope, "l1_feasibility", unreachable)
-    for table in (_SIGNALING, sampled(UNIFORM, 1000, 3), shifted(UNIFORM, 1e-7)):
+    for table in (SIGNALING, sampled(UNIFORM, 1000, 3), shifted(UNIFORM, 1e-7)):
         assert table.signaling_defect > LOCALITY_TOL and not table.is_no_signaling()
         verdict = is_local_lp(table)
         assert (verdict.is_local, verdict.weights) == (False, None)
@@ -308,11 +262,11 @@ def test_lp_rejects_malformed_table():
 
 def test_facets_reject_signaling_table():
     with pytest.raises(SignalingTable):
-        is_local_facets(_SIGNALING)
+        is_local_facets(SIGNALING)
 
 
 def test_lp_detects_signaling_table_as_nonmember():
-    verdict = is_local_lp(_SIGNALING)
+    verdict = is_local_lp(SIGNALING)
     assert not verdict.is_local
 
 
@@ -330,12 +284,3 @@ def test_strategy_enumeration_order():
     for k, vertex in enumerate(local_vertices()):
         assert np.array_equal(_LP_SYSTEM[:16, k], vertex.probs.reshape(-1))
         assert is_local_lp(vertex).weights.argmax() == k
-
-
-def test_conditioned_lhv_worlds_stay_local(lhv_world_factory):
-    """Conditioning a sequential LHV mixture on any positive branch stays local."""
-    rng = np.random.default_rng(987654321)
-    for _ in range(20):
-        joint = lhv_world_factory(rng)
-        for a1, b1 in np.argwhere(joint[0, 0].sum(axis=(2, 3)) > 1e-12):  # the branches with positive probability
-            assert is_local_lp(condition(joint, a1, b1)).is_local

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from noisybell import chsh_closed_form, family, sample_experiment, sampling
+from noisybell import chsh_closed_form, sample_experiment
 from noisybell.sampling import CHUNK, _draws, _outcome_counts
 
 
@@ -100,31 +100,6 @@ def test_chunk_working_set_stays_under_768_kib(dim, count):
         tracemalloc.stop()
     # 2**16-run chunks peaked at 2.2 to 2.6 MiB; 2**14-run chunks tallied into 2**14 int64 buckets at 795 KiB
     assert peak < 3 * 2**18
-
-
-def test_sampling_call_sites_the_benchmark_traces(monkeypatch):
-    """The benchmark's tracer rebinds these names in noisybell.sampling.
-
-    The closed-form joint law needs no dense state, so ``noisy_state`` stays
-    bound for the tracer but is not called.  This is the one reader of the
-    seam outside ``test_states.py``; the oracles build their state in
-    ``dense.py``.
-    """
-    assert sampling.noisy_state is family.noisy_state
-    assert sampling.sequential_joint_distribution is family.sequential_joint_distribution
-    calls = []
-
-    def recording(name, original):
-        def wrapper(*args):
-            calls.append(name)
-            return original(*args)
-
-        return wrapper
-
-    for name in ("noisy_state", "sequential_joint_distribution"):
-        monkeypatch.setattr(sampling, name, recording(name, getattr(sampling, name)))
-    sample_experiment(3, 0.2, 10, seed=1)
-    assert calls == ["sequential_joint_distribution"]
 
 
 # --- one-shot oracle ---------------------------------------------------------

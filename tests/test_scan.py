@@ -22,7 +22,7 @@ from noisybell import (
     violates_chsh,
     violation_threshold,
 )
-from noisybell import cli, scan
+from noisybell import cli
 from noisybell.scan import (
     BLOCK,
     MAX_SCAN_RECORDS,
@@ -300,35 +300,6 @@ def test_empty_scan_grid_emits_header_and_empty_list():
         assert records_to_csv(table) == header + "\n"
         assert records_to_json(table) == "[]\n"
     assert records_to_csv(gap_rows([])) == GAP_HEADER + "\n"
-
-
-def test_scan_call_sites_the_benchmark_traces():
-    """The benchmark's tracer rebinds these names in noisybell.cli and counts records with len()."""
-    assert scan.rows_to_csv is scan.records_to_csv and scan.rows_to_json is scan.records_to_json
-    traced = {"scan_grid", "records_to_csv", "records_to_json", "rows_to_csv", "rows_to_json"}
-    traced |= {"threshold_rows", "gap_rows"}
-    for name in traced:
-        assert getattr(cli, name) is getattr(scan, name)
-    called = set(cli.cmd_scan.__code__.co_names) | set(cli.cmd_rows.__code__.co_names)
-    assert traced <= called
-    dims = [2, 16, 1024]
-    assert len(scan_grid(dims, 0.0, 1.0, 0.01)) == len(dims) * len(scan_grid([2], 0.0, 1.0, 0.01)) == 3 * 101
-
-
-def test_threshold_and_gap_look_their_functions_up_when_they_run(monkeypatch, capsys):
-    """The parser is built once per process; names rebound in noisybell.cli after that are still the ones called."""
-    cli.build_parser()
-    calls = []
-    for name in ("threshold_rows", "gap_rows", "rows_to_csv", "rows_to_json"):
-        original = getattr(cli, name)
-        monkeypatch.setattr(cli, name, lambda *a, _f=original, _n=name, **k: calls.append(_n) or _f(*a, **k))
-    for command in ("threshold", "gap"):
-        for fmt in ("csv", "json"):
-            assert cli.main([command, "--dims", "4", "--format", fmt]) == 0
-    assert calls == ["threshold_rows", "rows_to_csv", "threshold_rows", "rows_to_json"] + [
-        "gap_rows", "rows_to_csv", "gap_rows", "rows_to_json"
-    ]
-    assert capsys.readouterr().err == ""
 
 
 # --- per-point oracle -------------------------------------------------------

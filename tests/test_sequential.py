@@ -54,16 +54,6 @@ def test_closed_form_retained_fraction_example():
     assert abs(rho[0, 0].real - (2.0 / 3.0 / 2.0 + 1.0 / 3.0 / 4.0)) < 1e-12
 
 
-@pytest.mark.parametrize("n", range(2, 9))
-def test_closed_form_equals_dense_projection(n):
-    for k in range(11):
-        noise = k / 10.0
-        dense, prob = post_select(noisy_state(n, noise), n)
-        closed = post_selected_closed_form(n, noise)
-        assert np.max(np.abs(dense - closed)) < 1e-12
-        assert abs(prob - success_probability(n, noise)) < 1e-12
-
-
 def test_success_probability_values():
     for noise in (0.0, 0.3, 1.0):
         assert abs(success_probability(2, noise) - 1.0) < 1e-15
