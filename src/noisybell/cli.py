@@ -20,6 +20,7 @@ import os
 import sys
 from collections.abc import Callable
 from pathlib import Path
+from typing import NoReturn
 
 from .behavior import _overwrite, load_table, save_table
 from .polytope import (
@@ -33,15 +34,14 @@ from .polytope import (
 )
 from .sampling import GENERATOR_NAME, sample_experiment
 from .scan import (
-    BLOCK,
     format_real,
     gap_rows,
     records_to_csv,
     records_to_json,
     rows_to_csv,
     rows_to_json,
+    scan_blocks,
     scan_grid,
-    scan_size,
     threshold_rows,
 )
 
@@ -55,6 +55,12 @@ class _Parser(argparse.ArgumentParser):
     # argparse exits with status 2 on bad usage; remap to the documented code 1.
     def error(self, message: str) -> None:  # type: ignore[override]
         raise ValueError(message)
+
+    # --help exits from inside parse_args; flushing here, inside main's try,
+    # makes a failed write of the help text the one ``i/o error:`` line.
+    def exit(self, status: int = 0, message: str | None = None) -> NoReturn:
+        _flush_stdout()
+        super().exit(status, message)
 
 
 def _parse_dims(text: str) -> list[int]:
@@ -146,21 +152,14 @@ def _sink(out: Path | None) -> contextlib.AbstractContextManager[Callable[[str],
 
 def cmd_scan(args: argparse.Namespace) -> int:
     grid = (args.f_min, args.f_max, args.f_step)
-    points = scan_size(args.dims, *grid) // len(args.dims)
-    # Blocks of at most BLOCK records, so memory stays flat in the size of the grid:
-    # whole dimensions while they fit in one, else one dimension at a time.
-    per_block = max(1, BLOCK // points)
+    blocks = scan_blocks(args.dims, *grid)
     with _sink(args.out) as write:
-        for i in range(0, len(args.dims), per_block):
-            for start in range(0, points, BLOCK):
-                stop = min(start + BLOCK, points)
-                records = scan_grid(args.dims[i : i + per_block], *grid, start, stop)
-                first = i == 0 and start == 0
-                last = i + per_block >= len(args.dims) and stop == points
-                if args.format == "csv":
-                    write(records_to_csv(records, header=first))
-                else:
-                    write(records_to_json(records, first=first, last=last))
+        for dims, start, stop, first, last in blocks:
+            records = scan_grid(dims, *grid, start, stop)
+            if args.format == "csv":
+                write(records_to_csv(records, header=first))
+            else:
+                write(records_to_json(records, first=first, last=last))
     return EXIT_OK
 
 
@@ -205,21 +204,15 @@ def cmd_lhv_check(args: argparse.Namespace) -> int:
         text = "".join(f"{key}: {_text(value)}\n" for key, value in report.items() if value is not None)
     with _sink(args.out) as write:
         write(text)
-    if method != args.method:  # after the write, so an I/O error stays the only stderr line
-        print("notice: facet criterion not applicable to a signaling table; falling back to LP", file=sys.stderr)
+    if method != args.method:
+        _notice("facet criterion not applicable to a signaling table; falling back to LP")
     return EXIT_OK if local else EXIT_NONLOCAL
 
 
 def cmd_sample(args: argparse.Namespace) -> int:
     sample = sample_experiment(args.dim, args.noise, args.count, args.seed)
 
-    if sample.insufficient_data:
-        print(
-            "notice: insufficient data - some setting pair has no (in, in) samples; "
-            "S is undefined and no table is written",
-            file=sys.stderr,
-        )
-    elif args.out is not None:
+    if args.out is not None and not sample.insufficient_data:
         save_table(
             sample.empirical_table,
             args.out,
@@ -235,6 +228,10 @@ def cmd_sample(args: argparse.Namespace) -> int:
     else:
         row = fields | estimates
         sys.stdout.write(",".join(row) + "\n" + ",".join(map(_text, row.values())) + "\n")
+    if sample.insufficient_data:
+        _notice(
+            "insufficient data - some setting pair has no (in, in) samples; S is undefined and no table is written"
+        )
     return EXIT_OK
 
 
@@ -268,6 +265,12 @@ def _flush_stdout() -> None:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         raise
+
+
+def _notice(text: str) -> None:
+    """Print a ``notice:`` line on stderr once the report is flushed, so an I/O error stays the only stderr line."""
+    _flush_stdout()
+    print(f"notice: {text}", file=sys.stderr)
 
 
 def main(argv: list[str] | None = None) -> int:

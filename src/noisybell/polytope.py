@@ -13,13 +13,15 @@ certificate.  The facets and the signaling defect are the table's own,
 computed once when it was built, so the verdict and a report on it read
 one evaluation.
 
-The weight certificate comes from :func:`l1_feasibility`, which solves
-min sum|A x - b| subject to x >= 0 as the standard linear program
-min sum(p + q) s.t. A x + p - q = b, all variables nonnegative.  The optimum
-is 0 exactly when A x = b has a nonnegative solution, and the optimal L1
-residual bounds every entrywise residual from above, so one tolerance reads
-"feasible within tol".  It is a dense tableau with Bland's rule, meant for
-systems of a few dozen rows and columns (the membership LP is 17 x 50).
+The weight certificate comes from :func:`l1_feasibility`, which solves the
+one membership system: A holds the 16 vertices as columns over the table's
+16 entries, plus a row of ones for the weights' sum, and b is a table's
+entries, then 1.  It solves min sum|A x - b| subject to x >= 0 as the
+standard linear program min sum(p + q) s.t. A x + p - q = b, all variables
+nonnegative.  The optimum is 0 exactly when A x = b has a nonnegative
+solution, and the optimal L1 residual bounds every entrywise residual from
+above, so one tolerance reads "feasible within tol".  It is a dense
+tableau with Bland's rule over the program's 17 rows and 50 columns.
 """
 
 from __future__ import annotations
@@ -96,7 +98,7 @@ def is_local_lp(table: BehaviorTable, tol: float = LOCALITY_TOL) -> LocalityVerd
     no_signaling = table.is_no_signaling()
     if not (is_local_facets(table, tol) if no_signaling else table.signaling_defect <= tol):
         return LocalityVerdict(is_local=False, weights=None)
-    weights, residual = l1_feasibility(_LP_SYSTEM, np.append(table.probs, 1.0))  # the 16 entries, then the sum
+    weights, residual = l1_feasibility(table.probs)
     local = no_signaling or residual <= tol
     return LocalityVerdict(is_local=local, weights=_freeze(weights / weights.sum()) if local else None)
 
@@ -129,12 +131,16 @@ def violated_facet(table: BehaviorTable, tol: float = LOCALITY_TOL) -> int | Non
     return largest if facets[largest] > 2.0 + tol else None
 
 
-def l1_feasibility(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, float]:
-    """Return (x, residual) minimizing sum|a @ x - b| over x >= 0."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.ndim != 2 or b.ndim != 1 or a.shape[0] != b.size:
-        raise ValueError(f"incompatible LP shapes {a.shape} and {b.shape}")
+def l1_feasibility(probs: np.ndarray) -> tuple[np.ndarray, float]:
+    """Return (x, residual) minimizing sum|A x - b| over vertex weights x >= 0.
+
+    ``A`` is :data:`_LP_SYSTEM`, and ``b`` is the 16 entries of ``probs`` in
+    [x][y][a][b] order, then the weights' sum, 1.
+    """
+    b = np.append(np.asarray(probs, dtype=float), 1.0)
+    if b.size != 17:
+        raise ValueError(f"the membership LP takes a table's 16 entries, got {b.size - 1}")
+    a = _LP_SYSTEM
     m, n = a.shape
 
     # Flip rows so the right-hand side is nonnegative, then the +1 residual

@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import math
-from collections.abc import Callable, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
@@ -115,16 +115,33 @@ def _dim_column(ordered: list[int]) -> np.ndarray:
     return np.array(ordered, dtype=np.int64)
 
 
-def scan_size(dims: list[int], f_min: float, f_max: float, f_step: float) -> int:
-    """Record count of :func:`scan_grid`, after every check any block of it makes.
+def scan_blocks(
+    dims: list[int], f_min: float, f_max: float, f_step: float
+) -> Iterator[tuple[list[int], int, int, bool, bool]]:
+    """Blocks of at most :data:`BLOCK` records to write a scan in, as ``(dims, start, stop, first, last)``.
 
-    Runs :func:`scan_grid` on the first grid point of every dimension, so it
-    raises what any block would: ``ValueError`` for a bad grid or a count past
-    :data:`MAX_SCAN_RECORDS`, and ``OverflowError`` for a dimension past the
-    float range, which depends on N alone; nothing grid-sized is allocated.
+    Runs :func:`scan_grid` on the first grid point of every dimension before
+    it returns, so it raises what any block would (``ValueError`` for a bad
+    grid or a count past :data:`MAX_SCAN_RECORDS`, ``OverflowError`` for a
+    dimension past the float range) and allocates nothing grid-sized.  A
+    block is ``scan_grid(dims, f_min, f_max, f_step, start, stop)``: whole
+    dimensions while they fit in one, else one dimension a range of points
+    at a time.  ``first`` and ``last`` flag the blocks whose texts open and
+    close the output.
     """
     scan_grid(dims, f_min, f_max, f_step, 0, 1)
-    return len(dims) * _grid_points(f_min, f_max, f_step)
+    ordered = sorted(dims)
+    points = _grid_points(f_min, f_max, f_step)
+    per_block = max(1, BLOCK // points)
+
+    def blocks() -> Iterator[tuple[list[int], int, int, bool, bool]]:
+        for i in range(0, len(ordered), per_block):
+            last_dims = i + per_block >= len(ordered)
+            for start in range(0, points, BLOCK):
+                stop = min(start + BLOCK, points)
+                yield ordered[i : i + per_block], start, stop, i == 0 and start == 0, last_dims and stop == points
+
+    return blocks()
 
 
 def scan_grid(
@@ -286,7 +303,7 @@ def _json_texts(column: np.ndarray) -> list[str]:
     its 12th digit, at most 5e-12 of itself, of an integer.  Only the reals
     outside that range or within 1e-11 of themselves of an integer get
     ``json.dumps`` of the float their text reads as, NaN and infinities too,
-    once per float bit pattern, so ``0.0`` and ``-0.0`` keep their own texts.
+    so ``0.0`` and ``-0.0`` keep their own texts.
     """
     texts = _csv_texts(column)
     if column.dtype.kind != "f":
@@ -295,11 +312,8 @@ def _json_texts(column: np.ndarray) -> list[str]:
     with np.errstate(invalid="ignore"):  # inf - rint(inf)
         near_integer = np.abs(column - np.rint(column)) <= 1e-11 * magnitude
     odd = np.flatnonzero(~((_MIN_NORMAL <= magnitude) & (magnitude < _ROUNDS_TO_1E12)) | near_integer)
-    memo: dict[int, str] = {}
-    for i, bits in zip(odd.tolist(), column.view(np.int64)[odd].tolist()):
-        if bits not in memo:
-            memo[bits] = json.dumps(float(texts[i]))
-        texts[i] = memo[bits]
+    for i in odd.tolist():
+        texts[i] = json.dumps(float(texts[i]))
     return texts
 
 

@@ -109,8 +109,9 @@ def test_load_rejects_wrong_scenario():
         ({"px": ["0.25"] * 16}, "not booleans, strings"),
         # A 401-digit integer used to escape as OverflowError.
         ({"px": [10**400] + [0.25] * 15}, "'px' entry out of floating-point range"),
+        ({"px": [float("nan")] + [0.25] * 15}, "non-finite entries"),
     ],
-    ids=["field0", "field1", "field2", "px_booleans", "px_strings", "px_past_float_range"],
+    ids=["field0", "field1", "field2", "px_booleans", "px_strings", "px_past_float_range", "px_not_finite"],
 )
 def test_load_rejects_malformed_scenario(field, match):
     """Malformed fields end in TableFormatError; some used to escape as TypeError or OverflowError."""

@@ -107,6 +107,8 @@ def test_scan_rejects_bad_dims(capsys):
     for command in ("scan", "threshold", "gap"):
         code, stdout, stderr = run([command, "--dims", "1,2"], capsys)
         assert (code, stdout, stderr) == (1, "", "error: local dimension must be at least 2, got 1\n")
+        code, stdout, stderr = run([command, "--dims", ","], capsys)
+        assert (code, stdout, stderr) == (1, "", "error: argument --dims: dimension list is empty\n")
 
 
 @pytest.mark.parametrize("command", ["scan", "threshold", "gap"])
@@ -588,11 +590,14 @@ def test_out_dev_stdout_on_a_pipe(capsys):
     assert done.stdout.decode() == run(argv, capsys)[1]
 
 
-def test_a_failed_write_to_stdout_is_one_io_error_line():
+def test_a_failed_write_to_stdout_is_one_io_error_line(tmp_path):
     """A report small enough to sit in stdout's buffer fails only when the buffer is flushed.
 
-    Left to the flush at interpreter exit, that failure printed Python's own two lines and exit 120.
+    Left to the flush at interpreter exit, that failure printed Python's own two lines and exit 120;
+    so did ``--help``, and a notice printed before the flush was a second stderr line.
     """
+    signaling = tmp_path / "signaling.json"
+    save_table(SIGNALING, signaling)
     env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
     env.pop("PYTHONUNBUFFERED", None)  # unbuffered, each write fails where it is made
 
@@ -605,7 +610,14 @@ def test_a_failed_write_to_stdout_is_one_io_error_line():
     if os.path.exists("/dev/full"):
         sinks.append((lambda: os.open("/dev/full", os.O_WRONLY), errno.ENOSPC))
     for open_sink, code in sinks:
-        for argv in (["threshold", "--dims", "2"], ["sample", "--dim", "3", "--count", "100"]):
+        for argv in (
+            ["threshold", "--dims", "2"],
+            ["sample", "--dim", "3", "--count", "100"],
+            ["lhv-check", str(signaling), "--method", "facets"],  # with its fallback notice
+            ["sample", "--dim", "3", "--count", "1"],  # with its insufficient-data notice
+            ["--help"],
+            ["scan", "--help"],
+        ):
             fd = open_sink()
             try:
                 done = subprocess.run(

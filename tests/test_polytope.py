@@ -237,7 +237,7 @@ def test_lp_residual_is_at_least_the_signaling_defect(table, tol):
     1e-11 in the reduced costs) as zero, so a defect of about 1e-12 can leave a
     residual of 0: the float LP keeps the bound to within 1e-11.
     """
-    _, residual = polytope.l1_feasibility(_LP_SYSTEM, np.append(table.probs, 1.0))
+    _, residual = polytope.l1_feasibility(table.probs)
     assert residual >= table.signaling_defect - 1e-11
     if not table.is_no_signaling():  # else the facets decide
         assert is_local_lp(table, tol).is_local == (residual <= tol)
@@ -250,7 +250,7 @@ def test_lp_residual_is_at_least_the_signaling_defect(table, tol):
 )
 def test_lp_residual_of_an_exactly_local_table_is_positive_zero(table):
     """The final cost entry is 0.0 on these tables, and max(-0.0, 0.0) would keep the -0.0."""
-    _, residual = polytope.l1_feasibility(_LP_SYSTEM, np.append(table.probs, 1.0))
+    _, residual = polytope.l1_feasibility(table.probs)
     assert residual == 0.0
     assert math.copysign(1.0, residual) == 1.0
 

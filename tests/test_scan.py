@@ -31,7 +31,7 @@ from noisybell.scan import (
     records_to_json,
     rows_to_csv,
     rows_to_json,
-    scan_size,
+    scan_blocks,
 )
 
 SCAN_HEADER = "N,F,S,violates,threshold,separable,gap,success_prob"
@@ -124,7 +124,8 @@ def test_noise_grid_inclusive_and_clamped():
 def test_noise_grid_keeps_an_f_max_on_the_grid_at_millions_of_points(f_min, f_max, f_step, points):
     # (f_max - f_min) / f_step falls short of its integer by more than 1e-9 steps here;
     # only the last point is built.
-    assert scan_size([2], f_min, f_max, f_step) == points
+    *_, (_, _, stop, _, last) = scan_blocks([2], f_min, f_max, f_step)
+    assert (stop, last) == (points, True)
     assert scan_grid([2], f_min, f_max, f_step, points - 1, points)["F"].tolist() == [f_max]
 
 
@@ -212,15 +213,16 @@ def test_scan_grid_caps_record_count_before_allocating():
         scan_grid([2, 3], 0.0, 1.0, 2e-19)
 
 
-def test_scan_size_checks_the_whole_request_without_allocating():
-    assert scan_size([2, 16, 1024], 0.0, 1.0, 0.01) == 3 * 101
-    assert scan_size([2, 3], 0.0, 1.0, 2.0**-60) == 2 * (2**60 + 1)  # valid, and too large to build
+def test_scan_blocks_checks_the_whole_request_without_allocating():
+    assert list(scan_blocks([1024, 2, 16], 0.0, 1.0, 0.01)) == [([2, 16, 1024], 0, 101, True, True)]
+    blocks = scan_blocks([3, 2], 0.0, 1.0, 2.0**-60)  # valid, and too large to build
+    assert next(blocks) == ([2], 0, BLOCK, True, False)
     with pytest.raises(OverflowError):  # N^2 in success_prob, whichever dimension it is
-        scan_size([2, 10**160], 0.0, 1.0, 0.5)
+        scan_blocks([2, 10**160], 0.0, 1.0, 0.5)
     with pytest.raises(ValueError, match="at least 2"):
-        scan_size([2, 1], 0.0, 1.0, 0.5)
+        scan_blocks([2, 1], 0.0, 1.0, 0.5)
     with pytest.raises(ValueError, match="exceeds the limit"):
-        scan_size([2, 3], 0.0, 1.0, 2e-19)
+        scan_blocks([2, 3], 0.0, 1.0, 2e-19)
 
 
 def test_scan_grid_rejects_point_ranges_outside_the_grid():
@@ -411,7 +413,7 @@ def test_blocks_join_into_the_whole_grid(dims, bounds, f_step, cuts):
     """Any cut of the grid points into blocks, one dimension at a time, gives the whole grid's records and bytes."""
     f_min, f_max = bounds
     whole = scan_grid(dims, f_min, f_max, f_step)
-    points = scan_size([2], f_min, f_max, f_step)
+    points = len(whole) // len(dims)
     edges = sorted({0, points, *(cut % (points + 1) for cut in cuts)})
     ranges = list(zip(edges, edges[1:]))
     blocks = [scan_grid([n], f_min, f_max, f_step, a, b) for n in sorted(dims) for a, b in ranges]

@@ -10,66 +10,38 @@ from noisybell import (
     sample_experiment,
     sequential_joint_distribution,
 )
-from noisybell.polytope import _LP_SYSTEM, l1_feasibility
+from noisybell.polytope import l1_feasibility
 
 from dense import UNIFORM, condition, local_vertices
 
 
-def test_feasible_system_has_zero_residual():
-    a = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
-    b = np.array([1.0, 1.0])
-    x, residual = l1_feasibility(a, b)
-    assert residual < 1e-12
-    assert np.all(x >= -1e-12)
-    assert np.max(np.abs(a @ x - b)) < 1e-12
-
-
-def test_infeasible_sign_constraint():
-    # Only solution to x0 = -1 needs a negative variable.
-    a = np.array([[1.0]])
-    b = np.array([-1.0])
-    x, residual = l1_feasibility(a, b)
-    assert abs(residual - 1.0) < 1e-12
-    assert abs(x[0]) < 1e-12
-
-
-def test_inconsistent_rows_report_distance():
-    a = np.array([[1.0], [1.0]])
-    b = np.array([0.0, 1.0])
-    _, residual = l1_feasibility(a, b)
-    # best x splits the difference in L1: residual min(|x| + |x-1|) = 1
-    assert abs(residual - 1.0) < 1e-12
-
-
-def test_convex_combination_recovery():
-    rng = np.random.default_rng(11)
-    vertices = rng.random((8, 5))
-    weights = rng.random(5)
-    weights /= weights.sum()
-    target = vertices @ weights
-    system = np.vstack([vertices, np.ones(5)])
-    rhs = np.concatenate([target, [1.0]])
-    x, residual = l1_feasibility(system, rhs)
-    assert residual < 1e-10
-    assert abs(x.sum() - 1.0) < 1e-10
-    assert np.max(np.abs(vertices @ x - target)) < 1e-10
-
-
 def test_rejects_bad_shapes():
-    with pytest.raises(ValueError):
-        l1_feasibility(np.zeros((2, 2)), np.zeros(3))
+    for size in (15, 17):
+        with pytest.raises(ValueError, match="16 entries"):
+            l1_feasibility(np.zeros(size))
 
 
 # --- the per-element oracle ------------------------------------------------
 # tests/simplex_oracle.py keeps the per-element route; the locality LP must
 # give the same weights and residual, byte for byte, on every kind of table.
 
+# The membership system, built here from the vertices: a column per vertex, then the weights' sum.
+_SYSTEM = np.vstack([np.array([vertex.to_flat() for vertex in local_vertices()]).T, np.ones(16)])
+
+
+def _assert_matches_oracle(probs):
+    """The membership LP's weights and residual, after checking them against the oracle's bit for bit."""
+    x, residual = l1_feasibility(probs)
+    x_ref, residual_ref = simplex_oracle.l1_feasibility(_SYSTEM, np.append(probs, 1.0))
+    assert x.tobytes() == x_ref.tobytes()
+    assert np.float64(residual).tobytes() == np.float64(residual_ref).tobytes()
+    return x, residual
+
 
 def test_pivots_match_the_per_element_route_bit_for_bit():
     """Same weights and residual, sign bits of zeros included, on the locality LP."""
     rng = np.random.default_rng(5)
-    tables = np.array([vertex.to_flat() for vertex in local_vertices()])
-    system = np.vstack([tables.T, np.ones(16)])
+    tables = _SYSTEM[:16].T
     zero_residuals = 0
     for k in range(316):
         if k < 16:
@@ -80,25 +52,10 @@ def test_pivots_match_the_per_element_route_bit_for_bit():
             target = rng.dirichlet(np.ones(4), size=4).reshape(-1)  # signaling
         else:
             target = rng.dirichlet(np.ones(16)) @ tables
-        rhs = np.concatenate([target, [1.0]])
-        x, residual = l1_feasibility(system, rhs)
-        x_ref, residual_ref = simplex_oracle.l1_feasibility(system, rhs)
-        assert x.tobytes() == x_ref.tobytes()
-        assert np.float64(residual).tobytes() == np.float64(residual_ref).tobytes()
+        x, residual = _assert_matches_oracle(target)
         assert not np.signbit(np.append(x, residual)).any()  # no weight or residual is -0.0
         zero_residuals += residual == 0.0
     assert zero_residuals > 0  # the comparison reaches zero residuals, the ones max(-0.0, 0.0) would sign
-
-
-def _assert_same_bits(a, b):
-    x, residual = l1_feasibility(a, b)
-    x_ref, residual_ref = simplex_oracle.l1_feasibility(a, b)
-    assert x.tobytes() == x_ref.tobytes()
-    assert np.float64(residual).tobytes() == np.float64(residual_ref).tobytes()
-
-
-def _assert_matches_oracle(probs):
-    _assert_same_bits(_LP_SYSTEM, np.concatenate([np.asarray(probs, dtype=float).reshape(-1), [1.0]]))
 
 
 def _oracle_cases():
@@ -131,16 +88,16 @@ def test_random_normalized_tables_match_the_oracle_bit_for_bit(blocks):
     _assert_matches_oracle(blocks / blocks.sum(axis=1, keepdims=True))
 
 
-@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (1, 0)])
-def test_empty_systems_match_the_oracle(shape):
-    _assert_same_bits(np.zeros(shape), np.ones(shape[0]))
+_VERTICES = local_vertices()
 
 
 @pytest.mark.parametrize(
-    ("a", "b"),
-    [(np.eye(2), [-0.0, 1.0]), ([[1.0, 1.0], [1.0, -1.0]], [-0.0, -0.0]), ([[1.0, 0.0], [1.0, 1.0]], [-0.0, 1.0])],
+    ("a", "b"), [(_VERTICES[0], _VERTICES[0]), (_VERTICES[3], _VERTICES[12]), (_VERTICES[9], _VERTICES[6])]
 )
 def test_a_negative_zero_right_hand_side_gives_zero_weights(a, b):
-    x, residual = l1_feasibility(np.array(a), np.array(b))
+    """The midpoint of tables ``a`` and ``b``, its zeros written -0.0, gives no -0.0 weight or residual."""
+    probs = (a.probs + b.probs) / 2.0
+    probs[probs == 0.0] = -0.0
+    assert np.signbit(probs).any()
+    x, residual = _assert_matches_oracle(probs)
     assert not np.signbit(np.append(x, residual)).any()
-    _assert_same_bits(np.array(a), np.array(b))
