@@ -5,7 +5,7 @@ subspace projection, evaluates CHSH at the maximal-violation settings, and
 decides LHV-explainability of behavior tables by local-polytope membership.
 """
 
-from .behavior import BehaviorTable, TableFormatError, load_table, save_table
+from .behavior import FACET_LABELS, BehaviorTable, TableFormatError, load_table, save_table
 from .family import (
     C_THRESHOLD,
     TSIRELSON_BOUND,
@@ -18,13 +18,7 @@ from .family import (
     violates_chsh,
     violation_threshold,
 )
-from .polytope import (
-    FACET_LABELS,
-    LocalityVerdict,
-    SignalingTable,
-    is_local_facets,
-    is_local_lp,
-)
+from .polytope import LocalityVerdict, SignalingTable, is_local_facets, is_local_lp
 from .sampling import ExperimentSample, sample_experiment
 from .scan import Table, bisect_threshold, gap_rows, scan_grid, threshold_rows
 

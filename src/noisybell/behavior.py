@@ -90,6 +90,20 @@ def _entries(values: object) -> np.ndarray:
         raise TableFormatError(f"behavior table must be a regular array: {exc}") from exc
 
 
+# The 8 CHSH facets in the order of _derived's facet values: the minus sign
+# on E00, E01, E10, E11 in turn, each with the global sign + then -.
+FACET_LABELS = (
+    "+[E01+E10+E11-E00]",
+    "-[E01+E10+E11-E00]",
+    "+[E00+E10+E11-E01]",
+    "-[E00+E10+E11-E01]",
+    "+[E00+E01+E11-E10]",
+    "-[E00+E01+E11-E10]",
+    "+[E00+E01+E10-E11]",
+    "-[E00+E01+E10-E11]",
+)
+
+
 def _derived(p: list[float]) -> tuple[float, float, list[float], list[float]]:
     """normalization_defect, signaling_defect, the correlators and the 8 facets of the flat entries ``p``.
 
@@ -120,7 +134,7 @@ def _derived(p: list[float]) -> tuple[float, float, list[float], list[float]]:
     )
     e00, e01, e10, e11 = s0 - s1 - s2 + s3, t0 - t1 - t2 + t3, u0 - u1 - u2 + u3, v0 - v1 - v2 + v3
     total = e00 + e01 + e10 + e11
-    # The minus sign on E00, E01, E10, E11 in turn, each with the global sign + and then -.
+    # In FACET_LABELS order.
     f00, f01, f10, f11 = total - 2.0 * e00, total - 2.0 * e01, total - 2.0 * e10, total - 2.0 * e11
     return normalization, signaling, [e00, e01, e10, e11], [f00, -f00, f01, -f01, f10, -f10, f11, -f11]
 
@@ -143,7 +157,7 @@ class BehaviorTable:
     correlators: np.ndarray = field(init=False, repr=False)
     """All E(x, y) = P(++) - P(+-) - P(-+) + P(--) as a read-only 2x2 array [x][y]."""
     facets: np.ndarray = field(init=False, repr=False)
-    """The 8 CHSH expressions as a read-only array, in ``noisybell.polytope.FACET_LABELS`` order:
+    """The 8 CHSH expressions as a read-only array, in :data:`FACET_LABELS` order:
     the minus sign on E00, E01, E10 and E11 in turn, each with the global sign + then -."""
 
     def __post_init__(self) -> None:
@@ -213,7 +227,7 @@ def table_from_json(text: str) -> BehaviorTable:
     if "px" not in payload:
         raise TableFormatError("table file is missing the 'px' probability list")
     px = payload["px"]
-    if not isinstance(px, list) or len(px) != FLAT_LENGTH:
+    if not isinstance(px, list):
         raise TableFormatError("'px' must be a list of 16 probabilities")
     # bool is an int subclass and float("0.25") parses, so test the JSON type itself.
     if not all(type(v) in (int, float) for v in px):

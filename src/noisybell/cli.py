@@ -22,9 +22,8 @@ from collections.abc import Callable
 from pathlib import Path
 from typing import NoReturn
 
-from .behavior import _overwrite, load_table, save_table
+from .behavior import FACET_LABELS, _overwrite, load_table, save_table
 from .polytope import (
-    FACET_LABELS,
     LOCALITY_TOL,
     SignalingTable,
     check_tolerance,
@@ -73,17 +72,6 @@ def _parse_dims(text: str) -> list[int]:
     return sorted(set(dims))
 
 
-def _parse_tol(text: str) -> float:
-    try:
-        tol = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad tolerance {text!r}") from exc
-    try:
-        return check_tolerance(tol)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from exc
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's parser, built on the first call of the process."""
     return _parser()
@@ -124,7 +112,7 @@ def _parser() -> argparse.ArgumentParser:
         default="lp",
         help="lp: weight certificate; facets: CHSH criterion (no-signaling tables only)",
     )
-    p_check.add_argument("--tol", type=_parse_tol, default=LOCALITY_TOL, help="numerical tolerance (finite, >= 0)")
+    p_check.add_argument("--tol", type=float, default=LOCALITY_TOL, help="numerical tolerance (finite, >= 0)")
     p_check.set_defaults(func=cmd_lhv_check)
 
     p_sample = sub.add_parser("sample", help="Monte Carlo runs of the two-stage experiment")
@@ -174,6 +162,7 @@ def cmd_rows(args: argparse.Namespace) -> int:
 
 
 def cmd_lhv_check(args: argparse.Namespace) -> int:
+    check_tolerance(args.tol)  # before the table is read, so a bad --tol reads and writes no file
     table = load_table(args.table)
 
     method, weights = args.method, None

@@ -49,19 +49,16 @@ _ANSWERS = np.eye(2)[list(product(range(2), repeat=4))]  # [vertex][a0 a1 b0 b1]
 _VERTICES = np.einsum("kxa,kyb->kxyab", _ANSWERS[:, :2], _ANSWERS[:, 2:])
 # LP rows: the 16 table entries as vertex mixtures, then the weights' sum.
 _LP_SYSTEM = _freeze(np.vstack([_VERTICES.reshape(16, 16).T, np.ones(16)]))
-
-# The 8 CHSH facets in the order of behavior._derived's facet values: the
-# minus sign on E00, E01, E10, E11 in turn, each with the global sign + then -.
-FACET_LABELS = (
-    "+[E01+E10+E11-E00]",
-    "-[E01+E10+E11-E00]",
-    "+[E00+E10+E11-E01]",
-    "-[E00+E10+E11-E01]",
-    "+[E00+E01+E11-E10]",
-    "-[E00+E01+E11-E10]",
-    "+[E00+E01+E10-E11]",
-    "-[E00+E01+E10-E11]",
-)
+# l1_feasibility's starting tableau [A | I | -I | 0] over the cost row, which charges 1
+# per residual column; each call copies it and writes its table's entries in the last column.
+_M, _N = _LP_SYSTEM.shape
+_START = np.zeros((_M + 1, _N + 2 * _M + 1))
+_START[:_M, :_N] = _LP_SYSTEM
+_START[:_M, _N:_N + _M] = np.eye(_M)
+_START[:_M, _N + _M:-1] = -np.eye(_M)
+_START[_M, _N:-1] = 1.0
+_freeze(_START)
+_COST_FIRST = [_M, *range(_M)]  # the cost row, then the constraint rows
 
 
 class SignalingTable(ValueError):
@@ -120,7 +117,7 @@ def is_local_facets(table: BehaviorTable, tol: float = LOCALITY_TOL) -> bool:
 
 
 def violated_facet(table: BehaviorTable, tol: float = LOCALITY_TOL) -> int | None:
-    """Index in :data:`FACET_LABELS` of the largest CHSH facet if it exceeds 2 + tol, else None.
+    """Index in ``behavior.FACET_LABELS`` of the largest CHSH facet if it exceeds 2 + tol, else None.
 
     The one facet test of the module.  It reads any table's facets; only for
     a no-signaling table does None mean local (Fine's theorem).
@@ -135,31 +132,27 @@ def l1_feasibility(probs: np.ndarray) -> tuple[np.ndarray, float]:
     """Return (x, residual) minimizing sum|A x - b| over vertex weights x >= 0.
 
     ``A`` is :data:`_LP_SYSTEM`, and ``b`` is the 16 entries of ``probs`` in
-    [x][y][a][b] order, then the weights' sum, 1.
+    [x][y][a][b] order, then the weights' sum, 1.  Each call copies the
+    frozen starting tableau, writes ``b``, and negates the rows of its
+    negative entries (a table admits entries down to -NEGATIVITY_TOL).
     """
     b = np.append(np.asarray(probs, dtype=float), 1.0)
-    if b.size != 17:
+    if b.size != _M:
         raise ValueError(f"the membership LP takes a table's 16 entries, got {b.size - 1}")
-    a = _LP_SYSTEM
-    m, n = a.shape
+    m, n = _M, _N
 
-    # Flip rows so the right-hand side is nonnegative, then the +1 residual
-    # columns form a feasible starting basis.
-    signs = np.where(b < 0.0, -1.0, 1.0)
-    tableau = np.zeros((m + 1, n + 2 * m + 1))
-    tableau[:m, :n] = a * signs[:, None]
-    tableau[:m, n:n + m] = np.eye(m)
-    tableau[:m, n + m:n + 2 * m] = -np.eye(m)
-    tableau[:m, -1] = b * signs
-
-    cost = np.zeros(n + 2 * m + 1)
-    cost[n:-1] = 1.0
+    # Flip the rows of negative entries, so the right-hand side is nonnegative
+    # and the +1 residual columns form a feasible starting basis.
+    tableau = _START.copy()
+    tableau[:m, -1] = b
+    flipped = (b < 0.0).nonzero()[0]
+    tableau[flipped, :n] *= -1.0
+    tableau[flipped, -1] *= -1.0
     basis = list(range(n, n + m))
 
-    # Reduced-cost row for the initial basis (all basic columns cost 1): the
-    # cost row minus each constraint row in turn, which a reduce along axis 0
-    # does in the same order.
-    tableau[m] = np.subtract.reduce(np.vstack([cost, tableau[:m]]), axis=0)
+    # Reduced-cost row for the initial basis: the cost row minus each
+    # constraint row in turn, which a reduce along axis 0 does in the same order.
+    tableau[m] = np.subtract.reduce(tableau[_COST_FIRST], axis=0)
 
     reduced = tableau[m, :-1]  # a view, so it follows every pivot
     for _ in range(_MAX_PIVOTS):

@@ -82,7 +82,7 @@ class Table:
 
 
 def format_real(value: float) -> str:
-    return f"{value:.12g}"
+    return "%.12g" % value
 
 
 def _grid_points(f_min: float, f_max: float, f_step: float) -> int:
@@ -286,24 +286,24 @@ def _csv_texts(column: np.ndarray) -> list[str]:
     return list(map(str, column.tolist()))
 
 
-# "%.12g" already reads like repr of the float it rounds to on normal floats
-# below 999999999999.5: repr also gives the shortest text that reads back as
-# that float, and switches to exponent form only from 1e16, where "%.12g"
-# does from a rounded 1e12.  Below the smallest normal float, fewer digits
-# can read back as the same float.
+# The smallest normal float: below it, fewer digits than "%.12g" writes can
+# read back as the same float, so repr's text can be shorter.
 _MIN_NORMAL = 2.2250738585072014e-308
-_ROUNDS_TO_1E12 = 999999999999.5
 
 
 def _json_texts(column: np.ndarray) -> list[str]:
     """A column's json texts: its CSV texts, with the reals json writes otherwise replaced.
 
-    ``"%.12g"`` is json's text for a normal real below 999999999999.5 unless
-    it lacks both ``.`` and ``e``, which takes a real within half a unit of
-    its 12th digit, at most 5e-12 of itself, of an integer.  Only the reals
-    outside that range or within 1e-11 of themselves of an integer get
-    ``json.dumps`` of the float their text reads as, NaN and infinities too,
-    so ``0.0`` and ``-0.0`` keep their own texts.
+    ``"%.12g"`` reads like repr of the float it rounds to, the shortest text
+    that reads back as that float, on a normal finite real unless it lacks
+    both ``.`` and ``e``, which takes a real within half a unit of its 12th
+    digit, at most 5e-12 of itself, of an integer.  Only the reals that are
+    not normal and finite, or are within 1e-11 of themselves of an integer,
+    get ``json.dumps`` of the float their text reads as, so ``0.0`` and
+    ``-0.0`` keep their own texts.  The near-integer test takes every
+    finite real of magnitude 5e10 or more, where |v - rint(v)| <= 0.5 <=
+    1e-11 |v|, and so every text in exponent form, which ``"%.12g"`` writes
+    from a rounded 1e12 and repr only from 1e16.
     """
     texts = _csv_texts(column)
     if column.dtype.kind != "f":
@@ -311,7 +311,7 @@ def _json_texts(column: np.ndarray) -> list[str]:
     magnitude = np.abs(column)
     with np.errstate(invalid="ignore"):  # inf - rint(inf)
         near_integer = np.abs(column - np.rint(column)) <= 1e-11 * magnitude
-    odd = np.flatnonzero(~((_MIN_NORMAL <= magnitude) & (magnitude < _ROUNDS_TO_1E12)) | near_integer)
+    odd = np.flatnonzero(~(np.isfinite(column) & (_MIN_NORMAL <= magnitude)) | near_integer)
     for i in odd.tolist():
         texts[i] = json.dumps(float(texts[i]))
     return texts

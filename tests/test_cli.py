@@ -227,13 +227,22 @@ def test_lhv_check_quantum_table_is_nonlocal(tmp_path, capsys):
 
 @pytest.mark.parametrize("tol", ["nan", "-1", "inf", "tight"])
 def test_lhv_check_rejects_bad_tolerance(tol, tmp_path, capsys):
-    """A NaN or negative tolerance used to turn the uniform table nonlocal."""
+    """A NaN or negative tolerance used to turn the uniform table nonlocal.
+
+    The tolerance is checked before the table is read or ``--out`` is opened:
+    with a missing table file the error is still the usage error, and an
+    existing ``--out`` file keeps its bytes.
+    """
     path = tmp_path / "uniform.json"
     save_table(UNIFORM, path)
-    code, stdout, stderr = run(["lhv-check", str(path), "--tol", tol], capsys)
-    assert code == 1
-    assert stdout == ""
-    assert stderr.startswith("error:") and stderr.count("\n") == 1
+    out = tmp_path / "report.txt"
+    out.write_bytes(b"kept\n")
+    for table in (path, tmp_path / "missing.json"):
+        code, stdout, stderr = run(["lhv-check", str(table), "--tol", tol, "--out", str(out)], capsys)
+        assert code == 1
+        assert stdout == ""
+        assert stderr.startswith("error:") and stderr.count("\n") == 1
+        assert out.read_bytes() == b"kept\n"
 
 
 def test_lhv_check_accepts_zero_tolerance(tmp_path, capsys):

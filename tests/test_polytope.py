@@ -93,6 +93,9 @@ def test_vertex_is_local_with_unit_weight():
         assert verdict.is_local
         assert abs(verdict.weights[idx] - 1.0) < 1e-9
         assert abs(verdict.weights.sum() - 1.0) < 1e-10
+        # A vertex's largest facet is exactly 2, so it is local even with no margin.
+        assert is_local_lp(vertices[idx], 0.0).is_local
+        assert is_local_facets(vertices[idx], 0.0)
 
 
 def test_uniform_table_is_local():

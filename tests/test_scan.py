@@ -546,6 +546,9 @@ def test_emitters_match_the_oracle_on_adversarial_tables(table, cuts):
 @example(-3.0)
 @example(9.99999999999999e-05)
 @example(sys.float_info.max)
+@example(math.inf)
+@example(-math.inf)
+@example(math.nan)
 def test_json_real_matches_repr_of_the_rounded_float(value):
     """A real beside another value, so the column is not folded, is what json.dumps writes of it rounded."""
     objects = [{"x": float(format_real(value))}, {"x": 0.5}]

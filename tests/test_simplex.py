@@ -71,6 +71,16 @@ def _oracle_cases():
             yield condition(sequential_joint_distribution(n, noise)).probs
     for seed in range(20):
         yield sample_experiment(2 + seed % 3, 0.1 * (seed % 10), 500, seed).empirical_table.probs  # signaling
+    # Entries down to -NEGATIVITY_TOL are valid, and the LP flips their rows: mixtures of a few
+    # vertices with one zero entry set to -5e-13 and the largest entry of its setting pair raised to match.
+    rng = np.random.default_rng(31)
+    for _ in range(40):
+        picked = rng.choice(16, size=rng.integers(2, 5), replace=False)
+        probs = (rng.dirichlet(np.ones(picked.size)) @ _SYSTEM[:16, picked].T).reshape(4, 4)
+        pair = rng.choice(np.flatnonzero((probs == 0.0).any(axis=1)))
+        probs[pair, rng.choice(np.flatnonzero(probs[pair] == 0.0))] = -5e-13
+        probs[pair, probs[pair].argmax()] += 5e-13
+        yield probs.reshape(2, 2, 2, 2)
 
 
 def test_locality_lp_matches_the_oracle_bit_for_bit():
