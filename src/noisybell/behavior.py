@@ -34,6 +34,8 @@ FLAT_LENGTH = 16
 NORMALIZATION_TOL = 1e-6  # largest deviation of a per-setting total from 1
 SIGNALING_TOL = 1e-8  # largest marginal shift still read as no-signaling
 NEGATIVITY_TOL = 1e-12  # entries down to -NEGATIVITY_TOL count as round-off
+MAX_TABLE_BYTES = 1 << 20  # the largest table file load_table reads; a canonical one is under 600 bytes
+_READ_CHUNK = 1 << 16
 
 
 class TableFormatError(ValueError):
@@ -163,9 +165,9 @@ class BehaviorTable:
     def __post_init__(self) -> None:
         raw = _entries(self.probs)
         # The float cast would drop imaginary parts with only a warning, and parse "0.25" and b"0.25".
-        strings = raw.dtype == object and any(isinstance(v, (str, bytes)) for v in raw.flat)
-        if raw.dtype.kind not in "biufO" or strings:
-            got = "complex" if raw.dtype.kind == "c" else "non-numeric"
+        kind = raw.dtype.kind
+        if kind not in "biufO" or (kind == "O" and any(isinstance(v, (str, bytes)) for v in raw.flat)):
+            got = "complex" if kind == "c" else "non-numeric"
             raise TableFormatError(f"behavior table entries must be real, got {got} values")
         try:
             probs = raw.astype(float)
@@ -193,10 +195,10 @@ class BehaviorTable:
 
     @classmethod
     def from_flat(cls, values: object) -> "BehaviorTable":
-        flat = _entries(values).reshape(-1)
-        if flat.size != FLAT_LENGTH:
-            raise TableFormatError(f"flat behavior table must have 16 entries, got {flat.size}")
-        return cls(flat.reshape(2, 2, 2, 2))
+        entries = _entries(values)
+        if entries.size != FLAT_LENGTH:
+            raise TableFormatError(f"flat behavior table must have 16 entries, got {entries.size}")
+        return cls(entries.reshape(2, 2, 2, 2))
 
     def to_flat(self) -> list[float]:
         return [float(v) for v in self.probs.reshape(-1)]
@@ -211,6 +213,9 @@ def table_to_json(table: BehaviorTable, meta: dict | None = None) -> str:
     if meta:
         payload["meta"] = meta
     return json.dumps(payload, indent=2) + "\n"
+
+
+_JSON_NUMBERS = frozenset((int, float))
 
 
 def table_from_json(text: str) -> BehaviorTable:
@@ -230,7 +235,7 @@ def table_from_json(text: str) -> BehaviorTable:
     if not isinstance(px, list):
         raise TableFormatError("'px' must be a list of 16 probabilities")
     # bool is an int subclass and float("0.25") parses, so test the JSON type itself.
-    if not all(type(v) in (int, float) for v in px):
+    if not _JSON_NUMBERS.issuperset(map(type, px)):
         raise TableFormatError("'px' entries must be JSON numbers, not booleans, strings, null, lists or objects")
     try:
         table = BehaviorTable.from_flat([float(v) for v in px])
@@ -246,4 +251,18 @@ def save_table(table: BehaviorTable, path: str | Path, meta: dict | None = None)
 
 
 def load_table(path: str | Path) -> BehaviorTable:
-    return table_from_json(Path(path).read_text(encoding="utf-8"))
+    """Parse the table file at ``path``, which may also be a pipe or a device.
+
+    It reads at most MAX_TABLE_BYTES + 1 bytes, in chunks, since one read of
+    the whole bound would allocate it for every small file; a longer file is
+    a TableFormatError.  The text is UTF-8 with universal newlines, as
+    ``Path.read_text(encoding="utf-8")`` reads it, so a JSON error names the
+    same line and column.
+    """
+    data = bytearray()
+    with open(path, "rb", buffering=0) as f:
+        while chunk := f.read(min(_READ_CHUNK, MAX_TABLE_BYTES + 1 - len(data))):  # read(0) ends it at the bound
+            data += chunk
+    if len(data) > MAX_TABLE_BYTES:
+        raise TableFormatError(f"table file is larger than {MAX_TABLE_BYTES} bytes")
+    return table_from_json(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))

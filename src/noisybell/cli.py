@@ -51,6 +51,8 @@ EXIT_NONLOCAL = 3
 
 
 class _Parser(argparse.ArgumentParser):
+    commands: dict[str, argparse.ArgumentParser]  # set on the top-level parser: each subcommand's own parser
+
     # argparse exits with status 2 on bad usage; remap to the documented code 1.
     def error(self, message: str) -> None:  # type: ignore[override]
         raise ValueError(message)
@@ -72,22 +74,27 @@ def _parse_dims(text: str) -> list[int]:
     return sorted(set(dims))
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> _Parser:
     """The CLI's parser, built on the first call of the process."""
     return _parser()
 
 
 @functools.cache  # parse_args leaves the parser as it found it, so one serves every main() call
-def _parser() -> argparse.ArgumentParser:
+def _parser() -> _Parser:
     parser = _Parser(prog="noisybell", description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = {}
 
-    def add_common(p: argparse.ArgumentParser, out_help: str = "write output to this path instead of stdout") -> None:
+    def add_command(
+        name: str, help_text: str, out_help: str = "write output to this path instead of stdout"
+    ) -> argparse.ArgumentParser:
+        """The subcommand's parser, recorded in ``parser.commands``, with the options every command has."""
+        parser.commands[name] = p = sub.add_parser(name, help=help_text)
         p.add_argument("--out", type=Path, default=None, help=out_help)
         p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
+        return p
 
-    p_scan = sub.add_parser("scan", help="classify an (N, F) grid")
-    add_common(p_scan)
+    p_scan = add_command("scan", "classify an (N, F) grid")
     p_scan.add_argument("--dims", type=_parse_dims, default="2,4,8", help="comma-separated dimensions, e.g. 2,4,8")
     p_scan.add_argument("--f-min", type=float, default=0.0)
     p_scan.add_argument("--f-max", type=float, default=1.0)
@@ -98,13 +105,11 @@ def _parser() -> argparse.ArgumentParser:
         ("threshold", "violation threshold per dimension"),
         ("gap", "entangled-but-not-violating noise interval per dimension"),
     ):
-        p_rows = sub.add_parser(name, help=help_text)
-        add_common(p_rows)
+        p_rows = add_command(name, help_text)
         p_rows.add_argument("--dims", type=_parse_dims, default="2,3,4,8,16,100")
         p_rows.set_defaults(func=cmd_rows)
 
-    p_check = sub.add_parser("lhv-check", help="decide whether a table file admits an LHV model")
-    add_common(p_check)
+    p_check = add_command("lhv-check", "decide whether a table file admits an LHV model")
     p_check.add_argument("table", type=Path, help="behavior table JSON file")
     p_check.add_argument(
         "--method",
@@ -115,9 +120,10 @@ def _parser() -> argparse.ArgumentParser:
     p_check.add_argument("--tol", type=float, default=LOCALITY_TOL, help="numerical tolerance (finite, >= 0)")
     p_check.set_defaults(func=cmd_lhv_check)
 
-    p_sample = sub.add_parser("sample", help="Monte Carlo runs of the two-stage experiment")
-    add_common(
-        p_sample, "write the empirical (in, in) behavior table to this JSON file; the report still goes to stdout"
+    p_sample = add_command(
+        "sample",
+        "Monte Carlo runs of the two-stage experiment",
+        "write the empirical (in, in) behavior table to this JSON file; the report still goes to stdout",
     )
     p_sample.add_argument("--dim", type=int, default=2, help="local dimension N")
     p_sample.add_argument("--noise", type=float, default=0.0, help="noise fraction F")
@@ -182,10 +188,11 @@ def cmd_lhv_check(args: argparse.Namespace) -> int:
     report = {
         "verdict": "local" if local else "nonlocal",
         "method": method,
-        "max_facet": float(table.facets.max()),
+        # np.max picks -0.0 from the uniform table's tie of 0.0 and -0.0 and printed -0; + 0.0 makes any zero 0.
+        "max_facet": max(table.facets.tolist()) + 0.0,
         "violated_facet": None if facet is None else FACET_LABELS[facet],
         "signaling_defect": table.signaling_defect,
-        "weights": weights,
+        "weights": None if weights is None else weights.tolist(),
     }
     if args.format == "json":
         text = json.dumps({key: _rounded(value) for key, value in report.items()}, indent=2) + "\n"
@@ -230,7 +237,7 @@ def _text(value) -> str:
         return "nan"
     if isinstance(value, float):
         return format_real(value)
-    return str(value) if isinstance(value, (str, int)) else ",".join(map(_text, value))
+    return str(value) if isinstance(value, (str, int)) else ",".join(map(format_real, value))
 
 
 def _rounded(value):
@@ -262,10 +269,23 @@ def _notice(text: str) -> None:
     print(f"notice: {text}", file=sys.stderr)
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``build_parser().parse_args(argv)``, with a named subcommand's arguments parsed by its own parser.
+
+    That gives the same namespace, help text and errors at about half the
+    cost of the top-level parse.  Any other argv (empty, ``-h``, an unknown
+    command) goes to the top-level parser.
+    """
     parser = build_parser()
+    command = parser.commands.get(argv[0]) if argv else None
+    if command is None:
+        return parser.parse_args(argv)
+    return command.parse_args(argv[1:], argparse.Namespace(command=argv[0]))
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(sys.argv[1:] if argv is None else argv)
         code = args.func(args)
         _flush_stdout()
         return code

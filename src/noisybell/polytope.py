@@ -49,14 +49,16 @@ _ANSWERS = np.eye(2)[list(product(range(2), repeat=4))]  # [vertex][a0 a1 b0 b1]
 _VERTICES = np.einsum("kxa,kyb->kxyab", _ANSWERS[:, :2], _ANSWERS[:, 2:])
 # LP rows: the 16 table entries as vertex mixtures, then the weights' sum.
 _LP_SYSTEM = _freeze(np.vstack([_VERTICES.reshape(16, 16).T, np.ones(16)]))
-# l1_feasibility's starting tableau [A | I | -I | 0] over the cost row, which charges 1
-# per residual column; each call copies it and writes its table's entries in the last column.
+# l1_feasibility's starting tableau [A | I | -I | b] over the cost row, which charges 1
+# per residual column.  b's last entry, the weights' sum 1, is set here; each call copies
+# the tableau and writes its table's 16 entries above it.
 _M, _N = _LP_SYSTEM.shape
 _START = np.zeros((_M + 1, _N + 2 * _M + 1))
 _START[:_M, :_N] = _LP_SYSTEM
 _START[:_M, _N:_N + _M] = np.eye(_M)
 _START[:_M, _N + _M:-1] = -np.eye(_M)
 _START[_M, _N:-1] = 1.0
+_START[_M - 1, -1] = 1.0
 _freeze(_START)
 _COST_FIRST = [_M, *range(_M)]  # the cost row, then the constraint rows
 
@@ -133,28 +135,43 @@ def l1_feasibility(probs: np.ndarray) -> tuple[np.ndarray, float]:
 
     ``A`` is :data:`_LP_SYSTEM`, and ``b`` is the 16 entries of ``probs`` in
     [x][y][a][b] order, then the weights' sum, 1.  Each call copies the
-    frozen starting tableau, writes ``b``, and negates the rows of its
-    negative entries (a table admits entries down to -NEGATIVITY_TOL).
+    frozen starting tableau, whose last column already ends in that 1,
+    writes the 16 entries above it, and negates the rows of its negative
+    entries, if there are any (a table admits entries down to
+    -NEGATIVITY_TOL).
+
+    The per-pivot buffers are made once per call: the product of the
+    entering column and the pivot row, and the mask of the rows that
+    change.  Each pivot writes into them with ``out=``.  It reads the
+    entering column, cost row included, once as Python floats, and divides
+    the pivot row by its pivot entry as a Python float, which gives the bits
+    of the float64 division.
     """
-    b = np.append(np.asarray(probs, dtype=float), 1.0)
-    if b.size != _M:
-        raise ValueError(f"the membership LP takes a table's 16 entries, got {b.size - 1}")
+    entries = np.asarray(probs, dtype=float).reshape(-1)
+    if entries.size != _M - 1:
+        raise ValueError(f"the membership LP takes a table's 16 entries, got {entries.size}")
     m, n = _M, _N
 
     # Flip the rows of negative entries, so the right-hand side is nonnegative
     # and the +1 residual columns form a feasible starting basis.
     tableau = _START.copy()
-    tableau[:m, -1] = b
-    flipped = (b < 0.0).nonzero()[0]
-    tableau[flipped, :n] *= -1.0
-    tableau[flipped, -1] *= -1.0
+    tableau[:m - 1, -1] = entries
+    flipped = (entries < 0.0).nonzero()[0]
+    if flipped.size:
+        tableau[flipped, :n] *= -1.0
+        tableau[flipped, -1] *= -1.0
     basis = list(range(n, n + m))
 
     # Reduced-cost row for the initial basis: the cost row minus each
     # constraint row in turn, which a reduce along axis 0 does in the same order.
     tableau[m] = np.subtract.reduce(tableau[_COST_FIRST], axis=0)
 
+    # Views and buffers made once per solve; each pivot reads and writes through them.
     reduced = tableau[m, :-1]  # a view, so it follows every pivot
+    rhs_column = tableau[:m, -1]
+    product = np.empty_like(tableau)
+    changed = np.empty(m + 1, dtype=bool)
+    changed_rows = changed[:, None]
     for _ in range(_MAX_PIVOTS):
         # Bland's rule: the lowest-index improving column enters.
         improving = (reduced < -_COST_EPS).nonzero()[0]
@@ -165,8 +182,8 @@ def l1_feasibility(probs: np.ndarray) -> tuple[np.ndarray, float]:
         # The ratio test runs on Python floats, read once per pivot: IEEE
         # division and comparison give the same bits as on float64 scalars.
         column = tableau[:, entering]
-        coefs = column[:m].tolist()
-        rhs = tableau[:m, -1].tolist()
+        coefs = column.tolist()  # the cost row's entry last
+        rhs = rhs_column.tolist()
         leaving = -1
         best_ratio = np.inf
         for i in range(m):
@@ -182,12 +199,14 @@ def l1_feasibility(probs: np.ndarray) -> tuple[np.ndarray, float]:
         if leaving < 0:
             raise RuntimeError("L1 feasibility LP is unbounded; inputs are malformed")
 
-        tableau[leaving, :] /= tableau[leaving, entering]
+        pivot_row = tableau[leaving]
+        pivot_row /= coefs[leaving]
         # Only rows with a nonzero entry change, so the others keep their exact
         # bits (a -0.0 stays -0.0).
-        changed = column != 0.0
+        np.not_equal(column, 0.0, out=changed)
         changed[leaving] = False
-        np.subtract(tableau, column[:, None] * tableau[leaving], out=tableau, where=changed[:, None])
+        np.multiply(column[:, None], pivot_row, out=product)
+        np.subtract(tableau, product, out=tableau, where=changed_rows)
         basis[leaving] = entering
     else:
         raise RuntimeError(f"simplex did not converge within {_MAX_PIVOTS} pivots")
@@ -195,8 +214,8 @@ def l1_feasibility(probs: np.ndarray) -> tuple[np.ndarray, float]:
     # max keeps its first argument on a tie, so max(-0.0, 0.0) is -0.0; adding
     # 0.0 turns that into 0.0 and keeps every other value, NaN included.
     x = np.zeros(n)
-    for i, var in enumerate(basis):
+    for var, value in zip(basis, rhs_column.tolist()):
         if var < n:
-            x[var] = max(tableau[i, -1], 0.0) + 0.0
+            x[var] = max(value, 0.0) + 0.0
     residual = max(-float(tableau[m, -1]), 0.0) + 0.0
     return x, residual

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from noisybell import BehaviorTable, TableFormatError, load_table, save_table
-from noisybell.behavior import NEGATIVITY_TOL, NORMALIZATION_TOL, table_from_json, table_to_json
+from noisybell.behavior import MAX_TABLE_BYTES, NEGATIVITY_TOL, NORMALIZATION_TOL, table_from_json, table_to_json
 
 from dense import (
     UNIFORM,
@@ -134,6 +134,30 @@ def test_load_rejects_deeply_nested_json():
     depth = 50_000
     with pytest.raises(TableFormatError, match="not valid JSON"):
         table_from_json('{"px": ' + "[" * depth + "]" * depth + "}")
+
+
+def test_load_reads_a_file_of_the_bound_and_rejects_one_byte_more(tmp_path):
+    text = table_to_json(UNIFORM).encode()
+    path = tmp_path / "padded.json"
+    path.write_bytes(text + b" " * (MAX_TABLE_BYTES - len(text)))
+    assert load_table(path).to_flat() == UNIFORM.to_flat()
+    path.write_bytes(text + b" " * (MAX_TABLE_BYTES + 1 - len(text)))
+    with pytest.raises(TableFormatError, match=f"^table file is larger than {MAX_TABLE_BYTES} bytes$"):
+        load_table(path)
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_load_reads_newlines_as_read_text_does(newline, tmp_path):
+    """A JSON error names a line and column, so the file's newlines are read as ``Path.read_text`` reads them."""
+    path = tmp_path / "table.json"
+    path.write_bytes(table_to_json(UNIFORM).replace("\n", newline).encode())
+    assert load_table(path).to_flat() == UNIFORM.to_flat()
+    path.write_bytes('{\n"px":\r\n[0.25,\r\r0.25 0.25]}'.replace("\n", newline).encode())
+    with pytest.raises(TableFormatError) as loaded:
+        load_table(path)
+    with pytest.raises(TableFormatError) as read:
+        table_from_json(path.read_text(encoding="utf-8"))
+    assert str(loaded.value) == str(read.value)
 
 
 def test_load_rejects_negative_entries():

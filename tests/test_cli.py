@@ -216,6 +216,20 @@ def test_lhv_check_uniform_table_is_local(tmp_path, capsys):
     assert "weights:" in stdout
 
 
+@pytest.mark.parametrize("method", ["lp", "facets"])
+def test_lhv_check_prints_a_largest_facet_of_zero_as_0(method, tmp_path, capsys):
+    """The uniform table's largest facets are 0.0 and -0.0, and np.max's pick used to print as -0."""
+    assert sorted(map(str, UNIFORM.facets.tolist())) == ["-0.0"] * 4 + ["0.0"] * 4
+    path = tmp_path / "uniform.json"
+    save_table(UNIFORM, path)
+    code, stdout, _ = run(["lhv-check", str(path), "--method", method], capsys)
+    assert code == 0
+    assert "\nmax_facet: 0\n" in stdout
+    code, stdout, _ = run(["lhv-check", str(path), "--method", method, "--format", "json"], capsys)
+    assert code == 0
+    assert '\n  "max_facet": 0.0,\n' in stdout
+
+
 def test_lhv_check_quantum_table_is_nonlocal(tmp_path, capsys):
     path = tmp_path / "quantum.json"
     save_table(QUANTUM_TABLE, path)
@@ -321,6 +335,51 @@ def test_lhv_check_missing_file_is_io_error(tmp_path, capsys):
     assert code == 2
 
 
+def _fresh_cli(argv, **kwargs):
+    """``python -m noisybell.cli argv`` in a fresh interpreter with BLAS on one thread: (exit code, stdout, stderr)."""
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1]), "OPENBLAS_NUM_THREADS": "1"}
+    done = subprocess.run(
+        [sys.executable, "-m", "noisybell.cli", *argv], capture_output=True, env=env, timeout=60, **kwargs
+    )
+    return done.returncode, done.stdout.decode(), done.stderr.decode()
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero") or sys.platform != "linux", reason="needs /dev/zero and RLIMIT_AS")
+def test_lhv_check_of_an_endless_file_is_one_usage_error():
+    """``lhv-check /dev/zero`` used to read until memory ran out, then end in a MemoryError traceback.
+
+    The child's address space is capped, so that a read without a bound
+    fails quickly instead of taking the host's memory.
+    """
+    import resource
+
+    limit = 512 * 2**20
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    code, stdout, stderr = _fresh_cli(["lhv-check", "/dev/zero"], preexec_fn=cap_address_space)
+    assert (code, stdout) == (1, "")
+    assert stderr == f"error: table file is larger than {behavior.MAX_TABLE_BYTES} bytes\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/stdin"), reason="needs /dev/stdin")
+def test_lhv_check_reads_a_table_from_a_pipe(tmp_path, capsys):
+    path = tmp_path / "quantum.json"
+    save_table(QUANTUM_TABLE, path)
+    expected = run(["lhv-check", str(path)], capsys)
+    assert expected[0] == 3
+    assert _fresh_cli(["lhv-check", "/dev/stdin"], input=path.read_bytes()) == expected
+
+
+def test_lhv_check_of_a_file_that_is_not_utf_8_is_one_usage_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"px": [0.25], "meta": "\u00e9"}'.encode("latin-1"))
+    code, stdout, stderr = run(["lhv-check", str(path)], capsys)
+    assert (code, stdout) == (1, "")
+    assert stderr.startswith("error: 'utf-8' codec can't decode byte 0xe9") and stderr.count("\n") == 1
+
+
 def test_lhv_check_facets_falls_back_on_signaling_table(tmp_path, capsys):
     path = tmp_path / "signaling.json"
     save_table(SIGNALING, path)
@@ -412,6 +471,81 @@ def test_parser_is_built_once_per_process(capsys):
         assert main(["threshold", "--dims", str(2 + k)]) == 0
     capsys.readouterr()
     assert cli._parser.cache_info().misses == 1
+
+
+def _parsed(parse, argv):
+    """What parsing ``argv`` gives: the namespace, the usage error's text, or --help's exit code and stdout."""
+    stdout = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(stdout):
+            return "namespace", vars(parse(argv))
+    except ValueError as exc:
+        return "error", str(exc)
+    except SystemExit as exc:
+        return "exit", exc.code, stdout.getvalue()
+
+
+# Each command's options with a value they accept, as written in full or abbreviated.
+_COMMON_OPTIONS = [["--out", "report.txt"], ["--format", "json"], ["--fo", "csv"]]
+_OPTIONS = {
+    "scan": [["--dims", "2,4"], ["--f-min", "0.5"], ["--f-max", "0.75"], ["--f-st", "0.25"], ["--d", "3"]],
+    "threshold": [["--dims", "2,4"], ["--di", "5,3"]],
+    "gap": [["--dims", "2,4"], ["--d", "7"]],
+    "lhv-check": [["table.json"], ["--method", "facets"], ["--meth", "lp"], ["--tol", "1e-3"], ["--t", "0"]],
+    "sample": [["--dim", "3"], ["--noise", "0.5"], ["--count", "10"], ["--see", "4"], ["--n", "0"]],
+}
+_ARGV_TOKENS = [
+    *_OPTIONS,  # the command names
+    *["lhv-chec", "lhv-checks", "Scan", "samp", "bogus"],  # near-misses of command names
+    *["--out", "--format", "--dims", "--f-min", "--f-max", "--f-step", "--method", "--tol"],
+    *["--dim", "--noise", "--count", "--seed"],
+    *["--meth", "--fo", "--f", "--f-m", "--o", "--d", "--di", "--t", "--see", "--n", "--c"],  # abbreviations
+    *["--", "-h", "--help", "--he", "-", "--nope", "-x"],
+    *["0.5", "2,4", "1e-3", "lp", "facets", "simplex", "csv", "json", "table.json", "-1", "nan", ""],
+    *["--tol=1e-3", "--out=report.txt", "--method=lp", "--dims=2,3"],
+]
+
+
+@st.composite
+def _command_line(draw):
+    """An argv that mostly names a command and gives it options it has, with tokens mixed in that may not fit."""
+    first = draw(st.sampled_from([*_OPTIONS, *_OPTIONS, "bogus", "-h", "--", "lhv-chec", "--tol"]))
+    options = _COMMON_OPTIONS + _OPTIONS.get(first, [])
+    tokens = st.sampled_from(_ARGV_TOKENS).map(lambda token: [token])
+    chunks = st.one_of(st.sampled_from(options), st.sampled_from(options), tokens)  # two in three fit the command
+    argv = [first] + (["table.json"] if first == "lhv-check" and draw(st.booleans()) else [])
+    return argv + [token for chunk in draw(st.lists(chunks, max_size=5)) for token in chunk]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["-h"],
+        ["--", "scan"],
+        ["lhv-chec", "table.json"],
+        ["lhv-check"],
+        ["lhv-check", "-h"],
+        ["lhv-check", "--"],
+        ["lhv-check", "--", "-x"],
+        ["lhv-check", "table.json", "--meth", "facets", "--tol=0"],
+        ["lhv-check", "table.json", "extra"],
+        ["scan", "--f", "0.5"],
+        ["scan", "--dims", "2", "--", "x"],
+        ["sample", "--see", "3", "--help"],
+        ["gap", "-h", "bogus"],
+        ["threshold", "--dims=2,4", "--format", "xml"],
+        ["threshold", "--tol", "1e-3"],
+    ],
+)
+def test_a_named_command_parses_as_the_top_level_parser_would(argv):
+    assert _parsed(cli._parse_args, argv) == _parsed(cli.build_parser().parse_args, argv)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=st.one_of(_command_line(), _command_line(), st.lists(st.sampled_from(_ARGV_TOKENS), max_size=6)))
+def test_drawn_argv_parse_as_the_top_level_parser_would(argv):
+    assert _parsed(cli._parse_args, argv) == _parsed(cli.build_parser().parse_args, argv)
 
 
 def test_cached_parser_leaks_nothing_between_calls(tmp_path, capsys):
