@@ -20,6 +20,7 @@ keeps the bits of the numpy expression it stands for.
 from __future__ import annotations
 
 import contextlib
+import errno
 import json
 import math
 import os
@@ -253,16 +254,25 @@ def save_table(table: BehaviorTable, path: str | Path, meta: dict | None = None)
 def load_table(path: str | Path) -> BehaviorTable:
     """Parse the table file at ``path``, which may also be a pipe or a device.
 
-    It reads at most MAX_TABLE_BYTES + 1 bytes, in chunks, since one read of
-    the whole bound would allocate it for every small file; a longer file is
-    a TableFormatError.  The text is UTF-8 with universal newlines, as
-    ``Path.read_text(encoding="utf-8")`` reads it, so a JSON error names the
-    same line and column.
+    The path is used as given, so ``table.json/`` is ``[Errno 20] Not a
+    directory``, and a directory is ``[Errno 21] Is a directory``, as
+    ``open`` words it.  The file is read with ``os.read`` on a descriptor that
+    is closed on every path, at most MAX_TABLE_BYTES + 1 bytes in chunks of
+    at most 64 KiB, since one read of the whole bound would allocate it for
+    every small file; a longer file is a TableFormatError.  The text is UTF-8
+    with universal newlines, as ``Path.read_text(encoding="utf-8")`` reads it,
+    so a JSON error names the same line and column.
     """
     data = bytearray()
-    with open(path, "rb", buffering=0) as f:
-        while chunk := f.read(min(_READ_CHUNK, MAX_TABLE_BYTES + 1 - len(data))):  # read(0) ends it at the bound
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        # os.open opens a directory for reading, and its read error would name no file.
+        if stat.S_ISDIR(os.fstat(fd).st_mode):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
+        while chunk := os.read(fd, min(_READ_CHUNK, MAX_TABLE_BYTES + 1 - len(data))):  # read(0) ends it at the bound
             data += chunk
+    finally:
+        os.close(fd)
     if len(data) > MAX_TABLE_BYTES:
         raise TableFormatError(f"table file is larger than {MAX_TABLE_BYTES} bytes")
     return table_from_json(data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n"))

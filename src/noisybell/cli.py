@@ -19,7 +19,6 @@ import json
 import os
 import sys
 from collections.abc import Callable
-from pathlib import Path
 from typing import NoReturn
 
 from .behavior import FACET_LABELS, _overwrite, load_table, save_table
@@ -90,7 +89,8 @@ def _parser() -> _Parser:
     ) -> argparse.ArgumentParser:
         """The subcommand's parser, recorded in ``parser.commands``, with the options every command has."""
         parser.commands[name] = p = sub.add_parser(name, help=help_text)
-        p.add_argument("--out", type=Path, default=None, help=out_help)
+        # Paths stay the strings typed: type=Path would drop a trailing slash and read or write the file before it.
+        p.add_argument("--out", default=None, help=out_help)
         p.add_argument("--format", choices=("csv", "json"), default="csv", help="output format")
         return p
 
@@ -110,7 +110,7 @@ def _parser() -> _Parser:
         p_rows.set_defaults(func=cmd_rows)
 
     p_check = add_command("lhv-check", "decide whether a table file admits an LHV model")
-    p_check.add_argument("table", type=Path, help="behavior table JSON file")
+    p_check.add_argument("table", help="behavior table JSON file")
     p_check.add_argument(
         "--method",
         choices=("lp", "facets"),
@@ -134,7 +134,7 @@ def _parser() -> _Parser:
     return parser
 
 
-def _sink(out: Path | None) -> contextlib.AbstractContextManager[Callable[[str], object]]:
+def _sink(out: str | None) -> contextlib.AbstractContextManager[Callable[[str], object]]:
     """The write function of stdout or of the ``--out`` file, opened here.
 
     Commands open it only once their request is known to be valid, so a

@@ -140,12 +140,23 @@ def l1_feasibility(probs: np.ndarray) -> tuple[np.ndarray, float]:
     entries, if there are any (a table admits entries down to
     -NEGATIVITY_TOL).
 
-    The per-pivot buffers are made once per call: the product of the
-    entering column and the pivot row, and the mask of the rows that
-    change.  Each pivot writes into them with ``out=``.  It reads the
-    entering column, cost row included, once as Python floats, and divides
-    the pivot row by its pivot entry as a Python float, which gives the bits
-    of the float64 division.
+    The per-pivot buffers are made once per call: the entering column's
+    multipliers, with 0.0 in the pivot row, and their product with the
+    pivot row.  Each pivot writes into them with ``out=`` and subtracts the
+    product from the whole tableau.  It reads the entering column, cost row
+    included, once as Python floats, and divides the pivot row by its pivot
+    entry as a Python float, which gives the bits of the float64 division.
+
+    Why the unmasked update gives the bits of one that skips the rows whose
+    entering entry is zero (``tests/simplex_oracle.py``): every entry is
+    finite, since a table's are, so such a row, the pivot row included,
+    subtracts a product of +-0.0.  That keeps each nonzero entry bit for bit
+    and can change only the sign of a zero.  Under IEEE addition,
+    subtraction, multiplication and division by a nonzero pivot, the sign of
+    a zero reaches only the sign of a zero result.  The tests
+    ``> _PIVOT_EPS`` and ``< -_COST_EPS`` and the ratio test's ties read 0.0
+    and -0.0 alike, and the weights and the residual pass through
+    ``max(v, 0.0) + 0.0``, which makes either zero 0.0.
     """
     entries = np.asarray(probs, dtype=float).reshape(-1)
     if entries.size != _M - 1:
@@ -170,14 +181,13 @@ def l1_feasibility(probs: np.ndarray) -> tuple[np.ndarray, float]:
     reduced = tableau[m, :-1]  # a view, so it follows every pivot
     rhs_column = tableau[:m, -1]
     product = np.empty_like(tableau)
-    changed = np.empty(m + 1, dtype=bool)
-    changed_rows = changed[:, None]
+    multipliers = np.empty((m + 1, 1))
     for _ in range(_MAX_PIVOTS):
-        # Bland's rule: the lowest-index improving column enters.
-        improving = (reduced < -_COST_EPS).nonzero()[0]
-        if improving.size == 0:
+        # Bland's rule: the lowest-index improving column enters; argmax returns the first True.
+        improving = reduced < -_COST_EPS
+        entering = int(improving.argmax())
+        if not improving[entering]:
             break
-        entering = int(improving[0])
 
         # The ratio test runs on Python floats, read once per pivot: IEEE
         # division and comparison give the same bits as on float64 scalars.
@@ -201,12 +211,11 @@ def l1_feasibility(probs: np.ndarray) -> tuple[np.ndarray, float]:
 
         pivot_row = tableau[leaving]
         pivot_row /= coefs[leaving]
-        # Only rows with a nonzero entry change, so the others keep their exact
-        # bits (a -0.0 stays -0.0).
-        np.not_equal(column, 0.0, out=changed)
-        changed[leaving] = False
-        np.multiply(column[:, None], pivot_row, out=product)
-        np.subtract(tableau, product, out=tableau, where=changed_rows)
+        # Every row, the pivot row with a multiplier of 0.0, subtracts its multiple of the pivot row.
+        multipliers[:, 0] = column
+        multipliers[leaving, 0] = 0.0
+        np.multiply(multipliers, pivot_row, out=product)
+        np.subtract(tableau, product, out=tableau)
         basis[leaving] = entering
     else:
         raise RuntimeError(f"simplex did not converge within {_MAX_PIVOTS} pivots")

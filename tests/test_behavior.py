@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import struct
 import tempfile
@@ -158,6 +159,58 @@ def test_load_reads_newlines_as_read_text_does(newline, tmp_path):
     with pytest.raises(TableFormatError) as read:
         table_from_json(path.read_text(encoding="utf-8"))
     assert str(loaded.value) == str(read.value)
+
+
+def _load_from_a_pipe_on_stdin(data):
+    """``load_table("/dev/stdin")`` with fd 0 the read end of a pipe that holds ``data``."""
+    read, write = os.pipe()
+    saved = os.dup(0)
+    try:
+        os.write(write, data)
+        os.close(write)
+        os.dup2(read, 0)
+        return load_table("/dev/stdin")
+    finally:
+        os.dup2(saved, 0)
+        os.close(saved)
+        os.close(read)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_load_leaks_no_descriptor_and_keeps_its_error_texts(tmp_path):
+    """100 loads on each path, returning a table or raising, leave the process's open descriptors as they were."""
+    text = table_to_json(UNIFORM).encode()
+    files = {
+        "valid.json": text,
+        "latin1.json": '{"px": [0.25], "meta": "\u00e9"}'.encode("latin-1"),
+        "bad.json": b'{"px": [0.25,',
+        "long.json": text + b" " * (MAX_TABLE_BYTES + 1 - len(text)),
+    }
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    (tmp_path / "dir").mkdir()
+    # (load, the exception and its text, or None for a table)
+    directory = (IsADirectoryError, f"[Errno 21] Is a directory: '{tmp_path}/dir'")
+    cases = [
+        (lambda: load_table(tmp_path / "valid.json"), None),
+        (lambda: load_table(tmp_path / "dir"), directory),  # a Path, named as str(path)
+        (lambda: load_table(tmp_path / "absent.json"), (FileNotFoundError, None)),
+        (lambda: load_table(tmp_path / "latin1.json"), (UnicodeDecodeError, None)),
+        (lambda: load_table(tmp_path / "bad.json"), (TableFormatError, None)),
+        (lambda: load_table(tmp_path / "long.json"), (TableFormatError, None)),
+    ]
+    if os.path.exists("/dev/stdin"):
+        cases.append((lambda: _load_from_a_pipe_on_stdin(text), None))
+    for load, raised in cases:
+        before = len(os.listdir("/proc/self/fd"))
+        for _ in range(100):
+            if raised is None:
+                assert load().to_flat() == UNIFORM.to_flat()
+            else:
+                with pytest.raises(raised[0]) as error:
+                    load()
+                assert raised[1] is None or str(error.value) == raised[1]
+        assert len(os.listdir("/proc/self/fd")) == before
 
 
 def test_load_rejects_negative_entries():

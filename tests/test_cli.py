@@ -331,8 +331,33 @@ def test_lhv_check_deeply_nested_table_is_usage_error(tmp_path, capsys):
 
 
 def test_lhv_check_missing_file_is_io_error(tmp_path, capsys):
-    code, _, stderr = run(["lhv-check", str(tmp_path / "absent.json")], capsys)
-    assert code == 2
+    """The error names the path as typed; pathlib used to print it as ``<tmp>/missing/absent.json``."""
+    path = f"{tmp_path}/./missing//absent.json"
+    code, stdout, stderr = run(["lhv-check", path], capsys)
+    assert (code, stdout, stderr) == (2, "", f"i/o error: [Errno 2] No such file or directory: '{path}'\n")
+
+
+def test_lhv_check_of_a_file_path_with_a_trailing_slash_is_an_io_error(tmp_path, capsys):
+    """pathlib dropped the slash, so ``table.json/`` used to read ``table.json`` and print its verdict."""
+    save_table(UNIFORM, tmp_path / "uniform.json")
+    path = f"{tmp_path / 'uniform.json'}/"
+    code, stdout, stderr = run(["lhv-check", path], capsys)
+    assert (code, stdout, stderr) == (2, "", f"i/o error: [Errno 20] Not a directory: '{path}'\n")
+
+
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_out_with_a_trailing_slash_is_an_io_error_and_writes_no_file(existing, tmp_path, capsys):
+    """pathlib dropped the slash, so ``--out x.txt/`` used to write the file ``x.txt``."""
+    out = tmp_path / "x.txt"
+    if existing:
+        out.write_bytes(b"kept\n")
+    code, stdout, stderr = run(["threshold", "--dims", "2", "--out", f"{out}/"], capsys)
+    assert (code, stdout) == (2, "")
+    assert stderr.startswith("i/o error: ") and stderr.count("\n") == 1
+    if existing:
+        assert out.read_bytes() == b"kept\n"
+    else:
+        assert not out.exists()
 
 
 def _fresh_cli(argv, **kwargs):

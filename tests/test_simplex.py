@@ -111,3 +111,27 @@ def test_a_negative_zero_right_hand_side_gives_zero_weights(a, b):
     assert np.signbit(probs).any()
     x, residual = _assert_matches_oracle(probs)
     assert not np.signbit(np.append(x, residual)).any()
+
+
+# Sparse mixtures: 1 to 4 vertices, so most entries and many tableau entries are exact zeros.
+# Small integer weights make exact ties in the ratio test too.
+_mixture = st.lists(
+    st.tuples(st.integers(0, 15), st.one_of(st.integers(1, 8), st.floats(1e-3, 1.0))),
+    min_size=1,
+    max_size=4,
+    unique_by=lambda pick: pick[0],
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_mixture)
+def test_the_sign_of_a_zero_entry_never_reaches_the_weights_or_residual(mixture):
+    """A table and the same table with every zero written -0.0 give the same bytes, and the oracle's."""
+    vertices, weights = (list(column) for column in zip(*mixture))
+    weights = np.array(weights, dtype=float)
+    probs = (weights / weights.sum()) @ _SYSTEM[:16, vertices].T
+    signed = np.where(probs == 0.0, -0.0, probs)
+    x, residual = _assert_matches_oracle(probs)
+    x_signed, residual_signed = _assert_matches_oracle(signed)
+    assert x_signed.tobytes() == x.tobytes()
+    assert np.float64(residual_signed).tobytes() == np.float64(residual).tobytes()
