@@ -1,7 +1,7 @@
-"""Every name a package or test module imports is used, every private module-level name has a reader,
-the package exports exactly what it imports, README's library table names only what its modules have,
-every dotted ``noisybell.<module>`` or ``noisybell.<module>.<NAME>`` README cites is there,
-and each package module has its test modules.
+"""Every name a package or test module imports is used, no module binds a top-level name twice, every
+private module-level name has a reader, the package exports exactly what it imports, README's library
+table names only what its modules have, every dotted ``noisybell.<module>`` or ``noisybell.<module>.<NAME>``
+README cites is there, and each package module has its test module.
 
 A stdlib ``ast`` scan stands in for a linter: it catches the stale imports,
 exports and private helpers that deleting a function leaves behind.  An import on a line
@@ -13,19 +13,16 @@ import builtins
 import importlib
 import inspect
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "noisybell"
-# The test modules that span the package rather than test one of its modules.
-CROSS_CUTTING = {"acceptance", "golden", "imports", "tracing_targets"}
-# ``noisybell.family`` merged the states, chsh and sequential modules; its tests keep the four
-# test module names they had then, so that every test keeps its id.
-FAMILY_TESTS = {"states", "chsh", "sequential", "oracle"}
-# ``noisybell.polytope`` took in the simplex module; its solver tests keep their module name and ids.
-POLYTOPE_TESTS = {"polytope", "simplex"}
+# The test modules that span the package rather than test one of its modules, and ``dense``,
+# which checks the tests' dense oracle, not a package module.
+CROSS_CUTTING = {"acceptance", "dense", "golden", "imports", "tracing_targets"}
 
 
 def exported(tree: ast.Module) -> list[str]:
@@ -56,6 +53,44 @@ def test_every_import_is_used(path):
     tree = ast.parse(source)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | set(exported(tree))
     assert sorted(imported(tree, source.splitlines()) - used) == []
+
+
+def rebound_names(source: str) -> list[str]:
+    """Sorted, the names that two top-level statements bind: ``def``, ``class``, import or plain assignment."""
+    names = Counter()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names[node.name] += 1
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound = [t for target in targets for t in ast.walk(target) if isinstance(t, ast.Name)]
+            names.update(t.id for t in bound if isinstance(t.ctx, ast.Store))  # not the names in `_T[_M] = 0`
+    return sorted(name for name, count in names.items() if count > 1)
+
+
+def test_no_module_binds_a_top_level_name_twice():
+    """A second ``def test_x`` replaces the first, which pytest then never collects: merging test modules
+    could lose a test without any failure."""
+    paths = sorted(PACKAGE.glob("*.py")) + sorted(Path(__file__).parent.glob("*.py"))
+    assert {path.name: names for path in paths if (names := rebound_names(path.read_text()))} == {}
+
+
+def test_rebinding_check_finds_a_shadowed_test_and_ignores_item_assignment():
+    """Two ``def``s, a ``def`` over an import and an assignment over a class count; ``_T[_M] = 0`` does not."""
+    source = (
+        "from dense import noisy_state\n"
+        "def test_x():\n    assert False\n"
+        "def test_x():\n    pass\n"
+        "def noisy_state(n):\n    return n\n"
+        "class T:\n    pass\n"
+        "T = 1\n"
+        "_M, _N = 1, 2\n"
+        "_T = [0, 0]\n"
+        "_T[_M] = 0\n"
+    )
+    assert rebound_names(source) == ["T", "noisy_state", "test_x"]
 
 
 def builtin_sum_calls(source: str) -> list[int]:
@@ -239,12 +274,23 @@ def test_every_dotted_name_in_readme_resolves():
     assert unresolved_dotted_names((ROOT / "README.md").read_text()) == []
 
 
-def test_every_module_has_its_test_modules():
-    """``noisybell.<m>`` is tested in ``tests/test_<m>.py``, ``family`` in the ``FAMILY_TESTS`` modules and
-    ``polytope`` in the ``POLYTOPE_TESTS`` modules.
+def layout_gaps(modules: set[str], tests: set[str]) -> tuple[set[str], set[str]]:
+    """(missing, extra): the package modules and ``CROSS_CUTTING`` names with no ``test_<name>`` module, and the
+    test modules named after neither.  Both are empty exactly when ``tests == modules | CROSS_CUTTING``."""
+    expected = modules | CROSS_CUTTING
+    return expected - tests, tests - expected
 
-    Every other test module spans the package, so a merged or renamed module cannot leave its tests behind.
+
+def test_every_module_has_its_test_modules():
+    """``noisybell.<m>`` is tested in ``tests/test_<m>.py``, and every other test module is cross-cutting.
+
+    So a merged or renamed module cannot leave its tests behind under its old name.
     """
     modules = {path.stem for path in PACKAGE.glob("*.py")} - {"__init__"}
     tests = {path.stem.removeprefix("test_") for path in Path(__file__).parent.glob("test_*.py")}
-    assert tests == (modules - {"family", "polytope"}) | FAMILY_TESTS | POLYTOPE_TESTS | CROSS_CUTTING
+    assert layout_gaps(modules, tests) == (set(), set())
+
+
+def test_layout_check_flags_a_leftover_and_a_missing_test_module():
+    tests = {"states", "scan"} | CROSS_CUTTING
+    assert layout_gaps({"family", "scan"}, tests) == ({"family"}, {"states"})
