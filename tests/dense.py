@@ -165,11 +165,6 @@ def condition(joint: np.ndarray, a1: int = 0, b1: int = 0) -> BehaviorTable:
     return BehaviorTable(branch / branch.sum(axis=(2, 3), keepdims=True))
 
 
-def first_stage(joint: np.ndarray) -> np.ndarray:
-    """P(a1, b1) per setting pair, [x][y][a1][b1], of a [x][y][a1][b1][a2][b2] law."""
-    return joint.sum(axis=(4, 5))
-
-
 def numpy_normalization_defect(probs: np.ndarray) -> float:
     return float(np.max(np.abs(probs.sum(axis=(2, 3)) - 1.0)))
 
